@@ -5,6 +5,10 @@
 set -eux
 
 cargo build --release --workspace --offline
+# The campaign benchmark's traced replica (perfbench/tracer) links the
+# runner's public API: build it here so an API change that breaks it
+# fails CI, not the benchmark run.
+cargo build --release --offline --locked --manifest-path perfbench/tracer/Cargo.toml
 cargo test -q --workspace --offline
 # Chaos gate: the seeded fault-injection suite (runner::chaos) proving
 # panic isolation, retry/quarantine, cache-corruption recovery, orphan

@@ -12,14 +12,18 @@
 //!   its identity (`SimRng::from_path`), payloads are bit-identical
 //!   regardless of scheduling — `--jobs 8` equals `--jobs 1` byte for
 //!   byte.
-//! * **Work-stealing pool** ([`pool`]) — fixed job set over
-//!   `std::thread`, results returned in submission order.
+//! * **Dispatcher** — one shared work queue and one settle step own
+//!   every per-cell decision: cache lookup, attempt budget, store
+//!   writes, journal lines, telemetry, and quarantine. Two transports
+//!   sit below it — in-thread (the calling thread, or scoped threads for
+//!   `jobs > 1`) and supervised worker subprocesses (below) — and
+//!   results land in submission-order slots.
 //! * **Result cache** ([`cache`]) — each completed cell persists as one
 //!   JSON line under `results/cache/`, keyed by a content hash of the
 //!   cell identity and a code-version tag. Re-runs and `--resume` skip
 //!   completed cells; corrupted entries are recomputed, never fatal.
 //! * **Fault isolation** — each cell executes under `catch_unwind`, so
-//!   a panicking cell is *quarantined* instead of killing the pool: the
+//!   a panicking cell is *quarantined* instead of killing the run: the
 //!   campaign drains, the [`RunReport`] carries the failure
 //!   ([`CellOutcome::result`] is a success/failure sum), and downstream
 //!   renderers show an explicitly-marked hole. Cells get a bounded,
@@ -37,7 +41,7 @@
 //!   cell-latency histogram, and an ETA on stderr, plus a
 //!   machine-readable run manifest.
 //! * **Process isolation** ([`supervisor`] / [`worker`] / [`proto`]) —
-//!   an opt-in execution mode where cells run in supervised worker
+//!   the opt-in subprocess transport: cells run in supervised worker
 //!   *subprocesses* over a length-prefixed JSON pipe protocol. A
 //!   SIGKILLed, aborted, or hung worker never takes down the campaign:
 //!   its in-flight cell is journaled, deterministically reassigned up to
@@ -65,9 +69,9 @@ pub mod cache;
 #[cfg(any(test, feature = "chaos"))]
 pub mod chaos;
 pub mod design;
+mod dispatch;
 pub mod journal;
 pub mod lockfile;
-pub mod pool;
 pub mod proto;
 pub mod store;
 pub mod supervisor;
@@ -80,7 +84,6 @@ pub mod worker;
 use jsonio::Json;
 use std::path::PathBuf;
 use std::sync::Arc;
-use telemetry::Stopwatch;
 
 /// Engine-side hot-path counters harvested around one interval of work.
 ///
@@ -177,10 +180,10 @@ pub struct Runner {
     /// Progress ticker on stderr.
     pub verbose: bool,
     /// Attempt budget per cell (clamped to at least 1). A cell whose
-    /// closure panics is retried immediately — deterministically, with
-    /// no wall-clock backoff — until the budget is spent, then
-    /// quarantined. Cell work is a pure function of the cell identity,
-    /// so the retry schedule is too.
+    /// closure panics is requeued at the front of the dispatch queue —
+    /// deterministically, with no wall-clock backoff — until the budget
+    /// is spent, then quarantined. Cell work is a pure function of the
+    /// cell identity, so the retry schedule is too.
     pub max_attempts: u32,
     /// Optional engine-counter probe (see [`PerfProbe`]). When set, each
     /// executed (non-cached) cell is bracketed with it and the harvested
@@ -190,7 +193,7 @@ pub struct Runner {
     pub perf_probe: Option<PerfProbe>,
     /// Process-isolated execution (`--isolate`): when set, cells run in
     /// supervised worker *subprocesses* instead of in-process threads —
-    /// see [`supervisor`]. `None` keeps the classic in-process pool.
+    /// see [`supervisor`]. `None` runs them in-thread.
     pub isolate: Option<supervisor::IsolateConfig>,
     /// The filesystem handle every byte this campaign persists flows
     /// through. [`vfs::Vfs::real`] in production; the durability suite
@@ -206,10 +209,10 @@ pub struct Runner {
     /// design prescription): `Some(seed)` shuffles the order cells are
     /// handed to workers with a permutation seeded from
     /// `(seed, campaign label)`, decorrelating cell position from any
-    /// slowly-drifting host state. Reports, records, and manifests are
-    /// always restored to submission order afterwards, so the shuffle
-    /// is invisible in every output byte. `None` (the default)
-    /// dispatches in submission order.
+    /// slowly-drifting host state. Only the queue order changes:
+    /// outcomes land in submission-order slots, so reports, records, and
+    /// manifests never see the shuffle. `None` (the default) dispatches
+    /// in submission order.
     pub dispatch_shuffle: Option<u64>,
 }
 
@@ -288,335 +291,8 @@ impl Runner {
         } else {
             (None, None)
         };
-        // Deterministic dispatch shuffle (see `Runner::dispatch_shuffle`):
-        // permute the cells handed to either execution path, remember
-        // the permutation, and restore submission order in the report.
-        let (cells, order) = match self.dispatch_shuffle {
-            None => (cells, None),
-            Some(seed) => {
-                let mut order: Vec<usize> = (0..cells.len()).collect();
-                sim_core::SimRng::from_path(seed, &["dispatch-shuffle", label]).shuffle(&mut order);
-                let mut slots: Vec<Option<Cell>> = cells.into_iter().map(Some).collect();
-                let mut shuffled = Vec::with_capacity(slots.len());
-                for &i in &order {
-                    if let Some(cell) = slots[i].take() {
-                        shuffled.push(cell);
-                    }
-                }
-                (shuffled, Some(order))
-            }
-        };
-        let mut report = match &self.isolate {
-            Some(cfg) => supervisor::run_isolated(self, cfg, label, cells, lock_broken),
-            None => self.run_inner(label, cells, lock_broken),
-        };
-        if let Some(order) = order {
-            restore_submission_order(&mut report, &order);
-        }
-        Ok(report)
+        Ok(dispatch::run(self, label, cells, lock_broken))
     }
-
-    /// Open the shared store and journal for one campaign: replay
-    /// intents, sweep orphans, truncate this label's torn journal tail,
-    /// and count prior completions. Shared verbatim by the in-process
-    /// pool and the isolated supervisor so the two startup paths can
-    /// never drift. Returns `None` store when the cache is off.
-    pub(crate) fn open_storage(
-        &self,
-        label: &str,
-        cells: &[Cell],
-        progress: &telemetry::Progress,
-        lock_broken: Option<lockfile::BrokenLock>,
-    ) -> (Option<store::Store>, Option<journal::Writer>, StorageAccount) {
-        let cache_active = self.cache_mode != CacheMode::Off;
-        if !cache_active {
-            return (None, None, StorageAccount { lock_broken, ..StorageAccount::default() });
-        }
-        let journal_path = journal::journal_path(&self.cache_dir, label);
-        // Truncate a torn journal tail (we hold the campaign lock) so
-        // the appender never writes after a damaged fragment.
-        let journal_torn_bytes = journal::sweep_torn_tail(&journal_path);
-        let (store, open_stats) =
-            store::Store::open(self.vfs.clone(), &self.cache_dir, label, &self.code_version);
-        let prior = journal::Journal::load(&journal_path);
-        let journal_prior_ok = cells
-            .iter()
-            .filter(|c| {
-                prior.status(cache::cell_key(&self.code_version, &c.spec))
-                    == Some(journal::Status::Ok)
-            })
-            .count() as u64;
-        let writer = match journal::Writer::open_with(&journal_path, self.vfs.clone()) {
-            Ok(w) => Some(w),
-            Err(_) => {
-                progress.note_store_error();
-                None
-            }
-        };
-        let account = StorageAccount {
-            sweep: open_stats.sweep,
-            intents_resolved: open_stats.intents_resolved,
-            torn_entries_removed: open_stats.torn_entries_removed,
-            journal_torn_bytes,
-            journal_prior_ok,
-            lock_broken,
-            store: store::StoreCounters::default(),
-        };
-        (Some(store), writer, account)
-    }
-
-    fn run_inner(
-        &self,
-        label: &str,
-        cells: Vec<Cell>,
-        lock_broken: Option<lockfile::BrokenLock>,
-    ) -> RunReport {
-        let progress = telemetry::Progress::new(cells.len() as u64, self.verbose)
-            .with_disk_fault_limit(self.disk_fault_limit);
-        let started = Stopwatch::start();
-        let (store, writer, mut account) = self.open_storage(label, &cells, &progress, lock_broken);
-        let store = &store;
-        let writer = &writer;
-        let jobs: Vec<_> = cells
-            .into_iter()
-            .map(|cell| {
-                let progress = &progress;
-                move || self.run_cell(cell, progress, store.as_ref(), writer.as_ref())
-            })
-            .collect();
-        let outcomes = pool::run_jobs(jobs, self.jobs);
-        if let Some(store) = store {
-            account.store = store.counters();
-            // Bookkeeping append failures are disk faults too: fold them
-            // into the counted store errors so they degrade the run.
-            for _ in 0..account.store.index_errors {
-                progress.note_store_error();
-            }
-        }
-        assemble_report(self, label, &progress, &started, account, outcomes, None)
-    }
-
-    fn run_cell(
-        &self,
-        cell: Cell,
-        progress: &telemetry::Progress,
-        store: Option<&store::Store>,
-        writer: Option<&journal::Writer>,
-    ) -> CellOutcome {
-        let started = Stopwatch::start();
-        let key = cache::cell_key(&self.code_version, &cell.spec);
-        let journal_completion = |status: journal::Status, attempts: u32| {
-            if let Some(w) = writer {
-                if progress.storage_bypass() {
-                    progress.note_bypassed_write();
-                } else if w.append(key, &cell.spec.cell, status, attempts).is_err() {
-                    progress.note_store_error();
-                }
-            }
-        };
-        if self.cache_mode == CacheMode::ReadWrite {
-            if let Some(store) = store {
-                match store.load(key, &cell.spec) {
-                    cache::Lookup::Hit(payload) => {
-                        let micros = started.elapsed_micros();
-                        progress.cell_done(&cell.spec.cell, micros, true);
-                        journal_completion(journal::Status::Ok, 0);
-                        return CellOutcome {
-                            spec: cell.spec,
-                            key,
-                            result: Ok(CellValue { payload, cached: true, attempts: 0, micros }),
-                        };
-                    }
-                    cache::Lookup::Corrupt => progress.note_load_corruption(),
-                    cache::Lookup::Miss => {}
-                }
-            }
-        }
-        // Reset this worker thread's engine counters so whatever the
-        // cell is about to execute is attributed to it alone; the
-        // discarded remainder is work whose cell already harvested (or
-        // panicked, in which case its counts are noise anyway).
-        if let Some(probe) = &self.perf_probe {
-            let _ = probe();
-        }
-        let budget = self.max_attempts.max(1);
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            let work = &cell.work;
-            // AssertUnwindSafe: the closure is `Fn` over owned captures;
-            // on panic we discard nothing but the failed attempt itself,
-            // and the payload of a later successful attempt is a pure
-            // function of the cell identity.
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(work)) {
-                Ok(Ok(payload)) => {
-                    if let Some(store) = store {
-                        if progress.storage_bypass() {
-                            progress.note_bypassed_write();
-                        } else if store.put(key, &cell.spec, &payload).is_err() {
-                            progress.note_store_error();
-                        }
-                    }
-                    let micros = started.elapsed_micros();
-                    if let Some(probe) = &self.perf_probe {
-                        progress.note_engine(probe());
-                    }
-                    progress.cell_done(&cell.spec.cell, micros, false);
-                    journal_completion(journal::Status::Ok, attempt);
-                    return CellOutcome {
-                        spec: cell.spec,
-                        key,
-                        result: Ok(CellValue { payload, cached: false, attempts: attempt, micros }),
-                    };
-                }
-                Ok(Err(reason)) => {
-                    // The work rejected its own inputs with a structured
-                    // reason. That verdict is deterministic — quarantine
-                    // immediately, no retries.
-                    let micros = started.elapsed_micros();
-                    progress.cell_invalid(&cell.spec.cell, micros);
-                    journal_completion(journal::Status::Failed, attempt);
-                    return CellOutcome {
-                        spec: cell.spec,
-                        key,
-                        result: Err(CellError {
-                            message: reason_message(&reason),
-                            reason,
-                            kind: QuarantineKind::Invalid,
-                            attempts: attempt,
-                            micros,
-                        }),
-                    };
-                }
-                Err(panic_payload) => {
-                    if attempt < budget {
-                        progress.note_retry();
-                        continue;
-                    }
-                    let message = panic_message(panic_payload.as_ref());
-                    let micros = started.elapsed_micros();
-                    progress.cell_failed(&cell.spec.cell, micros);
-                    journal_completion(journal::Status::Failed, attempt);
-                    return CellOutcome {
-                        spec: cell.spec,
-                        key,
-                        result: Err(CellError {
-                            message,
-                            reason: Json::Null,
-                            kind: QuarantineKind::Panic,
-                            attempts: attempt,
-                            micros,
-                        }),
-                    };
-                }
-            }
-        }
-    }
-}
-
-/// Everything a campaign's storage startup and teardown accounted for,
-/// bundled so the two execution modes pass one value, not eight.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct StorageAccount {
-    /// Orphaned temp files swept at startup, by area.
-    pub sweep: cache::SweepStats,
-    /// Write intents replayed by `Store::open`.
-    pub intents_resolved: u64,
-    /// Torn objects removed by intent replay.
-    pub torn_entries_removed: u64,
-    /// Torn journal-tail bytes truncated at startup.
-    pub journal_torn_bytes: u64,
-    /// Cells already journaled `ok` by an earlier run.
-    pub journal_prior_ok: u64,
-    /// The stale lock broken on the way in, if any.
-    pub lock_broken: Option<lockfile::BrokenLock>,
-    /// The store's final counters (filled after the pool drains).
-    pub store: store::StoreCounters,
-}
-
-/// Assemble the final [`RunReport`] from a drained campaign — shared by
-/// the in-process pool and the process-isolated supervisor so the two
-/// execution modes can never drift in how they account for a run.
-pub(crate) fn assemble_report(
-    runner: &Runner,
-    label: &str,
-    progress: &telemetry::Progress,
-    started: &Stopwatch,
-    account: StorageAccount,
-    outcomes: Vec<CellOutcome>,
-    isolate: Option<supervisor::IsolateReport>,
-) -> RunReport {
-    progress.print_summary(label);
-    let (done, cached, _) = progress.totals();
-    let faults = progress.faults();
-    let quarantined = quarantines_of(&outcomes);
-    RunReport {
-        label: label.to_string(),
-        jobs: runner.jobs,
-        code_version: runner.code_version.clone(),
-        cells_total: done,
-        cells_cached: cached,
-        cells_failed: faults.failed,
-        cells_invalid: faults.invalid,
-        cells_crashed: faults.crashed,
-        cells_deadline: faults.deadline,
-        retries: faults.retries,
-        cache_store_errors: faults.store_errors,
-        cache_load_corruptions: faults.load_corruptions,
-        orphans_swept: account.sweep.total(),
-        sweep: account.sweep,
-        intents_resolved: account.intents_resolved,
-        torn_entries_removed: account.torn_entries_removed,
-        journal_torn_bytes: account.journal_torn_bytes,
-        journal_prior_ok: account.journal_prior_ok,
-        lock_broken: account.lock_broken,
-        store: account.store,
-        storage_bypass: progress.storage_bypass(),
-        bypassed_writes: progress.bypassed_writes(),
-        disk_fault_limit: runner.disk_fault_limit,
-        wall_seconds: started.elapsed_seconds(),
-        engine: progress.engine(),
-        exec_micros: progress.exec_micros_total(),
-        latency_histogram: progress.histogram(),
-        p50_micros: progress.quantile_micros(0.50),
-        p90_micros: progress.quantile_micros(0.90),
-        quarantined,
-        outcomes,
-        isolate,
-    }
-}
-
-/// The quarantine entries for a set of outcomes, in the outcomes'
-/// order — shared by [`assemble_report`] and the post-shuffle order
-/// restoration so the two derivations cannot drift.
-pub(crate) fn quarantines_of(outcomes: &[CellOutcome]) -> Vec<QuarantinedCell> {
-    outcomes
-        .iter()
-        .filter_map(|o| match &o.result {
-            Err(e) => Some(QuarantinedCell {
-                experiment: o.spec.experiment.clone(),
-                cell: o.spec.cell.clone(),
-                key: o.key,
-                attempts: e.attempts,
-                message: e.message.clone(),
-                reason: e.reason.clone(),
-            }),
-            Ok(_) => None,
-        })
-        .collect()
-}
-
-/// Undo a dispatch shuffle: outcome `k` of the drained report belongs
-/// to submission index `order[k]`; put every outcome (and the derived
-/// quarantine list) back in submission order so records, payloads, and
-/// manifests are byte-identical to an unshuffled run.
-fn restore_submission_order(report: &mut RunReport, order: &[usize]) {
-    let mut slots: Vec<Option<CellOutcome>> = (0..order.len()).map(|_| None).collect();
-    for (k, outcome) in report.outcomes.drain(..).enumerate() {
-        slots[order[k]] = Some(outcome);
-    }
-    report.outcomes = slots.into_iter().flatten().collect();
-    report.quarantined = quarantines_of(&report.outcomes);
 }
 
 /// The report for a campaign that never started (the lock was held):
@@ -629,47 +305,26 @@ fn aborted_report(runner: &Runner, label: &str, held: &lockfile::LockHeld) -> Ru
         ("lock", Json::Str(held.path.display().to_string())),
         ("holder_pid", held.holder_pid.map(Json::U64).unwrap_or(Json::Null)),
     ]);
-    RunReport {
-        label: label.to_string(),
-        jobs: runner.jobs,
-        code_version: runner.code_version.clone(),
-        cells_total: 0,
-        cells_cached: 0,
-        cells_failed: 0,
-        cells_invalid: 1,
-        cells_crashed: 0,
-        cells_deadline: 0,
-        retries: 0,
-        cache_store_errors: 0,
-        cache_load_corruptions: 0,
-        orphans_swept: 0,
-        sweep: cache::SweepStats::default(),
-        intents_resolved: 0,
-        torn_entries_removed: 0,
-        journal_torn_bytes: 0,
-        journal_prior_ok: 0,
-        lock_broken: None,
-        store: store::StoreCounters::default(),
-        storage_bypass: false,
-        bypassed_writes: 0,
-        disk_fault_limit: runner.disk_fault_limit,
-        wall_seconds: 0.0,
-        engine: EnginePerf::default(),
-        exec_micros: 0,
-        latency_histogram: Vec::new(),
-        p50_micros: 0,
-        p90_micros: 0,
-        quarantined: vec![QuarantinedCell {
-            experiment: label.to_string(),
-            cell: "campaign".to_string(),
-            key: cache::CacheKey(0, 0),
-            attempts: 0,
-            message: held.to_string(),
-            reason,
-        }],
-        outcomes: Vec::new(),
-        isolate: None,
-    }
+    let idle = telemetry::Progress::new(0, false);
+    let mut report = dispatch::assemble_report(
+        runner,
+        label,
+        &idle,
+        0.0,
+        dispatch::StorageAccount::default(),
+        Vec::new(),
+        None,
+    );
+    report.cells_invalid = 1;
+    report.quarantined = vec![QuarantinedCell {
+        experiment: label.to_string(),
+        cell: "campaign".to_string(),
+        key: cache::CacheKey(0, 0),
+        attempts: 0,
+        message: held.to_string(),
+        reason,
+    }];
+    report
 }
 
 /// Why a campaign could not start at all. Distinct from per-cell
@@ -701,16 +356,6 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    }
-}
-
-/// Render a structured rejection reason as the one-line message carried
-/// next to it: the reason's `"message"` field when present (the shape
-/// `SimError::reason_json` produces), the compact JSON otherwise.
-pub(crate) fn reason_message(reason: &Json) -> String {
-    match reason.get("message").and_then(|m| m.as_str()) {
-        Some(m) => m.to_string(),
-        None => reason.to_string(),
     }
 }
 
@@ -983,7 +628,7 @@ pub struct RunReport {
     /// Per-cell outcomes, in submission order.
     pub outcomes: Vec<CellOutcome>,
     /// Supervision accounting when the run executed process-isolated
-    /// (`None` for the in-process pool).
+    /// (`None` for in-thread runs).
     pub isolate: Option<supervisor::IsolateReport>,
 }
 
@@ -1290,6 +935,42 @@ mod tests {
         assert_eq!(executions.load(Ordering::Relaxed), 20);
         assert_eq!(report.cells_cached, 0);
         assert_eq!(report.status(), RunStatus::Clean);
+    }
+
+    #[test]
+    fn serial_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let cells = (0..4u64)
+            .map(|i| {
+                let spec = CellSpec {
+                    experiment: "test".into(),
+                    cell: format!("c{i}"),
+                    params: Json::Null,
+                    seed: 1,
+                    reps: 1,
+                };
+                Cell::new(spec, move || Json::Bool(std::thread::current().id() == caller))
+            })
+            .collect();
+        let mut runner = Runner::new(1);
+        runner.cache_mode = CacheMode::Off;
+        runner.verbose = false;
+        let report = runner.run("serial", cells);
+        assert!(report.payloads().iter().all(|p| *p == Json::Bool(true)), "no thread spawned");
+    }
+
+    #[test]
+    fn empty_and_oversized_job_counts() {
+        let executions = Arc::new(AtomicU64::new(0));
+        let mut runner = Runner::new(64);
+        runner.cache_mode = CacheMode::Off;
+        runner.verbose = false;
+        let empty = runner.run("empty", Vec::new());
+        assert_eq!((empty.cells_total, empty.outcomes.len()), (0, 0));
+        let report = runner.run("oversized", counting_cells(3, &executions));
+        let labels: Vec<&str> = report.outcomes.iter().map(|o| o.spec.cell.as_str()).collect();
+        assert_eq!(labels, ["c0", "c1", "c2"]);
+        assert_eq!(executions.load(Ordering::Relaxed), 3);
     }
 
     #[test]

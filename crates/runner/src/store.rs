@@ -242,7 +242,7 @@ impl Store {
     ) -> bool {
         let mut line = checked::seal(record);
         line.push('\n');
-        let mut guard = crate::pool::lock_clean(file);
+        let mut guard = crate::dispatch::lock_clean(file);
         let Some(handle) = guard.as_mut() else {
             self.index_errors.fetch_add(1, Ordering::AcqRel);
             return false;
@@ -259,7 +259,7 @@ impl Store {
     fn add_ref(&self, key: CacheKey) {
         let hex = key.hex();
         {
-            let mut keys = crate::pool::lock_clean(&self.index_keys);
+            let mut keys = crate::dispatch::lock_clean(&self.index_keys);
             if !keys.insert(hex.clone()) {
                 return;
             }
@@ -281,7 +281,7 @@ impl Store {
         let result = cache::load_with(&self.vfs, &self.root, key, &self.code_version, spec);
         match &result {
             Lookup::Hit(_) => {
-                let known = crate::pool::lock_clean(&self.index_keys).contains(&key.hex());
+                let known = crate::dispatch::lock_clean(&self.index_keys).contains(&key.hex());
                 if known {
                     self.hits.fetch_add(1, Ordering::AcqRel);
                 } else {

@@ -1,33 +1,34 @@
-//! The supervisor half of process-isolated execution: shard cells
-//! across re-spawned worker subprocesses, survive every way a worker
-//! can die, and keep the campaign's records byte-identical to an
-//! in-process run.
+//! The subprocess transport of the campaign dispatcher: run cells in
+//! re-spawned worker subprocesses, survive every way a worker can die,
+//! and keep the campaign's records byte-identical to an in-thread run.
 //!
 //! ## Supervision tree
 //!
-//! `run_isolated` owns the campaign. It satisfies cache hits itself
-//! (cached payloads never cross a pipe), queues every remaining cell
-//! into one shared work queue, and runs one *manager thread per worker
-//! slot*. Each manager spawns its worker subprocess (the hidden
-//! `smi-lab worker` subcommand), feeds it cells over the
-//! length-prefixed frame protocol ([`crate::proto`] over
-//! [`jsonio::framed`]), and reaps outcomes. Managers pull from the
-//! shared queue, so a slow or dying worker slot never strands cells
-//! that a healthy sibling could run.
+//! The dispatcher ([`crate::Runner::try_run`]) owns the campaign: the
+//! shared work queue, cache hits (cached payloads never cross a pipe),
+//! attempt accounting, storage, and quarantine. This module adds one
+//! *manager per worker slot* (on the calling thread when there is one
+//! slot). Each manager pulls cache misses from the shared queue, spawns
+//! its worker subprocess (the hidden `smi-lab worker` subcommand) on its
+//! first miss, feeds it cells over the length-prefixed frame protocol
+//! ([`crate::proto`] over [`jsonio::framed`]), and hands every outcome
+//! back to the dispatcher. Managers share one queue, so a slow or dying
+//! worker slot never strands cells that a healthy sibling could run.
 //!
 //! ## Crash discipline
 //!
 //! A worker death — clean exit, SIGKILL, `abort()`, torn frame, or
 //! watchdog shot — costs exactly the attempts in flight on that worker.
-//! Each is journaled [`journal::Status::Crashed`] (so a killed campaign
-//! resumes knowing the cell was dispatched) and re-queued until the
-//! cell's ordinary [`crate::Runner::max_attempts`] budget is spent,
-//! then quarantined with a machine-readable `worker-crash` reason. The
-//! manager re-spawns its worker with bounded exponential backoff; a
-//! slot whose respawn budget is exhausted *gives up* — graceful
-//! degradation, not collapse. If every slot gives up, whatever is left
-//! in the queue is quarantined `worker-pool-exhausted` and the run
-//! reports Degraded instead of hanging.
+//! Each is reported to the dispatcher as a lost attempt, which journals
+//! it [`crate::journal::Status::Crashed`] (so a killed campaign resumes knowing
+//! the cell was dispatched) and requeues the cell until the ordinary
+//! [`crate::Runner::max_attempts`] budget is spent, then quarantines it
+//! with a machine-readable `worker-crash` reason. The manager re-spawns
+//! its worker with bounded exponential backoff; a slot whose respawn
+//! budget is exhausted *gives up* — graceful degradation, not collapse.
+//! If every slot gives up, the dispatcher quarantines whatever is left
+//! in the queue as `worker-pool-exhausted` and the run reports Degraded
+//! instead of hanging.
 //!
 //! ## Deadlines
 //!
@@ -40,18 +41,12 @@
 //! funnels into the same crash discipline. Wall time decides only
 //! *liveness*, never a record byte.
 
-use crate::telemetry::{Progress, Stopwatch};
-use crate::{
-    assemble_report, cache, journal, lockfile, pool::lock_clean, proto, store, CacheMode, Cell,
-    CellError, CellOutcome, CellSpec, CellValue, QuarantineKind, RunReport, Runner,
-};
+use crate::dispatch::{for_each_slot, Attempt, Dispatcher, Settled, WorkItem};
+use crate::{proto, QuarantineKind};
 use jsonio::framed::{FrameReader, FrameWriter};
-use jsonio::Json;
 use std::collections::VecDeque;
 use std::process::{Child, ChildStdin, Command, Stdio};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// Configuration of one process-isolated campaign.
@@ -63,7 +58,8 @@ pub struct IsolateConfig {
     /// and must rebuild the *same* cell catalog the supervisor holds.
     pub worker_cmd: Vec<String>,
     /// Worker subprocess slots (clamped to at least 1, and to the
-    /// number of pending cells).
+    /// campaign's cell count). A slot spawns its worker on its first
+    /// cache miss, so a fully cached campaign spawns none.
     pub workers: usize,
     /// Respawns a slot may consume after crashes before it gives up.
     pub respawn_budget: u32,
@@ -129,329 +125,102 @@ pub struct IsolateReport {
     pub pool_exhausted_cells: u64,
 }
 
-/// One queued unit of work. The cell's closure stays behind in the
-/// supervisor (workers rebuild work from the spec); only identity and
-/// attempt accounting travel.
-struct WorkItem {
-    idx: usize,
-    spec: CellSpec,
-    key: cache::CacheKey,
-    attempts: u32,
-    watch: Option<Stopwatch>,
+/// Run the campaign's cache misses on `cfg.workers` supervised worker
+/// slots until the dispatcher's queue drains or every slot gives up.
+pub(crate) fn run(d: &Dispatcher<'_>, cfg: &IsolateConfig) -> IsolateReport {
+    let mut workers = vec![WorkerStats::default(); d.slots(cfg.workers)];
+    for_each_slot(&mut workers, |stats| manage_worker(d, cfg, stats));
+    IsolateReport { workers, pool_exhausted_cells: 0 }
 }
 
-impl WorkItem {
-    fn elapsed(&self) -> u64 {
-        self.watch.as_ref().map(|w| w.elapsed_micros()).unwrap_or(0)
-    }
-}
-
-/// Shared campaign state every manager thread works against.
-struct Ctx<'a> {
-    runner: &'a Runner,
-    cfg: &'a IsolateConfig,
-    progress: &'a Progress,
-    store: Option<&'a store::Store>,
-    writer: Option<&'a journal::Writer>,
-    queue: Mutex<VecDeque<WorkItem>>,
-    slots: Vec<Mutex<Option<CellOutcome>>>,
-    completed: AtomicUsize,
-    pending_total: usize,
-}
-
-impl Ctx<'_> {
-    fn journal(&self, key: cache::CacheKey, cell: &str, status: journal::Status, attempts: u32) {
-        if let Some(w) = self.writer {
-            if self.progress.storage_bypass() {
-                self.progress.note_bypassed_write();
-            } else if w.append(key, cell, status, attempts).is_err() {
-                self.progress.note_store_error();
-            }
-        }
-    }
-
-    /// Deposit a finished outcome into its submission-order slot and
-    /// count it toward campaign completion.
-    fn finish(&self, item: WorkItem, result: Result<CellValue, CellError>) {
-        let WorkItem { idx, spec, key, .. } = item;
-        if let Some(slot) = self.slots.get(idx) {
-            *lock_clean(slot) = Some(CellOutcome { spec, key, result });
-        }
-        self.completed.fetch_add(1, Ordering::AcqRel);
-    }
-
-    fn done(&self) -> bool {
-        self.completed.load(Ordering::Acquire) >= self.pending_total
-    }
-}
-
-/// Run a campaign process-isolated. Same contract as the in-process
-/// `Runner::run` — outcomes in submission order, byte-identical records
-/// — plus the supervision accounting in [`RunReport::isolate`].
-pub fn run_isolated(
-    runner: &Runner,
-    cfg: &IsolateConfig,
-    label: &str,
-    cells: Vec<Cell>,
-    lock_broken: Option<lockfile::BrokenLock>,
-) -> RunReport {
-    let progress = Progress::new(cells.len() as u64, runner.verbose)
-        .with_disk_fault_limit(runner.disk_fault_limit);
-    let started = Stopwatch::start();
-    let (store, writer, mut account) = runner.open_storage(label, &cells, &progress, lock_broken);
-
-    // Intake: satisfy cache hits here (cached payloads never cross a
-    // pipe, so caching cannot perturb record bytes), queue the rest.
-    let total = cells.len();
-    let slots: Vec<Mutex<Option<CellOutcome>>> = (0..total).map(|_| Mutex::new(None)).collect();
-    let mut identities: Vec<(CellSpec, cache::CacheKey)> = Vec::with_capacity(total);
-    let mut queue = VecDeque::new();
-    for (idx, cell) in cells.into_iter().enumerate() {
-        let key = cache::cell_key(&runner.code_version, &cell.spec);
-        identities.push((cell.spec.clone(), key));
-        if runner.cache_mode == CacheMode::ReadWrite {
-            if let Some(store) = &store {
-                match store.load(key, &cell.spec) {
-                    cache::Lookup::Hit(payload) => {
-                        progress.cell_done(&cell.spec.cell, 0, true);
-                        if let Some(w) = &writer {
-                            if progress.storage_bypass() {
-                                progress.note_bypassed_write();
-                            } else if w
-                                .append(key, &cell.spec.cell, journal::Status::Ok, 0)
-                                .is_err()
-                            {
-                                progress.note_store_error();
-                            }
-                        }
-                        *lock_clean(&slots[idx]) = Some(CellOutcome {
-                            spec: cell.spec,
-                            key,
-                            result: Ok(CellValue { payload, cached: true, attempts: 0, micros: 0 }),
-                        });
-                        continue;
-                    }
-                    cache::Lookup::Corrupt => progress.note_load_corruption(),
-                    cache::Lookup::Miss => {}
-                }
-            }
-        }
-        queue.push_back(WorkItem { idx, spec: cell.spec, key, attempts: 0, watch: None });
-    }
-
-    let pending_total = queue.len();
-    let ctx = Ctx {
-        runner,
-        cfg,
-        progress: &progress,
-        store: store.as_ref(),
-        writer: writer.as_ref(),
-        queue: Mutex::new(queue),
-        slots,
-        completed: AtomicUsize::new(0),
-        pending_total,
-    };
-    let worker_slots = cfg.workers.max(1).min(pending_total.max(1));
-    let mut stats: Vec<WorkerStats> = vec![WorkerStats::default(); worker_slots];
-    if pending_total > 0 {
-        std::thread::scope(|scope| {
-            for stat in stats.iter_mut() {
-                let ctx = &ctx;
-                scope.spawn(move || manage_worker(ctx, stat));
-            }
-        });
-    }
-
-    // Every manager has returned. Anything still queued outlived every
-    // slot's respawn budget: quarantine it with a typed reason rather
-    // than hang or abort the campaign.
-    let mut pool_exhausted = 0u64;
-    loop {
-        let item = lock_clean(&ctx.queue).pop_front();
-        let Some(item) = item else { break };
-        pool_exhausted += 1;
-        let micros = item.elapsed();
-        let attempts = item.attempts;
-        ctx.progress.cell_crashed(&item.spec.cell, micros);
-        ctx.journal(item.key, &item.spec.cell, journal::Status::Crashed, attempts);
-        let reason = Json::obj(vec![
-            ("kind", Json::Str("worker-pool-exhausted".into())),
-            ("attempts", Json::U64(attempts as u64)),
-        ]);
-        ctx.finish(
-            item,
-            Err(CellError {
-                message: "worker pool exhausted: every worker slot spent its respawn budget"
-                    .to_string(),
-                reason,
-                kind: QuarantineKind::Crashed,
-                attempts,
-                micros,
-            }),
-        );
-    }
-
-    let Ctx { slots, .. } = ctx;
-    let outcomes: Vec<CellOutcome> = slots
-        .into_iter()
-        .zip(identities)
-        .map(|(slot, (spec, key))| {
-            let filled = slot.into_inner().unwrap_or_else(|poisoned| poisoned.into_inner());
-            filled.unwrap_or_else(|| {
-                // Unreachable by construction (every index is either a
-                // cache hit, finished by a manager, or drained above);
-                // kept total for the no-panic discipline.
-                progress.cell_crashed(&spec.cell, 0);
-                CellOutcome {
-                    spec,
-                    key,
-                    result: Err(CellError {
-                        message: "cell never completed: supervisor accounting hole".to_string(),
-                        reason: Json::obj(vec![(
-                            "kind",
-                            Json::Str("worker-pool-exhausted".into()),
-                        )]),
-                        kind: QuarantineKind::Crashed,
-                        attempts: 0,
-                        micros: 0,
-                    }),
-                }
-            })
-        })
-        .collect();
-
-    let isolate = IsolateReport { workers: stats, pool_exhausted_cells: pool_exhausted };
-    if let Some(store) = &store {
-        account.store = store.counters();
-        // Bookkeeping append failures are disk faults too: fold them
-        // into the counted store errors so they degrade the run.
-        for _ in 0..account.store.index_errors {
-            progress.note_store_error();
-        }
-    }
-    assemble_report(runner, label, &progress, &started, account, outcomes, Some(isolate))
-}
-
-/// One manager thread: own one worker slot until the campaign drains
-/// or the slot's respawn budget is spent.
-fn manage_worker(ctx: &Ctx<'_>, stats: &mut WorkerStats) {
+/// One manager: own one worker slot until the campaign drains or the
+/// slot's respawn budget is spent.
+fn manage_worker(d: &Dispatcher<'_>, cfg: &IsolateConfig, stats: &mut WorkerStats) {
     let mut conn: Option<Conn> = None;
     let mut inflight: VecDeque<(u64, WorkItem)> = VecDeque::new();
     let mut next_id: u64 = 1;
-    let max_inflight = ctx.cfg.inflight.max(1);
     loop {
-        if ctx.done() && inflight.is_empty() {
-            break;
-        }
-        if conn.is_none() {
-            if stats.crashes > ctx.cfg.respawn_budget as u64 {
-                // Give up the slot. Crash handling already requeued or
-                // quarantined everything we had in flight; siblings (or
-                // the pool-exhausted drain) own the rest.
-                stats.gave_up = true;
+        // Admission: dispatch misses from the shared queue up to the
+        // in-flight bound. The bound is also backpressure — it caps the
+        // attempts one worker death can cost.
+        let mut fault = None;
+        while inflight.len() < cfg.inflight.max(1) {
+            let Some(item) = d.next_miss() else { break };
+            if conn.is_none() {
+                conn = connect(cfg, stats);
+            }
+            let Some(c) = conn.as_mut() else {
+                // The slot gave up: hand the cell back to a sibling (or
+                // to the dispatcher's pool-exhausted drain).
+                d.requeue(item);
                 return;
+            };
+            let spec = d.spec(&item);
+            let kill_after = cfg.kill_cells.contains(&spec.cell);
+            let msg = proto::ToWorker::Run {
+                id: next_id,
+                attempt: item.attempts + 1,
+                budget_units: cfg.deadline_units,
+                spec: spec.clone(),
+            };
+            if c.tx.write(&msg.to_json()).is_err() {
+                d.requeue(item);
+                fault = Some("pipe-closed");
+                break;
             }
-            if stats.crashes > 0 {
-                let shift = (stats.crashes - 1).min(5) as u32;
-                std::thread::sleep(Duration::from_millis(ctx.cfg.backoff_ms << shift));
-            }
-            match Conn::spawn(&ctx.cfg.worker_cmd) {
-                Ok(c) => {
-                    stats.spawns += 1;
-                    conn = Some(c);
-                }
-                Err(()) => {
-                    stats.crashes += 1;
-                    continue;
-                }
+            inflight.push_back((next_id, item));
+            next_id += 1;
+            if kill_after {
+                // Injected fault: SIGKILL our own worker with this cell
+                // in flight (the kill-resume gate). The kill is accounted
+                // as a crash *now*, without draining the pipe first: if
+                // the manager was preempted between the dispatch write
+                // and the kill, a fast worker may already have replied
+                // `Done` for the doomed cell — reading it would let the
+                // kill's target land Ok and the injection silently miss.
+                let _ = c.child.kill();
+                fault = Some("worker-exit");
+                break;
             }
         }
-        // Admission: dispatch from the shared queue up to the in-flight
-        // bound. The bound is also backpressure — it caps the attempts
-        // one worker death can cost.
-        let mut pipe_broke = false;
-        let mut kill_injected = false;
-        while inflight.len() < max_inflight {
-            let popped = lock_clean(&ctx.queue).pop_front();
-            let Some(mut item) = popped else { break };
-            if item.watch.is_none() {
-                item.watch = Some(Stopwatch::start());
-            }
-            let id = next_id;
-            next_id += 1;
-            let msg = proto::ToWorker::Run {
-                id,
-                attempt: item.attempts + 1,
-                budget_units: ctx.cfg.deadline_units,
-                spec: item.spec.clone(),
-            };
-            let kill_after = ctx.cfg.kill_cells.contains(&item.spec.cell);
-            let Some(c) = conn.as_mut() else { break };
-            match c.tx.write(&msg.to_json()) {
-                Ok(()) => {
-                    inflight.push_back((id, item));
-                    if kill_after {
-                        // Injected fault: SIGKILL our own worker with
-                        // this cell in flight (the kill-resume gate).
-                        let _ = c.child.kill();
-                        kill_injected = true;
-                        break;
-                    }
-                }
-                Err(_) => {
-                    lock_clean(&ctx.queue).push_front(item);
-                    pipe_broke = true;
+        let cause = match fault {
+            Some(cause) => cause,
+            None if inflight.is_empty() => {
+                if d.done() {
                     break;
                 }
+                // Nothing to wait on, but the campaign is not done — a
+                // sibling's crash may yet requeue work. Poll gently.
+                std::thread::sleep(Duration::from_millis(2));
+                continue;
             }
-        }
-        if pipe_broke {
-            if let Some(c) = conn.take() {
-                crash(ctx, stats, c, &mut inflight, "pipe-closed");
-            }
-            continue;
-        }
-        if kill_injected {
-            // Account the injected kill as a crash *now*, without
-            // draining the pipe first: if the supervisor was preempted
-            // between the dispatch write and the kill, a fast worker may
-            // already have replied `Done` for the doomed cell — reading
-            // it would let the kill's target land Ok and the injection
-            // silently miss. The attempt is charged either way, which is
-            // exactly what a SIGKILL-with-the-cell-in-flight means.
-            if let Some(c) = conn.take() {
-                crash(ctx, stats, c, &mut inflight, "worker-exit");
-            }
-            continue;
-        }
-        if inflight.is_empty() {
-            // Nothing to wait on, but the campaign is not done — a
-            // sibling's crash may yet requeue work. Poll gently.
-            std::thread::sleep(Duration::from_millis(2));
-            continue;
-        }
-        let Some(c) = conn.as_mut() else { continue };
-        match c.rx.recv_timeout(Duration::from_millis(ctx.cfg.watchdog_ms.max(1))) {
-            Ok(Ok(proto::FromWorker::Hello { .. })) => {}
-            Ok(Ok(proto::FromWorker::Done { id, outcome })) => {
-                if let Some(pos) = inflight.iter().position(|(i, _)| *i == id) {
-                    if let Some((_, item)) = inflight.remove(pos) {
-                        handle_outcome(ctx, stats, item, outcome);
+            None => {
+                let Some(c) = conn.as_mut() else { continue };
+                match c.rx.recv_timeout(Duration::from_millis(cfg.watchdog_ms.max(1))) {
+                    Ok(Ok(proto::FromWorker::Hello { .. })) => continue,
+                    Ok(Ok(proto::FromWorker::Done { id, outcome })) => {
+                        let pos = inflight.iter().position(|(i, _)| *i == id);
+                        let Some((_, item)) = pos.and_then(|p| inflight.remove(p)) else {
+                            continue;
+                        };
+                        match d.settle(item, Attempt::Ran(outcome)) {
+                            Settled::Ok => stats.cells_ok += 1,
+                            Settled::Quarantined(QuarantineKind::Deadline) => {
+                                stats.cells_deadline += 1
+                            }
+                            _ => {}
+                        }
+                        continue;
                     }
+                    // Torn/garbage frame or worker exit: either way the
+                    // channel is unusable — treat as a death.
+                    Ok(Err(_)) | Err(RecvTimeoutError::Disconnected) => "worker-exit",
+                    Err(RecvTimeoutError::Timeout) => "watchdog-timeout",
                 }
             }
-            Ok(Err(_)) | Err(RecvTimeoutError::Disconnected) => {
-                // Torn/garbage frame or worker exit: either way the
-                // channel is unusable — treat as a death.
-                if let Some(c) = conn.take() {
-                    crash(ctx, stats, c, &mut inflight, "worker-exit");
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if let Some(c) = conn.take() {
-                    crash(ctx, stats, c, &mut inflight, "watchdog-timeout");
-                }
-            }
+        };
+        if let Some(c) = conn.take() {
+            crash(d, stats, c, &mut inflight, cause);
         }
     }
     if let Some(c) = conn.take() {
@@ -459,152 +228,42 @@ fn manage_worker(ctx: &Ctx<'_>, stats: &mut WorkerStats) {
     }
 }
 
-/// Account one worker death: every in-flight attempt is journaled
-/// `crashed`, then requeued (budget remaining) or quarantined
-/// `worker-crash` (budget spent).
-fn crash(
-    ctx: &Ctx<'_>,
-    stats: &mut WorkerStats,
-    conn: Conn,
-    inflight: &mut VecDeque<(u64, WorkItem)>,
-    cause: &str,
-) {
-    stats.crashes += 1;
-    conn.stop();
-    let budget = ctx.runner.max_attempts.max(1);
-    for (_, mut item) in inflight.drain(..) {
-        item.attempts += 1;
-        ctx.journal(item.key, &item.spec.cell, journal::Status::Crashed, item.attempts);
-        if item.attempts < budget {
-            ctx.progress.note_retry();
-            lock_clean(&ctx.queue).push_front(item);
-        } else {
-            let micros = item.elapsed();
-            let attempts = item.attempts;
-            ctx.progress.cell_crashed(&item.spec.cell, micros);
-            stats.cells_crashed += 1;
-            let reason = Json::obj(vec![
-                ("kind", Json::Str("worker-crash".into())),
-                ("cause", Json::Str(cause.to_string())),
-                ("attempts", Json::U64(attempts as u64)),
-            ]);
-            let message = format!("worker crashed ({cause}) on attempt {attempts} of {budget}");
-            ctx.finish(
-                item,
-                Err(CellError { message, reason, kind: QuarantineKind::Crashed, attempts, micros }),
-            );
+/// Spawn the slot's worker, backing off exponentially after crashes.
+/// `None` once the slot's respawn budget is spent: the slot gives up.
+fn connect(cfg: &IsolateConfig, stats: &mut WorkerStats) -> Option<Conn> {
+    loop {
+        if stats.crashes > cfg.respawn_budget as u64 {
+            stats.gave_up = true;
+            return None;
+        }
+        if stats.crashes > 0 {
+            let shift = (stats.crashes - 1).min(5) as u32;
+            std::thread::sleep(Duration::from_millis(cfg.backoff_ms << shift));
+        }
+        match Conn::spawn(&cfg.worker_cmd) {
+            Ok(c) => {
+                stats.spawns += 1;
+                return Some(c);
+            }
+            Err(()) => stats.crashes += 1,
         }
     }
 }
 
-/// Account one reported outcome, mirroring the in-process `run_cell`
-/// semantics so the two execution modes agree on every record byte and
-/// every exit code.
-fn handle_outcome(
-    ctx: &Ctx<'_>,
+/// Account one worker death: every in-flight attempt goes back to the
+/// dispatcher as lost, to be requeued or quarantined `worker-crash`.
+fn crash(
+    d: &Dispatcher<'_>,
     stats: &mut WorkerStats,
-    mut item: WorkItem,
-    outcome: proto::WorkOutcome,
+    conn: Conn,
+    inflight: &mut VecDeque<(u64, WorkItem)>,
+    cause: &'static str,
 ) {
-    let budget = ctx.runner.max_attempts.max(1);
-    match outcome {
-        proto::WorkOutcome::Ok { payload, perf } => {
-            if let Some(store) = ctx.store {
-                if ctx.progress.storage_bypass() {
-                    ctx.progress.note_bypassed_write();
-                } else if store.put(item.key, &item.spec, &payload).is_err() {
-                    ctx.progress.note_store_error();
-                }
-            }
-            ctx.progress.note_engine(perf);
-            let micros = item.elapsed();
-            let attempts = item.attempts + 1;
-            ctx.progress.cell_done(&item.spec.cell, micros, false);
-            ctx.journal(item.key, &item.spec.cell, journal::Status::Ok, attempts);
-            stats.cells_ok += 1;
-            ctx.finish(item, Ok(CellValue { payload, cached: false, attempts, micros }));
-        }
-        proto::WorkOutcome::Invalid { reason } => {
-            let micros = item.elapsed();
-            let attempts = item.attempts + 1;
-            ctx.progress.cell_invalid(&item.spec.cell, micros);
-            ctx.journal(item.key, &item.spec.cell, journal::Status::Failed, attempts);
-            ctx.finish(
-                item,
-                Err(CellError {
-                    message: crate::reason_message(&reason),
-                    reason,
-                    kind: QuarantineKind::Invalid,
-                    attempts,
-                    micros,
-                }),
-            );
-        }
-        proto::WorkOutcome::Panic { message } => {
-            item.attempts += 1;
-            if item.attempts < budget {
-                ctx.progress.note_retry();
-                lock_clean(&ctx.queue).push_front(item);
-            } else {
-                let micros = item.elapsed();
-                let attempts = item.attempts;
-                ctx.progress.cell_failed(&item.spec.cell, micros);
-                ctx.journal(item.key, &item.spec.cell, journal::Status::Failed, attempts);
-                ctx.finish(
-                    item,
-                    Err(CellError {
-                        message,
-                        reason: Json::Null,
-                        kind: QuarantineKind::Panic,
-                        attempts,
-                        micros,
-                    }),
-                );
-            }
-        }
-        proto::WorkOutcome::Deadline { budget_units, spent_units } => {
-            // Deterministic verdict — a pure function of cell identity
-            // and budget — so retrying would only reproduce it.
-            let micros = item.elapsed();
-            let attempts = item.attempts + 1;
-            ctx.progress.cell_deadline(&item.spec.cell, micros);
-            stats.cells_deadline += 1;
-            ctx.journal(item.key, &item.spec.cell, journal::Status::Failed, attempts);
-            let reason = Json::obj(vec![
-                ("kind", Json::Str("deadline".into())),
-                ("budget_units", Json::U64(budget_units)),
-                ("spent_units", Json::U64(spent_units)),
-            ]);
-            let message = format!(
-                "deadline: spent {spent_units} work units over the {budget_units}-unit budget"
-            );
-            ctx.finish(
-                item,
-                Err(CellError {
-                    message,
-                    reason,
-                    kind: QuarantineKind::Deadline,
-                    attempts,
-                    micros,
-                }),
-            );
-        }
-        proto::WorkOutcome::Unresolvable { message } => {
-            // The worker's catalog cannot produce this cell — a config
-            // mismatch, deterministic on every retry. Quarantine as a
-            // structured rejection.
-            let micros = item.elapsed();
-            let attempts = item.attempts + 1;
-            ctx.progress.cell_invalid(&item.spec.cell, micros);
-            ctx.journal(item.key, &item.spec.cell, journal::Status::Failed, attempts);
-            let reason = Json::obj(vec![
-                ("kind", Json::Str("unresolvable-cell".into())),
-                ("message", Json::Str(message.clone())),
-            ]);
-            ctx.finish(
-                item,
-                Err(CellError { message, reason, kind: QuarantineKind::Invalid, attempts, micros }),
-            );
+    stats.crashes += 1;
+    conn.stop();
+    for (_, item) in inflight.drain(..) {
+        if let Settled::Quarantined(_) = d.settle(item, Attempt::Lost(cause)) {
+            stats.cells_crashed += 1;
         }
     }
 }
@@ -673,7 +332,8 @@ impl Conn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RunStatus;
+    use crate::{journal, CacheMode, Cell, CellSpec, RunStatus, Runner};
+    use jsonio::Json;
     use std::path::PathBuf;
 
     fn spec(cell: &str) -> CellSpec {

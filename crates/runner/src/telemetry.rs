@@ -3,6 +3,7 @@
 //! Everything is lock-free on the hot path (atomics only); the printer
 //! takes a short mutex to serialize output lines.
 
+use crate::QuarantineKind;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -83,52 +84,18 @@ impl Progress {
         self.maybe_print(done, cell);
     }
 
-    /// Record one terminally-failed (quarantined) cell: it still counts
+    /// Record one quarantined cell of the given kind: it still counts
     /// toward `done` — the campaign drains past it — but its latency is
     /// executed time, not useful throughput.
-    pub fn cell_failed(&self, cell: &str, micros: u64) {
-        let done = self.done.fetch_add(1, Ordering::AcqRel) + 1;
-        self.failed.fetch_add(1, Ordering::AcqRel);
-        self.exec_micros.fetch_add(micros, Ordering::AcqRel);
-        let bucket = (64 - micros.max(1).leading_zeros() as usize - 1).min(HISTO_BUCKETS - 1);
-        self.histo[bucket].fetch_add(1, Ordering::AcqRel);
-        self.maybe_print(done, cell);
-    }
-
-    /// Record one cell quarantined as *invalid* (its work rejected its
-    /// own inputs with a structured reason — no retries). Counts toward
-    /// `done` like any other drain-past quarantine.
-    pub fn cell_invalid(&self, cell: &str, micros: u64) {
-        let done = self.done.fetch_add(1, Ordering::AcqRel) + 1;
-        self.invalid.fetch_add(1, Ordering::AcqRel);
-        self.exec_micros.fetch_add(micros, Ordering::AcqRel);
-        let bucket = (64 - micros.max(1).leading_zeros() as usize - 1).min(HISTO_BUCKETS - 1);
-        self.histo[bucket].fetch_add(1, Ordering::AcqRel);
-        self.maybe_print(done, cell);
-    }
-
-    /// Record one cell quarantined because every attempt died with its
-    /// worker process (isolated mode). Counts toward `done` like any
-    /// other drain-past quarantine.
-    pub fn cell_crashed(&self, cell: &str, micros: u64) {
-        let done = self.done.fetch_add(1, Ordering::AcqRel) + 1;
-        self.crashed.fetch_add(1, Ordering::AcqRel);
-        self.exec_micros.fetch_add(micros, Ordering::AcqRel);
-        let bucket = (64 - micros.max(1).leading_zeros() as usize - 1).min(HISTO_BUCKETS - 1);
-        self.histo[bucket].fetch_add(1, Ordering::AcqRel);
-        self.maybe_print(done, cell);
-    }
-
-    /// Record one cell quarantined by the deterministic work-unit
-    /// deadline (isolated mode). No retries — the verdict is a pure
-    /// function of the cell identity and the budget.
-    pub fn cell_deadline(&self, cell: &str, micros: u64) {
-        let done = self.done.fetch_add(1, Ordering::AcqRel) + 1;
-        self.deadline.fetch_add(1, Ordering::AcqRel);
-        self.exec_micros.fetch_add(micros, Ordering::AcqRel);
-        let bucket = (64 - micros.max(1).leading_zeros() as usize - 1).min(HISTO_BUCKETS - 1);
-        self.histo[bucket].fetch_add(1, Ordering::AcqRel);
-        self.maybe_print(done, cell);
+    pub fn cell_quarantined(&self, kind: QuarantineKind, cell: &str, micros: u64) {
+        let counter = match kind {
+            QuarantineKind::Panic => &self.failed,
+            QuarantineKind::Invalid => &self.invalid,
+            QuarantineKind::Crashed => &self.crashed,
+            QuarantineKind::Deadline => &self.deadline,
+        };
+        counter.fetch_add(1, Ordering::AcqRel);
+        self.cell_done(cell, micros, false);
     }
 
     /// Count one retried attempt (a caught panic with budget remaining,
@@ -440,10 +407,10 @@ mod tests {
         p.cell_done("a", 10, false);
         p.note_retry();
         p.note_retry();
-        p.cell_failed("b", 20);
-        p.cell_invalid("c", 30);
-        p.cell_crashed("d", 40);
-        p.cell_deadline("e", 50);
+        p.cell_quarantined(QuarantineKind::Panic, "b", 20);
+        p.cell_quarantined(QuarantineKind::Invalid, "c", 30);
+        p.cell_quarantined(QuarantineKind::Crashed, "d", 40);
+        p.cell_quarantined(QuarantineKind::Deadline, "e", 50);
         p.note_store_error();
         p.note_load_corruption();
         assert_eq!(
@@ -494,7 +461,7 @@ mod tests {
         assert!(p.print.as_ref().unwrap().lock().is_err(), "lock must actually be poisoned");
         // Both print paths must keep working through the poison.
         p.cell_done("a", 10, false);
-        p.cell_failed("b", 20);
+        p.cell_quarantined(QuarantineKind::Panic, "b", 20);
         p.print_summary("poisoned");
         assert_eq!(p.totals().0, 2);
     }

@@ -6,9 +6,8 @@
 //! [`fixture_probe`] exactly the way the real engine reports
 //! `events_popped` through `sim_core::perf::take()`. That makes
 //! deadline verdicts a pure function of cell identity and budget — a
-//! 650-unit budget deadlines `c6` (700) and `c7` (800) on every run,
-//! in-process or isolated, which is what the golden deadline fixture
-//! asserts.
+//! 650-unit budget deadlines `c6` (700) and `c7` (800) on every
+//! isolated run, which is what the golden deadline fixture asserts.
 
 use crate::{Cell, CellSpec, EnginePerf, PerfProbe};
 use jsonio::Json;

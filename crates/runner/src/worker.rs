@@ -5,9 +5,11 @@
 //! from the same deterministic generators the supervisor used), executes
 //! exactly the cell each [`proto::ToWorker::Run`] frame names, and
 //! reports one [`proto::WorkOutcome`] per dispatch. It never touches the
-//! cache or the journal, never retries (the supervisor owns the attempt
+//! cache or the journal, never retries (the dispatcher owns the attempt
 //! budget), and exits on `Shutdown` or a clean EOF — so killing a worker
-//! at any instant loses at most the single attempt in flight.
+//! at any instant loses at most the single attempt in flight. The same
+//! `run_one` is the in-thread transport's executor, so a cell's
+//! verdict cannot depend on which side of a pipe it ran.
 //!
 //! Deadlines are deterministic here: when a `Run` carries a nonzero
 //! `budget_units`, the worker harvests the engine's per-thread counters
@@ -64,7 +66,10 @@ pub fn serve_io<R: Read, W: Write>(
         match msg {
             proto::ToWorker::Shutdown => return 0,
             proto::ToWorker::Run { id, attempt: _, budget_units, spec } => {
-                let outcome = run_one(&cells, &index, &perf_probe, budget_units, &spec);
+                let outcome = match resolve(&cells, &index, &spec) {
+                    Ok(cell) => run_one(cell, perf_probe.as_ref(), budget_units),
+                    Err(unresolvable) => unresolvable,
+                };
                 let done = proto::FromWorker::Done { id, outcome };
                 if writer.write(&done.to_json()).is_err() {
                     return 1;
@@ -74,22 +79,19 @@ pub fn serve_io<R: Read, W: Write>(
     }
 }
 
-/// Execute one dispatched cell: resolve it against the catalog, bracket
-/// it with the perf probe, run it once under `catch_unwind`, and apply
-/// the deterministic work-unit budget.
-fn run_one(
-    cells: &[Cell],
+/// Resolve a dispatched spec against the catalog, or explain (as an
+/// `Unresolvable` outcome) why this worker cannot produce it.
+fn resolve<'c>(
+    cells: &'c [Cell],
     index: &BTreeMap<(String, String), usize>,
-    perf_probe: &Option<PerfProbe>,
-    budget_units: u64,
     spec: &CellSpec,
-) -> proto::WorkOutcome {
+) -> Result<&'c Cell, proto::WorkOutcome> {
     let Some(cell) =
         index.get(&(spec.experiment.clone(), spec.cell.clone())).and_then(|&i| cells.get(i))
     else {
-        return proto::WorkOutcome::Unresolvable {
+        return Err(proto::WorkOutcome::Unresolvable {
             message: format!("no cell {}/{} in this worker's catalog", spec.experiment, spec.cell),
-        };
+        });
     };
     // The catalog entry must be the *same* cell, not just the same name:
     // a seed/reps/params mismatch means supervisor and worker were built
@@ -99,25 +101,37 @@ fn run_one(
         || cell.spec.reps != spec.reps
         || cell.spec.params.to_string() != spec.params.to_string()
     {
-        return proto::WorkOutcome::Unresolvable {
+        return Err(proto::WorkOutcome::Unresolvable {
             message: format!(
                 "cell {}/{} identity mismatch between supervisor and worker catalogs",
                 spec.experiment, spec.cell
             ),
-        };
+        });
     }
+    Ok(cell)
+}
+
+/// Execute one attempt at a cell: bracket it with the perf probe, run it
+/// once under `catch_unwind`, and apply the deterministic work-unit
+/// budget (`0` disables it). The in-thread transport calls this
+/// directly; a worker process calls it for each `Run` frame.
+pub(crate) fn run_one(
+    cell: &Cell,
+    perf_probe: Option<&PerfProbe>,
+    budget_units: u64,
+) -> proto::WorkOutcome {
     // Discard counters accumulated before this cell so the harvest below
     // is attributable to exactly the work we are about to run.
     if let Some(probe) = perf_probe {
         let _ = probe();
     }
     let work = &cell.work;
-    // AssertUnwindSafe: same argument as the in-process runner — the
-    // closure is `Fn` over owned captures and a failed attempt discards
-    // nothing but itself.
+    // AssertUnwindSafe: the closure is `Fn` over owned captures; a
+    // failed attempt discards nothing but itself, and the payload of a
+    // later successful attempt is a pure function of the cell identity.
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(work)) {
         Ok(Ok(payload)) => {
-            let perf = perf_probe.as_ref().map(|p| p()).unwrap_or_default();
+            let perf = perf_probe.map(|p| p()).unwrap_or_default();
             if budget_units > 0 && perf.events_popped > budget_units {
                 proto::WorkOutcome::Deadline { budget_units, spent_units: perf.events_popped }
             } else {

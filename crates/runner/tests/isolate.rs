@@ -7,10 +7,11 @@
 #![cfg(feature = "chaos")]
 
 use jsonio::Json;
+use runner::chaos::{self, ChaosPlan, Fault};
 use runner::supervisor::IsolateConfig;
 use runner::testcells::{fixture_cells, fixture_probe};
 use runner::{journal, CacheMode, RunReport, RunStatus, Runner};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 const SEED: u64 = 3;
 
@@ -293,4 +294,91 @@ fn mismatched_worker_catalog_is_a_structured_rejection() {
     }
     let iso = report.isolate.as_ref().expect("accounting");
     assert_eq!(iso.workers.iter().map(|w| w.crashes).sum::<u64>(), 0);
+}
+
+#[test]
+fn in_thread_and_subprocess_transports_settle_identically() {
+    // One fault plan, two transports under the same dispatcher: the
+    // in-thread run afflicts its own catalog, the subprocess run's
+    // worker afflicts its copy. Everything but wall-clock time must
+    // agree — records, counters, quarantines, and the journal.
+    const FAULTS: &str = "c1=panic1;c3=panic;c5=invalid";
+    chaos::quiet_injected_panics();
+    let mut plan = ChaosPlan::calm(0);
+    plan.pinned = vec![
+        ("c1".into(), Fault::PanicFirst(1)),
+        ("c3".into(), Fault::PanicAlways),
+        ("c5".into(), Fault::Invalid),
+    ];
+    let campaign = |dir: &Path, isolate: Option<IsolateConfig>, cells| {
+        let mut r = Runner::new(1);
+        r.cache_dir = dir.to_path_buf();
+        r.verbose = false;
+        r.perf_probe = Some(fixture_probe());
+        r.isolate = isolate;
+        r.run("parity", cells)
+    };
+    let thread_dir = tmp_dir("parity-thread");
+    let in_thread = campaign(&thread_dir, None, chaos::afflict(&plan, fixture_cells(8, SEED)));
+    let process_dir = tmp_dir("parity-process");
+    let mut cfg = IsolateConfig::new(worker_cmd(8, FAULTS));
+    cfg.backoff_ms = 1;
+    let subprocess = campaign(&process_dir, Some(cfg), fixture_cells(8, SEED));
+
+    assert_eq!(in_thread.records_jsonl(), subprocess.records_jsonl());
+    let counters = |r: &RunReport| {
+        (r.cells_total, r.cells_cached, r.cells_failed, r.cells_invalid, r.retries, r.engine.runs)
+    };
+    assert_eq!(counters(&in_thread), (8, 0, 1, 1, 3, 6));
+    assert_eq!(counters(&subprocess), counters(&in_thread));
+    let quarantines = |r: &RunReport| {
+        r.quarantined
+            .iter()
+            .map(|q| {
+                let status = r
+                    .outcomes
+                    .iter()
+                    .find(|o| o.key == q.key)
+                    .and_then(|o| o.result.as_ref().err())
+                    .map(|e| e.kind.label());
+                (q.cell.clone(), q.attempts, q.reason.to_string(), status)
+            })
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(quarantines(&in_thread).len(), 2);
+    assert_eq!(quarantines(&subprocess), quarantines(&in_thread));
+    let thread_journal = journal::Journal::load(&journal::journal_path(&thread_dir, "parity"));
+    let process_journal = journal::Journal::load(&journal::journal_path(&process_dir, "parity"));
+    for o in &in_thread.outcomes {
+        assert!(thread_journal.status(o.key).is_some(), "{} journaled", o.spec.cell);
+        assert_eq!(
+            process_journal.status(o.key),
+            thread_journal.status(o.key),
+            "journal status of {}",
+            o.spec.cell
+        );
+    }
+    let _ = std::fs::remove_dir_all(&thread_dir);
+    let _ = std::fs::remove_dir_all(&process_dir);
+}
+
+#[test]
+fn fully_cached_isolated_rerun_spawns_no_worker() {
+    // Cache hits settle in the dispatcher before any transport sees the
+    // cell, so a warm rerun never pays for a worker process.
+    let dir = tmp_dir("warm-no-spawn");
+    let mut runner = isolated_runner(4, "", 2);
+    runner.cache_mode = CacheMode::ReadWrite;
+    runner.cache_dir = dir.clone();
+    let cold = runner.run("iso-warm", fixture_cells(4, SEED));
+    let cold_spawns: u64 =
+        cold.isolate.as_ref().map_or(0, |i| i.workers.iter().map(|w| w.spawns).sum());
+    assert!(cold_spawns > 0, "a cold run needs a worker");
+    let warm = runner.run("iso-warm", fixture_cells(4, SEED));
+    assert_eq!(warm.cells_cached, 4);
+    assert_eq!(warm.records_jsonl(), cold.records_jsonl());
+    let m = warm.manifest();
+    let iso = m.get("isolate").expect("isolate block");
+    assert_eq!(iso.get("worker_spawns").and_then(Json::as_u64), Some(0));
+    let _ = std::fs::remove_dir_all(&dir);
 }
