@@ -4,9 +4,9 @@
 //! the unit of scheduling, caching, and resume. A cell's work closure
 //! reseeds every RNG stream from the cell's own identity (via
 //! `SimRng::from_path`), so payloads are bit-identical no matter which
-//! worker thread runs them or in what order; the serial drivers
-//! ([`run_table`](crate::run_table) etc.) and these cells compute the
-//! exact same numbers.
+//! worker thread runs them or in what order. The tests below check the
+//! cells against straight-line serial references of Table 2 and
+//! Figure 2.
 //!
 //! Builders return cells in a fixed documented order; the matching
 //! `assemble_*` function consumes the runner's payloads (same order) and
@@ -115,55 +115,6 @@ fn table_grid(bench: Bench) -> Vec<(Class, u32, u32)> {
     grid
 }
 
-/// One cell per (class, nodes, ranks/node) of Table 1 (BT), 2 (EP) or
-/// 3 (FT). Each cell calibrates against the paper's SMM-0 baseline and
-/// measures all three SMM classes; cells with no paper baseline return a
-/// null-measured payload so the grid stays dense.
-pub fn table_cells(bench: Bench, opts: &RunOptions) -> Vec<Cell> {
-    let experiment = format!("table-{}", bench.name());
-    table_grid(bench)
-        .into_iter()
-        .map(|(class, nodes, rpn)| {
-            let label = format!("{}-n{}-r{}", class.letter(), nodes, rpn);
-            let params = Json::obj(vec![
-                ("class", Json::Str(class.letter().to_string())),
-                ("nodes", Json::U64(nodes as u64)),
-                ("rpn", Json::U64(rpn as u64)),
-            ]);
-            let opts = *opts;
-            // Fallible: a rejected cluster spec or a simulation that
-            // deadlocks quarantines this one cell with the SimError as
-            // its machine-readable reason; the rest of the table renders.
-            Cell::fallible(spec_for(&experiment, &label, params, &opts), move || {
-                let paper = table_cell(bench, class, nodes, rpn)
-                    .map(|c| c.smm)
-                    .unwrap_or([None, None, None]);
-                let measured: [Option<Measured>; 3] = match paper[0] {
-                    None => [None, None, None],
-                    Some(target) => {
-                        let network = NetworkParams::gigabit_cluster();
-                        let spec =
-                            ClusterSpec::wyeast(nodes, rpn, false).map_err(|e| e.reason_json())?;
-                        let extra = calibrate_extra(bench, class, &spec, &network, target)
-                            .map_err(|e| e.reason_json())?;
-                        let mut out = [None, None, None];
-                        for (k, smm) in SMM_CLASSES.into_iter().enumerate() {
-                            out[k] = Some(
-                                measure_cell(
-                                    bench, class, &spec, extra, smm, &opts, &network, &label,
-                                )
-                                .map_err(|e| e.reason_json())?,
-                            );
-                        }
-                        out
-                    }
-                };
-                Ok(Json::obj(vec![("measured", measured.to_json())]))
-            })
-        })
-        .collect()
-}
-
 /// Fold one cell's three per-SMM sampling verdicts into the payload's
 /// `"stats"` block (what `runner::design::campaign_stats` scans for the
 /// schema-6 manifest): the cell met its target only if *every* SMM
@@ -194,6 +145,14 @@ fn fold_smm_stats(runs: &[AdaptiveRun]) -> Json {
     ])
 }
 
+/// One cell per (class, nodes, ranks/node) of Table 1 (BT), 2 (EP) or
+/// 3 (FT). Each cell calibrates against the paper's SMM-0 baseline and
+/// measures all three SMM classes; cells with no paper baseline return a
+/// null-measured payload so the grid stays dense.
+pub fn table_cells(bench: Bench, opts: &RunOptions) -> Vec<Cell> {
+    grid_cells(bench, opts, None)
+}
+
 /// Adaptive-design variant of [`table_cells`]: the same grid, labels,
 /// and per-repetition seeds, but every (cell, SMM class) runs the
 /// shared sampling loop (`runner::design::run_adaptive`) instead of a
@@ -205,45 +164,62 @@ fn fold_smm_stats(runs: &[AdaptiveRun]) -> Json {
 /// manifest folds into its campaign power check. Cells without a paper
 /// baseline carry no `"stats"` (they sample nothing).
 pub fn adaptive_table_cells(bench: Bench, opts: &RunOptions, design: SampleDesign) -> Vec<Cell> {
+    grid_cells(bench, opts, Some(design))
+}
+
+/// The Tables 1–3 grid under a fixed repetition count (`design` is
+/// `None`) or an adaptive sampling design.
+fn grid_cells(bench: Bench, opts: &RunOptions, design: Option<SampleDesign>) -> Vec<Cell> {
     let experiment = format!("table-{}", bench.name());
     table_grid(bench)
         .into_iter()
         .map(|(class, nodes, rpn)| {
             let label = format!("{}-n{}-r{}", class.letter(), nodes, rpn);
-            let params = Json::obj(vec![
+            let mut params = vec![
                 ("class", Json::Str(class.letter().to_string())),
                 ("nodes", Json::U64(nodes as u64)),
                 ("rpn", Json::U64(rpn as u64)),
-                ("design", design.params_json()),
-            ]);
+            ];
+            if let Some(d) = &design {
+                params.push(("design", d.params_json()));
+            }
             let opts = *opts;
-            // Fallible for the same reason as `table_cells`.
-            Cell::fallible(spec_for(&experiment, &label, params, &opts), move || {
+            // Fallible: a rejected cluster spec or a simulation that
+            // deadlocks quarantines this one cell with the SimError as
+            // its machine-readable reason; the rest of the table renders.
+            Cell::fallible(spec_for(&experiment, &label, Json::obj(params), &opts), move || {
                 let paper = table_cell(bench, class, nodes, rpn)
                     .map(|c| c.smm)
                     .unwrap_or([None, None, None]);
+                let mut measured: [Option<Measured>; 3] = [None, None, None];
                 let Some(target) = paper[0] else {
-                    let hole: [Option<Measured>; 3] = [None, None, None];
-                    return Ok(Json::obj(vec![("measured", hole.to_json())]));
+                    return Ok(Json::obj(vec![("measured", measured.to_json())]));
                 };
                 let network = NetworkParams::gigabit_cluster();
                 let spec = ClusterSpec::wyeast(nodes, rpn, false).map_err(|e| e.reason_json())?;
                 let extra = calibrate_extra(bench, class, &spec, &network, target)
                     .map_err(|e| e.reason_json())?;
-                let mut measured: [Option<Measured>; 3] = [None, None, None];
-                let mut runs = Vec::with_capacity(3);
+                let mut runs = Vec::new();
                 for (k, smm) in SMM_CLASSES.into_iter().enumerate() {
-                    let (m, run) = measure_cell_adaptive(
-                        bench, class, &spec, extra, smm, &opts, &network, &label, &design,
-                    )
-                    .map_err(|e| e.reason_json())?;
-                    measured[k] = Some(m);
-                    runs.push(run);
+                    let m = match &design {
+                        None => {
+                            measure_cell(bench, class, &spec, extra, smm, &opts, &network, &label)
+                        }
+                        Some(d) => measure_cell_adaptive(
+                            bench, class, &spec, extra, smm, &opts, &network, &label, d,
+                        )
+                        .map(|(m, run)| {
+                            runs.push(run);
+                            m
+                        }),
+                    };
+                    measured[k] = Some(m.map_err(|e| e.reason_json())?);
                 }
-                Ok(Json::obj(vec![
-                    ("measured", measured.to_json()),
-                    ("stats", fold_smm_stats(&runs)),
-                ]))
+                let mut payload = vec![("measured", measured.to_json())];
+                if design.is_some() {
+                    payload.push(("stats", fold_smm_stats(&runs)));
+                }
+                Ok(Json::obj(payload))
             })
         })
         .collect()
@@ -549,10 +525,82 @@ mod tests {
         RunOptions { reps: 2, seed: 11, ..RunOptions::default() }
     }
 
+    /// Serial reference for Tables 1–3: the grid walked in row order,
+    /// one cell at a time, with no runner involved.
+    fn run_table(bench: Bench, opts: &RunOptions) -> TableResult {
+        let network = NetworkParams::gigabit_cluster();
+        let mut cells = Vec::new();
+        for class in Class::PAPER {
+            for &nodes in bench.node_counts() {
+                for rpn in [1u32, 4] {
+                    let paper = table_cell(bench, class, nodes, rpn)
+                        .map(|c| c.smm)
+                        .unwrap_or([None, None, None]);
+                    let label = format!("{}-n{}-r{}", class.letter(), nodes, rpn);
+                    let Some(target) = paper[0] else {
+                        cells.push(TableCell {
+                            class,
+                            nodes,
+                            ranks_per_node: rpn,
+                            measured: [None, None, None],
+                            paper,
+                        });
+                        continue;
+                    };
+                    let measured = ClusterSpec::wyeast(nodes, rpn, false)
+                        .and_then(|spec| {
+                            let extra = calibrate_extra(bench, class, &spec, &network, target)?;
+                            Ok((spec, extra))
+                        })
+                        .map(|(spec, extra)| {
+                            SMM_CLASSES.map(|smm| {
+                                measure_cell(
+                                    bench, class, &spec, extra, smm, opts, &network, &label,
+                                )
+                                .ok()
+                            })
+                        })
+                        .unwrap_or([None, None, None]);
+                    cells.push(TableCell { class, nodes, ranks_per_node: rpn, measured, paper });
+                }
+            }
+        }
+        TableResult { bench, cells }
+    }
+
+    /// Serial reference for Figure 2: every series point computed in
+    /// place.
+    fn run_figure2(opts: &RunOptions) -> Figure2Result {
+        let series = |smm: SmiClass| -> Vec<FigSeries> {
+            FIG2_CPUS
+                .iter()
+                .map(|&cpus| FigSeries {
+                    label: format!("{cpus} CPUs"),
+                    points: FIG2_INTERVALS
+                        .iter()
+                        .map(|&ms| FigPoint {
+                            x: ms as f64,
+                            mean: ubench_index(cpus, smm, ms, opts),
+                            std: 0.0,
+                        })
+                        .collect(),
+                })
+                .collect()
+        };
+        Figure2Result {
+            long_series: series(SmiClass::Long),
+            short_series: series(SmiClass::Short),
+            baselines: FIG2_CPUS
+                .iter()
+                .map(|&cpus| (cpus, ubench_index(cpus, SmiClass::None, 1000, opts)))
+                .collect(),
+        }
+    }
+
     #[test]
     fn cells_reproduce_the_serial_table_driver() {
         let opts = tiny();
-        let serial = crate::run_table(Bench::Ep, &opts);
+        let serial = run_table(Bench::Ep, &opts);
         let report = quiet_runner().run("table-ep-test", table_cells(Bench::Ep, &opts));
         let parallel = assemble_table(Bench::Ep, &report.payloads());
         assert_eq!(serial.cells.len(), parallel.cells.len());
@@ -630,7 +678,7 @@ mod tests {
     #[test]
     fn figure2_cells_round_trip() {
         let opts = tiny();
-        let serial = crate::run_figure2(&opts);
+        let serial = run_figure2(&opts);
         let report = quiet_runner().run("figure2-test", figure2_cells(&opts));
         let parallel = assemble_figure2(&report.payloads());
         assert_eq!(serial.long_series.len(), parallel.long_series.len());

@@ -1,4 +1,5 @@
-//! Drivers for Figure 1 (Convolve) and Figure 2 (UnixBench).
+//! Result types and point models for Figure 1 (Convolve) and Figure 2
+//! (UnixBench). The cells themselves are built in [`crate::cells`].
 
 use crate::opts::RunOptions;
 use apps::{run_convolve, run_suite, ConvolveConfig, ConvolveRun, UbCosts};
@@ -74,33 +75,6 @@ pub(crate) fn convolve_point(
     }
 }
 
-/// Reproduce Figure 1: both configurations, interval sweep and CPU sweep.
-pub fn run_figure1(opts: &RunOptions) -> Figure1Result {
-    let configs = [ConvolveConfig::CacheUnfriendly, ConvolveConfig::CacheFriendly];
-    let interval_panels = configs.map(|config| {
-        FIG1_CPUS
-            .iter()
-            .map(|&cpus| FigSeries {
-                label: format!("{cpus} CPUs"),
-                points: fig1_intervals()
-                    .into_iter()
-                    .map(|ms| convolve_point(config, cpus, Some(ms), opts))
-                    .collect(),
-            })
-            .collect::<Vec<_>>()
-    });
-    let cpu_panels = configs.map(|config| FigSeries {
-        label: format!("{} @ 50ms", config.label()),
-        points: (1..=8)
-            .map(|cpus| {
-                let p = convolve_point(config, cpus, Some(50), opts);
-                FigPoint { x: cpus as f64, ..p }
-            })
-            .collect(),
-    });
-    Figure1Result { interval_panels, cpu_panels }
-}
-
 /// Figure 2 result: UnixBench total index vs SMI interval, one series per
 /// CPU configuration, plus the short-SMI control showing no effect.
 #[derive(Clone, Debug, jsonio::ToJson)]
@@ -147,34 +121,6 @@ pub fn impact_slope(series: &FigSeries, residency_ms: f64) -> (f64, f64, f64) {
         .collect();
     let ys: Vec<f64> = series.points.iter().map(|p| p.mean).collect();
     sim_core::stats::linear_fit(&xs, &ys)
-}
-
-/// Reproduce Figure 2.
-pub fn run_figure2(opts: &RunOptions) -> Figure2Result {
-    let series = |smm: SmiClass| -> Vec<FigSeries> {
-        FIG2_CPUS
-            .iter()
-            .map(|&cpus| FigSeries {
-                label: format!("{cpus} CPUs"),
-                points: FIG2_INTERVALS
-                    .iter()
-                    .map(|&ms| FigPoint {
-                        x: ms as f64,
-                        mean: ubench_index(cpus, smm, ms, opts),
-                        std: 0.0,
-                    })
-                    .collect(),
-            })
-            .collect()
-    };
-    Figure2Result {
-        long_series: series(SmiClass::Long),
-        short_series: series(SmiClass::Short),
-        baselines: FIG2_CPUS
-            .iter()
-            .map(|&cpus| (cpus, ubench_index(cpus, SmiClass::None, 1000, opts)))
-            .collect(),
-    }
 }
 
 #[cfg(test)]

@@ -1,4 +1,6 @@
-//! Drivers for Tables 1–5: the NAS benchmark × SMI grid.
+//! Result types and the measurement core of Tables 1–5: the NAS
+//! benchmark × SMI grid. The cells themselves are built in
+//! [`crate::cells`].
 //!
 //! Each cell `(benchmark, class, nodes, ranks/node[, htt])` is:
 //!
@@ -11,7 +13,7 @@
 
 use crate::opts::RunOptions;
 use mpi_sim::{ClusterSpec, NetworkParams, NodeState, RankProgram, RunConfig, SimError};
-use nas::{calibrate_extra, htt_cell, programs, table_cell, Bench, Class};
+use nas::{programs, Bench, Class};
 use runner::design::{run_adaptive, AdaptiveRun, SampleDesign};
 use sim_core::stats::Accumulator;
 use sim_core::SimRng;
@@ -186,49 +188,6 @@ pub fn measure_cell_adaptive(
     Ok((Measured { mean: acc.mean(), std: acc.stddev(), reps: run.n() }, run))
 }
 
-/// Reproduce Table 1 (BT), 2 (EP) or 3 (FT).
-pub fn run_table(bench: Bench, opts: &RunOptions) -> TableResult {
-    let network = NetworkParams::gigabit_cluster();
-    let mut cells = Vec::new();
-    for class in Class::PAPER {
-        for &nodes in bench.node_counts() {
-            for rpn in [1u32, 4] {
-                let paper = table_cell(bench, class, nodes, rpn)
-                    .map(|c| c.smm)
-                    .unwrap_or([None, None, None]);
-                let label = format!("{}-n{}-r{}", class.letter(), nodes, rpn);
-                let Some(target) = paper[0] else {
-                    cells.push(TableCell {
-                        class,
-                        nodes,
-                        ranks_per_node: rpn,
-                        measured: [None, None, None],
-                        paper,
-                    });
-                    continue;
-                };
-                // An invalid or failing cell degrades to table holes (the
-                // campaign path additionally records the typed reason in
-                // quarantine manifests).
-                let measured = ClusterSpec::wyeast(nodes, rpn, false)
-                    .and_then(|spec| {
-                        let extra = calibrate_extra(bench, class, &spec, &network, target)?;
-                        Ok((spec, extra))
-                    })
-                    .map(|(spec, extra)| {
-                        SMM_CLASSES.map(|smm| {
-                            measure_cell(bench, class, &spec, extra, smm, opts, &network, &label)
-                                .ok()
-                        })
-                    })
-                    .unwrap_or([None, None, None]);
-                cells.push(TableCell { class, nodes, ranks_per_node: rpn, measured, paper });
-            }
-        }
-    }
-    TableResult { bench, cells }
-}
-
 /// One row of Tables 4–5: measured `[smm][ht]` plus the paper's values.
 #[derive(Clone, Debug, jsonio::ToJson)]
 pub struct HttTableCell {
@@ -263,41 +222,10 @@ pub struct HttTableResult {
     pub cells: Vec<HttTableCell>,
 }
 
-/// Reproduce Table 4 (EP × HTT) or Table 5 (FT × HTT); 4 ranks/node.
-pub fn run_htt_table(bench: Bench, opts: &RunOptions) -> HttTableResult {
-    assert!(matches!(bench, Bench::Ep | Bench::Ft), "HTT tables exist for EP and FT only");
-    let network = NetworkParams::gigabit_cluster();
-    let mut cells = Vec::new();
-    for class in Class::PAPER {
-        for &nodes in bench.node_counts() {
-            let paper = htt_cell(bench, class, nodes).map(|c| c.smm_ht);
-            let Some(paper_vals) = paper else {
-                cells.push(HttTableCell { class, nodes, measured: [[None, None]; 3], paper });
-                continue;
-            };
-            let mut measured = [[None, None]; 3];
-            for (ht_idx, htt) in [false, true].into_iter().enumerate() {
-                let Ok(spec) = ClusterSpec::wyeast(nodes, 4, htt) else { continue };
-                // Each HTT setting calibrates to its own SMM-0 column.
-                let target = paper_vals[0][ht_idx];
-                let Ok(extra) = calibrate_extra(bench, class, &spec, &network, target) else {
-                    continue;
-                };
-                let label = format!("{}-n{}-ht{}", class.letter(), nodes, ht_idx);
-                for (k, smm) in SMM_CLASSES.into_iter().enumerate() {
-                    measured[k][ht_idx] =
-                        measure_cell(bench, class, &spec, extra, smm, opts, &network, &label).ok();
-                }
-            }
-            cells.push(HttTableCell { class, nodes, measured, paper });
-        }
-    }
-    HttTableResult { bench, cells }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nas::calibrate_extra;
 
     fn tiny_opts() -> RunOptions {
         RunOptions { reps: 2, seed: 7, ..RunOptions::default() }

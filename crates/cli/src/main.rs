@@ -124,7 +124,7 @@ use analysis::{
     render_htt_table, render_noise, render_table, series_csv, table_csv, table_report, ChartSpec,
     RunOptions,
 };
-use jsonio::ToJson;
+use jsonio::{Json, ToJson};
 use nas::Bench;
 use runner::design::SampleDesign;
 use runner::{CacheMode, Cell, RunStatus, Runner};
@@ -138,6 +138,7 @@ fn note_status(status: RunStatus) {
     WORST_STATUS.fetch_max(status.exit_code(), Ordering::Relaxed);
 }
 
+#[derive(Clone)]
 struct Args {
     command: String,
     opts: RunOptions,
@@ -285,7 +286,11 @@ fn parse_args() -> Result<Args, String> {
         // Adaptive sampling is defined for the MPI table grids; the
         // hidden `worker` subcommand accepts it so `--isolate` can
         // forward the design to its subprocesses.
-        if !matches!(command.as_deref(), Some("table1" | "table2" | "table3" | "worker")) {
+        let table = command
+            .as_deref()
+            .and_then(artifact)
+            .is_some_and(|a| matches!(a.kind, Kind::Table(..)));
+        if !table && command.as_deref() != Some("worker") {
             return Err("--adaptive is supported for table1/table2/table3".into());
         }
         let d = SampleDesign {
@@ -404,38 +409,6 @@ fn isolate_config(args: &Args) -> runner::supervisor::IsolateConfig {
     cfg
 }
 
-/// The complete cell catalog this build can produce — every table,
-/// figure, noise, and study cell. The `worker` subcommand serves from it
-/// so any experiment command (including `all`) can dispatch to the same
-/// worker; lookups are by cell identity, so the unused entries cost one
-/// closure each and no simulation work.
-fn full_catalog(args: &Args) -> Vec<Cell> {
-    let mut cells: Vec<Cell> = Vec::new();
-    for bench in [Bench::Bt, Bench::Ep, Bench::Ft] {
-        cells.extend(table_cells(bench, &args.opts));
-        // Adaptive variants carry their design in the cell params, so
-        // they coexist with the fixed cells as distinct identities.
-        if let Some(d) = args.design {
-            cells.extend(adaptive_table_cells(bench, &args.opts, d));
-        }
-    }
-    for bench in [Bench::Ep, Bench::Ft] {
-        cells.extend(htt_cells(bench, &args.opts));
-    }
-    cells.extend(figure1_cells(&fig1_opts(&args.opts)));
-    cells.extend(figure2_cells(&args.opts));
-    let mut noise_specs: Vec<String> =
-        noise::FIXED_BUDGET_SPECS.iter().map(|s| s.to_string()).collect();
-    if let Some(spec) = &args.noise {
-        noise_specs.push(spec.clone());
-    }
-    cells.extend(noise_specs.iter().map(|s| noise_cell(&args.opts, s)));
-    for (name, render) in xcmds::ALL_STUDIES {
-        cells.push(text_cell(name, &args.opts, render));
-    }
-    cells
-}
-
 /// Run one labelled batch of cells through the runner; append its JSONL
 /// records (if `--records`) and write the run manifest.
 fn execute(args: &Args, label: &str, cells: Vec<Cell>) -> runner::RunReport {
@@ -520,83 +493,174 @@ fn write_json<T: ToJson>(dir: &Option<String>, name: &str, value: &T) {
     }
 }
 
-fn run_table_result(args: &Args, n: u32, bench: Bench) -> analysis::TableResult {
-    let label = format!("table{n}");
-    let cells = match args.design {
-        Some(d) => adaptive_table_cells(bench, &args.opts, d),
-        None => table_cells(bench, &args.opts),
-    };
-    let expected = cells.len();
-    let report = execute(args, &label, cells);
-    // An adaptive campaign's conclusions live in the manifest's stats
-    // block (per-cell CIs, the power check): re-read it from disk and
-    // fail degraded if the account is missing or malformed.
-    if args.design.is_some() {
-        verify_manifest(args, &label, expected, true);
-    }
-    assemble_table(bench, &report.payloads())
+/// How an artifact's cells are built and its payloads printed.
+enum Kind {
+    /// Tables 1–3 (number, benchmark): the only artifacts `--adaptive`
+    /// applies to.
+    Table(u32, Bench),
+    /// Tables 4–5 (number, benchmark): the HTT interaction.
+    Htt(u32, Bench),
+    Figure1,
+    Figure2,
+    /// The noise-shape study (crates/noise): every fixed-budget spec, or
+    /// the one `--noise` spec. An invalid spec quarantines with its typed
+    /// reason in the manifest (exit 1) instead of aborting the run.
+    Noise,
+    /// An X-series study: one text cell.
+    Study(xcmds::StudyFn),
 }
 
-fn run_htt_result(args: &Args, n: u32, bench: Bench) -> analysis::HttTableResult {
-    let report = execute(args, &format!("table{n}"), htt_cells(bench, &args.opts));
-    assemble_htt_table(bench, &report.payloads())
+/// One paper artifact or study: the command that regenerates it alone
+/// and the run label its campaign's manifest and journal are named by.
+struct Artifact {
+    command: &'static str,
+    label: &'static str,
+    kind: Kind,
+}
+
+/// Every artifact, in `smi-lab all` order. A single command, `report`,
+/// `all` and the `--isolate` worker's catalogue all read this list.
+static ARTIFACTS: [Artifact; 17] = [
+    Artifact { command: "table1", label: "table1", kind: Kind::Table(1, Bench::Bt) },
+    Artifact { command: "table2", label: "table2", kind: Kind::Table(2, Bench::Ep) },
+    Artifact { command: "table3", label: "table3", kind: Kind::Table(3, Bench::Ft) },
+    Artifact { command: "table4", label: "table4", kind: Kind::Htt(4, Bench::Ep) },
+    Artifact { command: "table5", label: "table5", kind: Kind::Htt(5, Bench::Ft) },
+    Artifact { command: "figure1", label: "figure1", kind: Kind::Figure1 },
+    Artifact { command: "figure2", label: "figure2", kind: Kind::Figure2 },
+    Artifact { command: "noise", label: "noise", kind: Kind::Noise },
+    Artifact { command: "detect", label: "x-detect", kind: Kind::Study(xcmds::detect) },
+    Artifact { command: "bits", label: "x-bits", kind: Kind::Study(xcmds::bits) },
+    Artifact {
+        command: "attribution",
+        label: "x-attribution",
+        kind: Kind::Study(xcmds::attribution),
+    },
+    Artifact { command: "absorption", label: "x-absorption", kind: Kind::Study(xcmds::absorption) },
+    Artifact { command: "unixbench", label: "x-unixbench", kind: Kind::Study(xcmds::unixbench) },
+    Artifact { command: "scale", label: "x-scale", kind: Kind::Study(xcmds::scale) },
+    Artifact { command: "variance", label: "x-variance", kind: Kind::Study(xcmds::variance) },
+    Artifact { command: "energy", label: "x-energy", kind: Kind::Study(xcmds::energy) },
+    Artifact { command: "mops", label: "x-mops", kind: Kind::Study(xcmds::mops) },
+];
+
+fn artifact(command: &str) -> Option<&'static Artifact> {
+    ARTIFACTS.iter().find(|a| a.command == command)
+}
+
+/// `args` without the options only a single command honours
+/// (`--adaptive`, `--noise`): what `all` runs and the base of the
+/// worker's catalogue.
+fn fixed(args: &Args) -> Args {
+    Args { design: None, noise: None, ..args.clone() }
 }
 
 fn fig1_opts(opts: &RunOptions) -> RunOptions {
     RunOptions { reps: opts.reps.min(3), ..*opts }
 }
 
-fn run_figure1_result(args: &Args) -> analysis::Figure1Result {
-    let report = execute(args, "figure1", figure1_cells(&fig1_opts(&args.opts)));
-    assemble_figure1(&report.payloads())
+fn noise_specs(args: &Args) -> Vec<&str> {
+    match &args.noise {
+        Some(spec) => vec![spec.as_str()],
+        None => noise::FIXED_BUDGET_SPECS.to_vec(),
+    }
 }
 
-fn run_figure2_result(args: &Args) -> analysis::Figure2Result {
-    let report = execute(args, "figure2", figure2_cells(&args.opts));
-    assemble_figure2(&report.payloads())
+impl Artifact {
+    /// The artifact's cells, in the order [`Artifact::print`] consumes
+    /// their payloads.
+    fn cells(&self, args: &Args) -> Vec<Cell> {
+        let opts = &args.opts;
+        match self.kind {
+            Kind::Table(_, bench) => match args.design {
+                Some(d) => adaptive_table_cells(bench, opts, d),
+                None => table_cells(bench, opts),
+            },
+            Kind::Htt(_, bench) => htt_cells(bench, opts),
+            Kind::Figure1 => figure1_cells(&fig1_opts(opts)),
+            Kind::Figure2 => figure2_cells(opts),
+            Kind::Noise => noise_specs(args).into_iter().map(|s| noise_cell(opts, s)).collect(),
+            Kind::Study(render) => vec![text_cell(self.label, opts, render)],
+        }
+    }
+
+    /// Print the artifact and write its `--csv`/`--json`/`--svg` files.
+    fn print(&self, args: &Args, payloads: &[Json]) {
+        match self.kind {
+            Kind::Table(n, bench) => {
+                let result = assemble_table(bench, payloads);
+                print!("{}", render_table(&result, n));
+                write_csv(&args.csv_dir, self.label, &table_csv(&result));
+                write_json(&args.json_dir, self.label, &result);
+            }
+            Kind::Htt(n, bench) => {
+                let result = assemble_htt_table(bench, payloads);
+                print!("{}", render_htt_table(&result, n));
+                write_json(&args.json_dir, self.label, &result);
+            }
+            Kind::Figure1 => print_figure1(&assemble_figure1(payloads), args),
+            Kind::Figure2 => print_figure2(&assemble_figure2(payloads), args),
+            Kind::Noise => {
+                print!("{}", render_noise(&assemble_noise(&noise_specs(args), payloads)))
+            }
+            Kind::Study(_) => print!("{}", text_payload(&payloads[0])),
+        }
+    }
+
+    /// The artifact's EXPERIMENTS.md section; empty for the noise study
+    /// and the X studies, which `report` leaves out.
+    fn report(&self, payloads: &[Json]) -> String {
+        match self.kind {
+            Kind::Table(n, bench) => {
+                let head = if n == 1 { "## MPI study (Tables 1–3)\n\n" } else { "" };
+                format!("{head}{}", table_report(&assemble_table(bench, payloads), n))
+            }
+            Kind::Htt(n, bench) => {
+                let head = if n == 4 { "## HTT study (Tables 4–5)\n\n" } else { "" };
+                format!("{head}{}", htt_report(&assemble_htt_table(bench, payloads), n))
+            }
+            Kind::Figure1 => figure1_report(&assemble_figure1(payloads)),
+            Kind::Figure2 => figure2_report(&assemble_figure2(payloads)),
+            Kind::Noise | Kind::Study(_) => String::new(),
+        }
+    }
 }
 
-fn cmd_table(n: u32, bench: Bench, args: &Args) {
+/// Run one artifact as its own campaign, labelled by the artifact, and
+/// return its payloads in cell order.
+fn run_artifact(args: &Args, artifact: &Artifact) -> Vec<Json> {
+    let cells = artifact.cells(args);
+    let count = cells.len();
     eprintln!(
-        "running table {n} ({} x classes x nodes x SMM, {} reps, {} jobs)...",
-        bench.name(),
-        args.opts.reps,
-        args.jobs
+        "running {} ({count} cells, {} reps, {} jobs)...",
+        artifact.label, args.opts.reps, args.jobs
     );
-    let result = run_table_result(args, n, bench);
-    print_table(n, &result, args);
+    let payloads = execute(args, artifact.label, cells).payloads();
+    // The noise study's and an adaptive campaign's conclusions live in
+    // the manifest (the adaptive one in its stats block: per-cell CIs,
+    // the power check): re-read it from disk and fail degraded if the
+    // account is missing or malformed.
+    if args.design.is_some() || matches!(artifact.kind, Kind::Noise) {
+        verify_manifest(args, artifact.label, count, args.design.is_some());
+    }
+    payloads
 }
 
-fn print_table(n: u32, result: &analysis::TableResult, args: &Args) {
-    print!("{}", render_table(result, n));
-    write_csv(&args.csv_dir, &format!("table{n}"), &table_csv(result));
-    write_json(&args.json_dir, &format!("table{n}"), result);
-}
-
-fn cmd_htt_table(n: u32, bench: Bench, args: &Args) {
-    eprintln!(
-        "running table {n} (HTT x {} , {} reps, {} jobs)...",
-        bench.name(),
-        args.opts.reps,
-        args.jobs
-    );
-    let result = run_htt_result(args, n, bench);
-    print_htt_table(n, &result, args);
-}
-
-fn print_htt_table(n: u32, result: &analysis::HttTableResult, args: &Args) {
-    print!("{}", render_htt_table(result, n));
-    write_json(&args.json_dir, &format!("table{n}"), result);
-}
-
-fn cmd_figure1(args: &Args) {
-    eprintln!(
-        "running figure 1 (Convolve sweeps, {} reps per point, {} jobs)...",
-        fig1_opts(&args.opts).reps,
-        args.jobs
-    );
-    let fig = run_figure1_result(args);
-    print_figure1(&fig, args);
+/// The `--isolate` worker's catalogue: every artifact's cells, then the
+/// adaptive Tables 1–3 cells under `--adaptive` and the `--noise` spec's
+/// cell. An adaptive cell shares its fixed twin's name, and the worker
+/// resolves a name to its last entry, so the adaptive cells come last.
+fn worker_catalog(args: &Args) -> Vec<Cell> {
+    let base = fixed(args);
+    let mut cells: Vec<Cell> = ARTIFACTS.iter().flat_map(|a| a.cells(&base)).collect();
+    if args.design.is_some() {
+        let tables = ARTIFACTS.iter().filter(|a| matches!(a.kind, Kind::Table(..)));
+        cells.extend(tables.flat_map(|a| a.cells(args)));
+    }
+    if let Some(spec) = &args.noise {
+        cells.push(noise_cell(&args.opts, spec));
+    }
+    cells
 }
 
 fn print_figure1(fig: &analysis::Figure1Result, args: &Args) {
@@ -646,12 +710,6 @@ fn print_figure1(fig: &analysis::Figure1Result, args: &Args) {
     );
 }
 
-fn cmd_figure2(args: &Args) {
-    eprintln!("running figure 2 (UnixBench sweeps, {} jobs)...", args.jobs);
-    let fig = run_figure2_result(args);
-    print_figure2(&fig, args);
-}
-
 fn print_figure2(fig: &analysis::Figure2Result, args: &Args) {
     print!("{}", render_figure2(fig));
     write_csv(&args.csv_dir, "figure2_long", &series_csv(&fig.long_series));
@@ -668,44 +726,6 @@ fn print_figure2(fig: &analysis::Figure2Result, args: &Args) {
         },
         &fig.long_series,
     );
-}
-
-/// Run one X study through the runner (so it caches/resumes like every
-/// other experiment) and print its text.
-fn cmd_study(experiment: &str, render: fn(&RunOptions) -> String, args: &Args) {
-    let report = execute(args, experiment, vec![text_cell(experiment, &args.opts, render)]);
-    print!("{}", text_payload(&report.payloads()[0]));
-}
-
-/// The noise-shape study (crates/noise): without `--noise`, print the
-/// model catalog and run every fixed-budget spec; with `--noise SPEC`,
-/// run that one spec. Invalid specs quarantine with the typed reason in
-/// the manifest (exit 1), they do not abort. After the batch the run
-/// manifest is re-read and parsed with `jsonio` — a malformed or
-/// missing account of the run is itself a degradation.
-fn cmd_noise(args: &Args) {
-    let specs: Vec<String> = match &args.noise {
-        Some(spec) => vec![spec.clone()],
-        None => {
-            eprintln!("noise model catalog:");
-            for spec in noise::catalog() {
-                eprintln!("  {}", spec.as_model().describe());
-            }
-            noise::FIXED_BUDGET_SPECS.iter().map(|s| s.to_string()).collect()
-        }
-    };
-    eprintln!(
-        "running noise study ({} spec(s), {} reps, {} jobs)...",
-        specs.len(),
-        args.opts.reps,
-        args.jobs
-    );
-    let cells = specs.iter().map(|s| noise_cell(&args.opts, s)).collect();
-    let report = execute(args, "noise", cells);
-    let texts: Vec<&str> = specs.iter().map(String::as_str).collect();
-    let rows = assemble_noise(&texts, &report.payloads());
-    print!("{}", render_noise(&rows));
-    verify_manifest(args, "noise", specs.len(), false);
 }
 
 /// Re-read a batch's manifest from disk and check it parses and accounts
@@ -735,31 +755,8 @@ fn verify_manifest(args: &Args, label: &str, cells_expected: usize, expect_stats
     }
 }
 
-/// Generate the EXPERIMENTS.md body: every table and figure, paper vs
-/// measured, with agreement summaries.
-fn cmd_report(args: &Args) {
+fn figure1_report(fig1: &analysis::Figure1Result) -> String {
     let mut out = String::new();
-    out.push_str("# EXPERIMENTS — paper vs. reproduction\n\n");
-    out.push_str("Generated by `smi-lab report`. Baselines (SMM 0) are calibration\n");
-    out.push_str("inputs; every SMM 1 / SMM 2 / HTT number is a model prediction.\n");
-    out.push_str(&format!(
-        "Replications: {} per cell, seed {}.\n\n",
-        args.opts.reps, args.opts.seed
-    ));
-    out.push_str("## MPI study (Tables 1–3)\n\n");
-    for (n, bench) in [(1u32, Bench::Bt), (2, Bench::Ep), (3, Bench::Ft)] {
-        eprintln!("report: table {n}...");
-        let result = run_table_result(args, n, bench);
-        out.push_str(&table_report(&result, n));
-    }
-    out.push_str("## HTT study (Tables 4–5)\n\n");
-    for (n, bench) in [(4u32, Bench::Ep), (5, Bench::Ft)] {
-        eprintln!("report: table {n}...");
-        let result = run_htt_result(args, n, bench);
-        out.push_str(&htt_report(&result, n));
-    }
-    eprintln!("report: figure 1...");
-    let fig1 = run_figure1_result(args);
     out.push_str("## Figure 1 — Convolve\n\n");
     out.push_str("Paper claims vs. measured (CacheUnfriendly, 4 CPUs):\n\n");
     out.push_str("| SMI interval | measured mean [s] | vs. quiet |\n|---|---|---|\n");
@@ -780,8 +777,11 @@ fn cmd_report(args: &Args) {
     out.push_str("\nThe paper reports \"minimal or no impact ... up to approximately\n");
     out.push_str("600 ms intervals\" and \"a dramatic impact\" below; the measured\n");
     out.push_str("knee sits in the same place.\n\n");
-    eprintln!("report: figure 2...");
-    let fig2 = run_figure2_result(args);
+    out
+}
+
+fn figure2_report(fig2: &analysis::Figure2Result) -> String {
+    let mut out = String::new();
     out.push_str("## Figure 2 — UnixBench\n\n");
     out.push_str("| interval | ");
     for s in &fig2.long_series {
@@ -805,50 +805,34 @@ fn cmd_report(args: &Args) {
     out.push_str("\nShort-SMI control: the index moves by less than 4 % at every\n");
     out.push_str("interval and configuration, matching \"our investigation of the\n");
     out.push_str("effects of short SMIs did not show any change\".\n");
+    out
+}
+
+/// Generate the EXPERIMENTS.md body: every table and figure, paper vs
+/// measured, with agreement summaries.
+fn cmd_report(args: &Args) {
+    let mut out = String::new();
+    out.push_str("# EXPERIMENTS — paper vs. reproduction\n\n");
+    out.push_str("Generated by `smi-lab report`. Baselines (SMM 0) are calibration\n");
+    out.push_str("inputs; every SMM 1 / SMM 2 / HTT number is a model prediction.\n");
+    out.push_str(&format!(
+        "Replications: {} per cell, seed {}.\n\n",
+        args.opts.reps, args.opts.seed
+    ));
+    for a in ARTIFACTS.iter().filter(|a| !matches!(a.kind, Kind::Noise | Kind::Study(_))) {
+        out.push_str(&a.report(&run_artifact(args, a)));
+    }
     print!("{out}");
 }
 
-/// Everything, as ONE job DAG: all table cells, all figure cells, and
-/// all X studies fan out together over `--jobs` workers, then results
-/// print in the documented command order.
+/// Everything, as ONE campaign: every artifact's cells fan out together
+/// over `--jobs` workers, then each artifact prints from its share of
+/// the payloads, in list order.
 fn cmd_all(args: &Args) {
-    struct Segment {
-        start: usize,
-        len: usize,
-    }
-    let mut cells: Vec<Cell> = Vec::new();
-    let seg = |cells: &mut Vec<Cell>, batch: Vec<Cell>| {
-        let s = Segment { start: cells.len(), len: batch.len() };
-        cells.extend(batch);
-        s
-    };
-    let tables: Vec<(u32, Bench, Segment)> = [(1u32, Bench::Bt), (2, Bench::Ep), (3, Bench::Ft)]
-        .into_iter()
-        .map(|(n, b)| {
-            let s = seg(&mut cells, table_cells(b, &args.opts));
-            (n, b, s)
-        })
-        .collect();
-    let htts: Vec<(u32, Bench, Segment)> = [(4u32, Bench::Ep), (5, Bench::Ft)]
-        .into_iter()
-        .map(|(n, b)| {
-            let s = seg(&mut cells, htt_cells(b, &args.opts));
-            (n, b, s)
-        })
-        .collect();
-    let f1 = seg(&mut cells, figure1_cells(&fig1_opts(&args.opts)));
-    let f2 = seg(&mut cells, figure2_cells(&args.opts));
-    let noise_specs: Vec<String> =
-        noise::FIXED_BUDGET_SPECS.iter().map(|s| s.to_string()).collect();
-    let nz = seg(&mut cells, noise_specs.iter().map(|s| noise_cell(&args.opts, s)).collect());
-    let studies: Vec<(&str, Segment)> = xcmds::ALL_STUDIES
-        .into_iter()
-        .map(|(name, render)| {
-            let s = seg(&mut cells, vec![text_cell(name, &args.opts, render)]);
-            (name, s)
-        })
-        .collect();
-
+    let args = &fixed(args);
+    let batches: Vec<Vec<Cell>> = ARTIFACTS.iter().map(|a| a.cells(args)).collect();
+    let counts: Vec<usize> = batches.iter().map(Vec::len).collect();
+    let cells: Vec<Cell> = batches.into_iter().flatten().collect();
     eprintln!(
         "running everything: {} cells over {} jobs (reps {}, seed {})...",
         cells.len(),
@@ -856,23 +840,15 @@ fn cmd_all(args: &Args) {
         args.opts.reps,
         args.opts.seed
     );
-    let report = execute(args, "all", cells);
-    let payloads = report.payloads();
-    let slice = |s: &Segment| &payloads[s.start..s.start + s.len];
-
-    for (n, bench, s) in &tables {
-        print_table(*n, &assemble_table(*bench, slice(s)), args);
-    }
-    for (n, bench, s) in &htts {
-        print_htt_table(*n, &assemble_htt_table(*bench, slice(s)), args);
-    }
-    print_figure1(&assemble_figure1(slice(&f1)), args);
-    print_figure2(&assemble_figure2(slice(&f2)), args);
-    let noise_texts: Vec<&str> = noise_specs.iter().map(String::as_str).collect();
-    print!("{}", render_noise(&assemble_noise(&noise_texts, slice(&nz))));
-    for (_, s) in &studies {
-        print!("{}", text_payload(&slice(s)[0]));
-        println!();
+    let payloads = execute(args, "all", cells).payloads();
+    let mut rest = &payloads[..];
+    for (a, count) in ARTIFACTS.iter().zip(counts) {
+        let (own, tail) = rest.split_at(count);
+        a.print(args, own);
+        if matches!(a.kind, Kind::Study(_)) {
+            println!();
+        }
+        rest = tail;
     }
 }
 
@@ -905,7 +881,7 @@ fn main() {
     // supervisor owns those.
     if args.command == "worker" {
         let perf_probe = runner_for(&args).perf_probe;
-        std::process::exit(runner::worker::serve(full_catalog(&args), perf_probe));
+        std::process::exit(runner::worker::serve(worker_catalog(&args), perf_probe));
     }
     // Records accumulate per batch within one invocation; start fresh.
     if let Some(path) = &args.records {
@@ -917,29 +893,15 @@ fn main() {
         std::fs::write(path, "").expect("truncate records file");
     }
     match args.command.as_str() {
-        "table1" => cmd_table(1, Bench::Bt, &args),
-        "table2" => cmd_table(2, Bench::Ep, &args),
-        "table3" => cmd_table(3, Bench::Ft, &args),
-        "table4" => cmd_htt_table(4, Bench::Ep, &args),
-        "table5" => cmd_htt_table(5, Bench::Ft, &args),
-        "figure1" => cmd_figure1(&args),
-        "figure2" => cmd_figure2(&args),
-        "detect" => cmd_study("x-detect", xcmds::detect, &args),
-        "bits" => cmd_study("x-bits", xcmds::bits, &args),
-        "attribution" => cmd_study("x-attribution", xcmds::attribution, &args),
-        "absorption" => cmd_study("x-absorption", xcmds::absorption, &args),
-        "unixbench" => cmd_study("x-unixbench", xcmds::unixbench, &args),
-        "scale" => cmd_study("x-scale", xcmds::scale, &args),
-        "variance" => cmd_study("x-variance", xcmds::variance, &args),
-        "energy" => cmd_study("x-energy", xcmds::energy, &args),
-        "mops" => cmd_study("x-mops", xcmds::mops, &args),
-        "noise" => cmd_noise(&args),
         "report" => cmd_report(&args),
         "all" => cmd_all(&args),
-        other => {
-            eprintln!("error: unknown command {other:?}");
-            std::process::exit(2);
-        }
+        command => match artifact(command) {
+            Some(a) => a.print(&args, &run_artifact(&args, a)),
+            None => {
+                eprintln!("error: unknown command {command:?}");
+                std::process::exit(2);
+            }
+        },
     }
     // Exit with the worst status any batch reported: 0 clean,
     // 1 degraded, 2 failed (see the module docs).

@@ -258,16 +258,3 @@ pub fn mops(_opts: &RunOptions) -> String {
 
 /// A study renderer: options in, finished report text out.
 pub type StudyFn = fn(&RunOptions) -> String;
-
-/// The X studies in `smi-lab all` order: `(experiment id, renderer)`.
-pub const ALL_STUDIES: [(&str, StudyFn); 9] = [
-    ("x-detect", detect),
-    ("x-bits", bits),
-    ("x-attribution", attribution),
-    ("x-absorption", absorption),
-    ("x-unixbench", unixbench),
-    ("x-scale", scale),
-    ("x-variance", variance),
-    ("x-energy", energy),
-    ("x-mops", mops),
-];

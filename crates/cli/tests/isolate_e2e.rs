@@ -2,7 +2,8 @@
 //! real `smi-lab` binary:
 //!
 //! * `--isolate --jobs N` produces records byte-identical to the
-//!   in-process runner, on real simulation cells;
+//!   in-process runner, on real simulation cells (table, figure, and
+//!   custom noise-spec cells);
 //! * a campaign whose worker is SIGKILLed mid-cell (`--isolate-kill`)
 //!   exits degraded with the cell quarantined as `worker-crash`, then
 //!   a `--resume` without the kill recomputes only that cell and ends
@@ -30,38 +31,48 @@ fn read(path: &Path) -> String {
 
 #[test]
 fn isolated_records_match_in_process_byte_for_byte() {
-    let dir = tmp_dir("identity");
-    let rec_in = dir.join("inproc.jsonl");
-    let rec_iso = dir.join("isolated.jsonl");
-    let cache = dir.join("cache");
-    let base = |records: &Path| {
-        vec![
-            "table2".to_string(),
-            "--quick".to_string(),
-            "--no-cache".to_string(),
-            "--cache-dir".to_string(),
-            cache.display().to_string(),
-            "--records".to_string(),
-            records.display().to_string(),
-            "--jobs".to_string(),
-            "2".to_string(),
-        ]
-    };
-    let in_proc = smi_lab(&base(&rec_in).iter().map(String::as_str).collect::<Vec<_>>());
-    assert!(in_proc.status.success(), "{}", String::from_utf8_lossy(&in_proc.stderr));
-    let mut iso_args = base(&rec_iso);
-    iso_args.push("--isolate".to_string());
-    let iso = smi_lab(&iso_args.iter().map(String::as_str).collect::<Vec<_>>());
-    assert!(iso.status.success(), "{}", String::from_utf8_lossy(&iso.stderr));
-    let in_bytes = read(&rec_in);
-    assert!(!in_bytes.is_empty(), "reference run produced records");
-    assert_eq!(
-        in_bytes,
-        read(&rec_iso),
-        "subprocess execution must not perturb a single record byte"
-    );
-    assert_eq!(in_proc.stdout, iso.stdout, "rendered tables agree too");
-    let _ = std::fs::remove_dir_all(&dir);
+    // table2 resolves fixed table cells in the worker's catalogue,
+    // figure2 the figure cells, and a custom `--noise` spec the cell the
+    // worker adds for that spec alone.
+    for (tag, command) in [
+        ("table2", &["table2"][..]),
+        ("figure2", &["figure2"][..]),
+        ("noise", &["noise", "--noise", "core-jitter"][..]),
+    ] {
+        let dir = tmp_dir(&format!("identity-{tag}"));
+        let rec_in = dir.join("inproc.jsonl");
+        let rec_iso = dir.join("isolated.jsonl");
+        let cache = dir.join("cache");
+        let base = |records: &Path| {
+            let mut args: Vec<String> = command.iter().map(|s| s.to_string()).collect();
+            args.extend([
+                "--quick".to_string(),
+                "--no-cache".to_string(),
+                "--cache-dir".to_string(),
+                cache.display().to_string(),
+                "--records".to_string(),
+                records.display().to_string(),
+                "--jobs".to_string(),
+                "2".to_string(),
+            ]);
+            args
+        };
+        let in_proc = smi_lab(&base(&rec_in).iter().map(String::as_str).collect::<Vec<_>>());
+        assert!(in_proc.status.success(), "{}", String::from_utf8_lossy(&in_proc.stderr));
+        let mut iso_args = base(&rec_iso);
+        iso_args.push("--isolate".to_string());
+        let iso = smi_lab(&iso_args.iter().map(String::as_str).collect::<Vec<_>>());
+        assert!(iso.status.success(), "{tag}: {}", String::from_utf8_lossy(&iso.stderr));
+        let in_bytes = read(&rec_in);
+        assert!(!in_bytes.is_empty(), "reference run produced records");
+        assert_eq!(
+            in_bytes,
+            read(&rec_iso),
+            "{tag}: subprocess execution must not perturb a single record byte"
+        );
+        assert_eq!(in_proc.stdout, iso.stdout, "{tag}: rendered artifacts agree too");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

@@ -51,8 +51,11 @@ fn runner_in(dir: &Path) -> Runner {
 }
 
 /// The fault-free record bytes every faulted scenario must reproduce.
-fn reference_records(n: u64) -> String {
-    let dir = tmp_dir("reference");
+/// Each caller passes its own tag: tests run in parallel, and a shared
+/// reference dir would let one test's `tmp_dir` wipe another's store
+/// mid-run.
+fn reference_records(tag: &str, n: u64) -> String {
+    let dir = tmp_dir(&format!("reference-{tag}"));
     let executions = Arc::new(AtomicU64::new(0));
     let report = runner_in(&dir).run("camp", campaign(0..n, &executions));
     assert_eq!(report.status(), RunStatus::Clean);
@@ -76,13 +79,17 @@ fn enospc_storm_degrades_with_typed_counters_and_clean_rerun_recovers() {
     assert_eq!(report.status(), RunStatus::Degraded);
     assert!(report.cache_store_errors > 0, "every failed write must be counted");
     assert_eq!(report.store.puts, 0, "nothing was durably published");
-    assert_eq!(report.records_jsonl(), reference_records(6), "records survive the storm");
+    assert_eq!(
+        report.records_jsonl(),
+        reference_records("enospc-storm", 6),
+        "records survive the storm"
+    );
 
     // A clean rerun recomputes everything the storm lost, byte-identically.
     let rerun = runner_in(&dir).run("camp", campaign(0..6, &executions));
     assert_eq!(executions.load(Ordering::Relaxed), 12, "nothing was cached");
     assert_eq!(rerun.status(), RunStatus::Clean);
-    assert_eq!(rerun.records_jsonl(), reference_records(6));
+    assert_eq!(rerun.records_jsonl(), reference_records("enospc-storm", 6));
     assert!(store::fsck(&dir, false).is_clean(), "ENOSPC leaves no on-disk damage");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -108,7 +115,7 @@ fn pinned_write_faults_lose_exactly_the_pinned_cells_and_resume_recomputes_them(
     assert_eq!(executions.load(Ordering::Relaxed), 8, "exactly the lost cells recompute");
     assert_eq!(resumed.store.hits, 4, "the surviving entries resume from the store");
     assert_eq!(resumed.status(), RunStatus::Clean);
-    assert_eq!(resumed.records_jsonl(), reference_records(6));
+    assert_eq!(resumed.records_jsonl(), reference_records("pinned-writes", 6));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -137,7 +144,7 @@ fn torn_journal_append_degrades_and_the_tail_is_swept_on_resume() {
     let resumed = runner_in(&dir).run("camp", campaign(0..4, &executions));
     assert!(resumed.journal_torn_bytes > 0, "startup must account the swept tail bytes");
     assert_eq!(resumed.status(), RunStatus::Clean);
-    assert_eq!(resumed.records_jsonl(), reference_records(4));
+    assert_eq!(resumed.records_jsonl(), reference_records("torn-journal", 4));
     assert!(store::fsck(&dir, false).is_clean());
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -193,7 +200,11 @@ fn disk_fault_flood_trips_the_bypass_ladder_and_still_drains() {
     assert_eq!(storage.get("bypass").and_then(Json::as_bool), Some(true));
     assert_eq!(storage.get("disk_fault_limit").and_then(Json::as_u64), Some(3));
     assert_eq!(storage.get("bypassed_writes").and_then(Json::as_u64), Some(report.bypassed_writes));
-    assert_eq!(report.records_jsonl(), reference_records(8), "bypass never alters records");
+    assert_eq!(
+        report.records_jsonl(),
+        reference_records("bypass", 8),
+        "bypass never alters records"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -250,7 +261,7 @@ fn broken_stale_lock_is_recorded_in_the_manifest() {
 #[test]
 fn quickprop_random_fault_plans_never_corrupt_records_and_fsck_restores_clean() {
     const CELLS: u64 = 50;
-    let reference = reference_records(CELLS);
+    let reference = reference_records("prop", CELLS);
     let case = AtomicU64::new(0);
     quickprop::check("vfs-fault-plans-preserve-records", 8, |g| {
         let tag = format!("prop-{}", case.fetch_add(1, Ordering::Relaxed));

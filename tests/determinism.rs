@@ -3,7 +3,7 @@
 //! and decorrelated across seeds. This is what makes every number in
 //! EXPERIMENTS.md re-derivable.
 
-use smi_lab::analysis::{measure_cell, run_figure2, RunOptions, SMM_CLASSES};
+use smi_lab::analysis::{measure_cell, RunOptions, SMM_CLASSES};
 use smi_lab::nas::{calibrate_extra, Bench, Class};
 use smi_lab::prelude::*;
 use smi_lab::smi_driver::SmiClass;
@@ -48,9 +48,16 @@ fn different_seeds_differ_only_under_noise() {
 
 #[test]
 fn figure2_is_reproducible() {
+    use smi_lab::analysis::cells::{assemble_figure2, figure2_cells};
     let opts = RunOptions { reps: 2, seed: 777, ..RunOptions::default() };
-    let a = run_figure2(&opts);
-    let b = run_figure2(&opts);
+    let run = || {
+        let mut r = runner::Runner::new(2);
+        r.cache_mode = runner::CacheMode::Off;
+        r.verbose = false;
+        assemble_figure2(&r.run("figure2-determinism", figure2_cells(&opts)).payloads())
+    };
+    let a = run();
+    let b = run();
     for (sa, sb) in a.long_series.iter().zip(&b.long_series) {
         for (pa, pb) in sa.points.iter().zip(&sb.points) {
             assert_eq!(pa.mean.to_bits(), pb.mean.to_bits());
