@@ -47,7 +47,12 @@ rm -rf "$LINT_SCRATCH"
 # Validity gate: one table regeneration under the engine's full opt-in
 # audit (--validate; DESIGN.md §9 "Simulation validity"). --no-cache so
 # every cell actually runs the simulation instead of a cache hit.
+# Tables 1 and 3 carry the paper-scale 64-rank (16 nodes x 4 ranks) BT
+# and FT cells, so message conservation and the byte tally are audited
+# at the scale the match queues see the most traffic.
 ./target/release/smi-lab table2 --quick --validate --no-cache >/dev/null
+./target/release/smi-lab table1 --quick --validate --no-cache >/dev/null
+./target/release/smi-lab table3 --quick --validate --no-cache >/dev/null
 # Noise smoke: the noise-model subsystem end-to-end (crates/noise) —
 # one campaign cell per fixed-budget scenario family through the real
 # runner into a scratch cache. The binary itself re-reads the run

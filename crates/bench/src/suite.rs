@@ -4,8 +4,9 @@
 //! dominated by: the discrete-event queue (push/pop churn and
 //! same-timestamp bursts), the freeze-schedule algebra (`unfreeze`
 //! lookups per message part, `advance` over compute segments, interval
-//! aggregation), the node executor's fixed-point iteration, and one
-//! end-to-end engine job. `benches/micro.rs` wraps the same workloads in
+//! aggregation), the node executor's fixed-point iteration, and
+//! end-to-end engine jobs up to the paper's largest configuration (16
+//! nodes × 4 ranks). `benches/micro.rs` wraps the same workloads in
 //! the criterion-shim targets; `smi-lab bench --json` runs them with a
 //! fixed sample count and writes `BENCH_engine.json` (min/median/p95 per
 //! case) — the repo's perf trajectory. Workload shapes are fixed: a
@@ -170,6 +171,35 @@ pub fn engine_alltoall_16rank() -> u64 {
     }
 }
 
+/// One noise-free NAS job at the paper's largest scale, 16 nodes × 4
+/// ranks per node: `nas::programs` with no calibration adjustment and
+/// unit jitters on `nas::quiet_nodes`. These are the engine runs behind
+/// the `n16-r4` cells of Tables 1 and 3.
+fn engine_nas_64rank(bench: nas::Bench, class: nas::Class) -> u64 {
+    let spec = match ClusterSpec::wyeast(16, 4, false) {
+        Ok(s) => s,
+        Err(_) => return 0,
+    };
+    let progs = nas::programs(bench, class, &spec, 0.0, &[1.0; 64]);
+    let nodes = nas::quiet_nodes(&spec);
+    let net = NetworkParams::gigabit_cluster();
+    match mpi_sim::run(&spec, &nodes, &progs, &net) {
+        Ok(out) => out.makespan.as_nanos(),
+        Err(_) => 0,
+    }
+}
+
+/// BT class C at 64 ranks: halo `Exchange`s and line-solve messages, a
+/// fresh tag for nearly every message.
+pub fn engine_bt_c_64rank() -> u64 {
+    engine_nas_64rank(nas::Bench::Bt, nas::Class::C)
+}
+
+/// FT class B at 64 ranks: all-to-all transposes, four ranks per NIC.
+pub fn engine_ft_b_64rank() -> u64 {
+    engine_nas_64rank(nas::Bench::Ft, nas::Class::B)
+}
+
 /// The noise-subsystem hot path end-to-end: generate dense per-core
 /// jitter schedules through the noise-model plugin (thousands of
 /// explicit windows per core over a 60 s horizon), sweep the freeze
@@ -255,6 +285,14 @@ pub fn engine_suite() -> Vec<SuiteCase> {
             name: "noise_model_schedule_sweep",
             routine: Box::new(|| black_box(noise_model_schedule_sweep())),
         },
+        SuiteCase {
+            name: "engine_bt_c_64rank",
+            routine: Box::new(|| black_box(engine_bt_c_64rank())),
+        },
+        SuiteCase {
+            name: "engine_ft_b_64rank",
+            routine: Box::new(|| black_box(engine_ft_b_64rank())),
+        },
     ]
 }
 
@@ -320,6 +358,11 @@ mod tests {
         let sweep = noise_model_schedule_sweep();
         assert_ne!(sweep, 0, "noise sweep must do real work");
         assert_eq!(sweep, noise_model_schedule_sweep());
+        for job in [engine_bt_c_64rank, engine_ft_b_64rank] {
+            let makespan = job();
+            assert_ne!(makespan, 0, "64-rank job must run");
+            assert_eq!(makespan, job());
+        }
     }
 
     #[test]

@@ -11,6 +11,17 @@
 //! per-node schedules delaying different collective rounds on different
 //! nodes.
 //!
+//! # Message matching
+//!
+//! Each receiving rank owns two match queues, kept in arrival order: the
+//! receives it has posted and the sends addressed to it that no receive
+//! has matched yet (the unexpected queue). A send or receive takes the
+//! oldest entry with the same `(src, tag)`, so matching is FIFO per
+//! `(src, dst, tag)` channel. The queues hold only outstanding
+//! operations and live in the per-thread arena, so a run's matching
+//! memory is O(ranks + outstanding operations) however many distinct
+//! tags its collectives use.
+//!
 //! # Validity
 //!
 //! The engine never panics on bad input. [`run`] (and the configurable
@@ -36,7 +47,6 @@ use crate::network::{NetworkParams, NicState};
 use crate::program::{lower, LowOp, RankProgram};
 use machine::NodeExecutor;
 use sim_core::{BlockedOp, BlockedOpKind, EventQueue, SimDuration, SimError, SimTime};
-use std::collections::{BTreeMap, VecDeque};
 
 /// Outcome of one MPI job execution.
 #[derive(Clone, Debug, jsonio::ToJson)]
@@ -86,9 +96,25 @@ struct PendingSend {
     rendezvous: bool,
 }
 
-#[derive(Clone, Copy, Debug)]
-struct PostedRecv {
-    post_time: SimTime,
+/// One receiving rank's match queues, as in MPICH: the receives it has
+/// posted that no send has matched yet, and the sends addressed to it
+/// that arrived before a matching receive (the unexpected queue). Both
+/// hold `(src, tag, payload)` in arrival order (a posted receive's
+/// payload is its post time); a match takes the oldest entry with the
+/// same `(src, tag)`, which is exactly FIFO per `(src, dst, tag)`
+/// channel. Queues hold only outstanding operations, so they stay short
+/// however many distinct tags a run uses.
+#[derive(Debug, Default)]
+struct MatchQueues {
+    posted: Vec<(u32, u64, SimTime)>,
+    unexpected: Vec<(u32, u64, PendingSend)>,
+}
+
+/// Remove and return the oldest entry from `src` with `tag`, keeping the
+/// rest in order.
+fn take_match<T: Copy>(queue: &mut Vec<(u32, u64, T)>, src: u32, tag: u64) -> Option<T> {
+    let i = queue.iter().position(|&(s, t, _)| s == src && t == tag)?;
+    Some(queue.remove(i).2)
 }
 
 /// Run an MPI job: one [`RankProgram`] per rank over the given nodes,
@@ -151,22 +177,31 @@ fn validate_inputs(
 }
 
 /// Reusable per-thread scratch state for the event loop: the rank-indexed
-/// buffers and the event queue survive across runs (a campaign executes
-/// thousands of cells per worker thread, and these were the allocation
-/// churn), while anything borrowing run inputs is rebuilt per run.
+/// buffers (program counters, outstanding blocking parts, availability
+/// clocks, finish times, per-rank match queues) and the event queue
+/// survive across runs (a campaign executes thousands of cells per worker
+/// thread, and these were the allocation churn), while anything
+/// borrowing run inputs is rebuilt per run.
 #[derive(Debug, Default)]
 struct SimArena {
     pc: Vec<usize>,
     parts: Vec<u32>,
     avail: Vec<SimTime>,
     done: Vec<Option<SimTime>>,
+    inbox: Vec<MatchQueues>,
     queue: EventQueue<u32>,
 }
 
 impl SimArena {
-    /// Make every buffer hold exactly `n_ranks` zeroed entries and empty
-    /// the queue (also resetting its counters), keeping capacity.
+    /// Make every buffer hold exactly `n_ranks` zeroed entries, empty
+    /// every match queue, and empty the event queue (also resetting its
+    /// counters), keeping capacity.
     fn reset(&mut self, n_ranks: usize) {
+        for q in &mut self.inbox {
+            q.posted.clear();
+            q.unexpected.clear();
+        }
+        self.inbox.resize_with(n_ranks, MatchQueues::default);
         self.pc.clear();
         self.pc.resize(n_ranks, 0);
         self.parts.clear();
@@ -247,9 +282,7 @@ fn run_core(
         .collect::<Result<_, _>>()?;
 
     arena.reset(n_ranks);
-    let SimArena { pc, parts, avail, done, queue } = arena;
-    let mut pending_sends: BTreeMap<(u32, u32, u64), VecDeque<PendingSend>> = BTreeMap::new();
-    let mut posted_recvs: BTreeMap<(u32, u32, u64), VecDeque<PostedRecv>> = BTreeMap::new();
+    let SimArena { pc, parts, avail, done, inbox, queue } = arena;
     let mut nic = NicState::new(spec.nodes as usize);
     let mut messages = 0u64;
     let mut bytes_total = 0u64;
@@ -349,20 +382,16 @@ fn run_core(
                 let t_post = sched(r).advance(t, network.send_overhead);
                 let rendezvous = bytes > network.eager_threshold;
                 pc[r] += 1;
-                let key = (r as u32, dst as u32, tag);
-                if let Some(recv) = posted_recvs.get_mut(&key).and_then(|q| q.pop_front()) {
-                    let completion = transfer(&mut nic, r, dst, bytes, t_post, recv.post_time)?;
+                if let Some(recv_post) = take_match(&mut inbox[dst].posted, r32, tag) {
+                    let completion = transfer(&mut nic, r, dst, bytes, t_post, recv_post)?;
                     let resume_recv = sched(dst).advance(completion, network.recv_overhead);
                     part_done!(dst, resume_recv);
                     let resume_self =
                         if rendezvous { t_post.max(sched(r).unfreeze(completion)) } else { t_post };
                     queue.push(resume_self, r32);
                 } else {
-                    pending_sends.entry(key).or_default().push_back(PendingSend {
-                        post_time: t_post,
-                        bytes,
-                        rendezvous,
-                    });
+                    let send = PendingSend { post_time: t_post, bytes, rendezvous };
+                    inbox[dst].unexpected.push((r32, tag, send));
                     if rendezvous {
                         parts[r] = 1;
                         avail[r] = t_post;
@@ -374,8 +403,7 @@ fn run_core(
             LowOp::Recv { src, tag } => {
                 let src = src as usize;
                 pc[r] += 1;
-                let key = (src as u32, r as u32, tag);
-                if let Some(send) = pending_sends.get_mut(&key).and_then(|q| q.pop_front()) {
+                if let Some(send) = take_match(&mut inbox[r].unexpected, src as u32, tag) {
                     let completion = transfer(&mut nic, src, r, send.bytes, send.post_time, t)?;
                     if send.rendezvous {
                         part_done!(src, sched(src).unfreeze(completion));
@@ -383,7 +411,7 @@ fn run_core(
                     let resume = sched(r).advance(completion, network.recv_overhead);
                     queue.push(resume, r32);
                 } else {
-                    posted_recvs.entry(key).or_default().push_back(PostedRecv { post_time: t });
+                    inbox[r].posted.push((src as u32, tag, t));
                     parts[r] = 1;
                     avail[r] = t;
                 }
@@ -397,27 +425,22 @@ fn run_core(
                 parts[r] = 0;
                 avail[r] = t_post;
                 // Outgoing half.
-                let out_key = (r as u32, dst as u32, tag);
-                if let Some(recv) = posted_recvs.get_mut(&out_key).and_then(|q| q.pop_front()) {
-                    let completion = transfer(&mut nic, r, dst, bytes, t_post, recv.post_time)?;
+                if let Some(recv_post) = take_match(&mut inbox[dst].posted, r32, tag) {
+                    let completion = transfer(&mut nic, r, dst, bytes, t_post, recv_post)?;
                     let resume_recv = sched(dst).advance(completion, network.recv_overhead);
                     part_done!(dst, resume_recv);
                     if rendezvous {
                         avail[r] = avail[r].max(sched(r).unfreeze(completion));
                     }
                 } else {
-                    pending_sends.entry(out_key).or_default().push_back(PendingSend {
-                        post_time: t_post,
-                        bytes,
-                        rendezvous,
-                    });
+                    let send = PendingSend { post_time: t_post, bytes, rendezvous };
+                    inbox[dst].unexpected.push((r32, tag, send));
                     if rendezvous {
                         parts[r] += 1;
                     }
                 }
                 // Incoming half.
-                let in_key = (src as u32, r as u32, tag);
-                if let Some(send) = pending_sends.get_mut(&in_key).and_then(|q| q.pop_front()) {
+                if let Some(send) = take_match(&mut inbox[r].unexpected, src as u32, tag) {
                     let completion =
                         transfer(&mut nic, src, r, send.bytes, send.post_time, t_post)?;
                     if send.rendezvous {
@@ -425,10 +448,7 @@ fn run_core(
                     }
                     avail[r] = avail[r].max(sched(r).advance(completion, network.recv_overhead));
                 } else {
-                    posted_recvs
-                        .entry(in_key)
-                        .or_default()
-                        .push_back(PostedRecv { post_time: t_post });
+                    inbox[r].posted.push((src as u32, tag, t_post));
                     parts[r] += 1;
                 }
                 if parts[r] == 0 {
@@ -444,24 +464,27 @@ fn run_core(
     let waiting_ranks: Vec<u32> =
         (0..n_ranks as u32).filter(|&r| done[r as usize].is_none()).collect();
     if !waiting_ranks.is_empty() {
+        // Every posted receive goes in before any send, so a rendezvous
+        // `SendRecv` whose halves share a peer and tag lists its `Recv`
+        // first after the stable sort.
         let mut blocked_ops = Vec::new();
-        for (&(src, dst, tag), q) in &posted_recvs {
-            for _ in q {
+        for (dst, q) in inbox.iter().enumerate() {
+            for &(src, tag, _) in &q.posted {
                 blocked_ops.push(BlockedOp {
-                    rank: dst,
+                    rank: dst as u32,
                     kind: BlockedOpKind::Recv,
                     peer: src,
                     tag,
                 });
             }
         }
-        for (&(src, dst, tag), q) in &pending_sends {
-            for send in q {
+        for (dst, q) in inbox.iter().enumerate() {
+            for &(src, tag, send) in &q.unexpected {
                 if send.rendezvous {
                     blocked_ops.push(BlockedOp {
                         rank: src,
                         kind: BlockedOpKind::Send,
-                        peer: dst,
+                        peer: dst as u32,
                         tag,
                     });
                 }
@@ -477,7 +500,7 @@ fn run_core(
     };
 
     if config.validate {
-        audit_run(&lowered, &pending_sends, &posted_recvs, messages, bytes_total, nodes, end)?;
+        audit_run(&lowered, inbox, messages, bytes_total, nodes, end)?;
     }
 
     let mut total_frozen = SimDuration::ZERO;
@@ -512,8 +535,7 @@ fn run_core(
 /// tallies, and freeze-schedule coverage.
 fn audit_run(
     lowered: &[Vec<LowOp>],
-    pending_sends: &BTreeMap<(u32, u32, u64), VecDeque<PendingSend>>,
-    posted_recvs: &BTreeMap<(u32, u32, u64), VecDeque<PostedRecv>>,
+    inbox: &[MatchQueues],
     messages: u64,
     bytes_total: u64,
     nodes: &[NodeState],
@@ -522,8 +544,8 @@ fn audit_run(
     // Message conservation: with every rank finished, nothing may remain
     // posted. (Leftover eager sends are the silent variant — the sender
     // completed without its message ever being consumed.)
-    let leftover_sends: usize = pending_sends.values().map(VecDeque::len).sum();
-    let leftover_recvs: usize = posted_recvs.values().map(VecDeque::len).sum();
+    let leftover_sends: usize = inbox.iter().map(|q| q.unexpected.len()).sum();
+    let leftover_recvs: usize = inbox.iter().map(|q| q.posted.len()).sum();
     if leftover_sends + leftover_recvs > 0 {
         return Err(SimError::invariant(
             "message conservation",
@@ -912,6 +934,26 @@ mod tests {
     }
 
     #[test]
+    fn validate_mode_catches_an_unconsumed_eager_send() {
+        // The eager sender finishes without its message ever being
+        // received: a silent loss by default, a conservation failure
+        // under the audit.
+        let spec = wyeast(2, 1, false);
+        let progs = [
+            RankProgram::new(vec![Op::Send { dst: 1, bytes: 8, tag: 3 }]),
+            RankProgram::new(vec![Op::Compute(SimDuration::from_millis(1))]),
+        ];
+        let plain = run(&spec, &quiet_nodes(2), &progs, &net()).expect("eager send completes");
+        assert_eq!(plain.messages, 0);
+        match run_with(&spec, &quiet_nodes(2), &progs, &net(), &RunConfig::validating()) {
+            Err(SimError::InvariantViolation { invariant, .. }) => {
+                assert_eq!(invariant, "message conservation")
+            }
+            other => panic!("expected a conservation failure, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn validate_mode_cross_checks_node_shape() {
         let spec = wyeast(1, 1, false);
         let mut nodes = quiet_nodes(1);
@@ -924,16 +966,75 @@ mod tests {
         assert!(matches!(r, Err(SimError::InvalidSpec { .. })), "{r:?}");
     }
 
+    /// Both matching-order cases below queue two sends at the receiver
+    /// before it posts anything (it computes 1 ms first): an eager
+    /// `SMALL` one and a rendezvous `BIG` one, whose sender is released
+    /// only when `BIG` lands. Which receive gets which message therefore
+    /// shows in the finish times.
+    const SMALL: u64 = 100;
+    const BIG: u64 = 200_000;
+
+    /// The receiver's program: 1 ms of compute, then `recvs` in order.
+    fn late_receiver(recvs: &[(u32, u32)]) -> RankProgram {
+        let mut ops = vec![Op::Compute(SimDuration::from_millis(1))];
+        ops.extend(recvs.iter().map(|&(src, tag)| Op::Recv { src, tag }));
+        RankProgram::new(ops)
+    }
+
+    /// One inter-node hop of `bytes` from an idle NIC, to the payload's
+    /// arrival at the receiving node.
+    fn hop(bytes: u64) -> SimDuration {
+        net().wire_time(bytes) + net().net_latency
+    }
+
     #[test]
     fn message_order_is_fifo_per_channel() {
+        // Same channel, same tag: the first receive takes the first send.
         let spec = wyeast(2, 1, false);
         let p0 = RankProgram::new(vec![
-            Op::Send { dst: 1, bytes: 100, tag: 5 },
-            Op::Send { dst: 1, bytes: 200, tag: 5 },
+            Op::Send { dst: 1, bytes: SMALL, tag: 5 },
+            Op::Send { dst: 1, bytes: BIG, tag: 5 },
         ]);
-        let p1 = RankProgram::new(vec![Op::Recv { src: 0, tag: 5 }, Op::Recv { src: 0, tag: 5 }]);
+        let p1 = late_receiver(&[(0, 5), (0, 5)]);
         let out = run(&spec, &quiet_nodes(2), &[p0, p1], &net()).expect("valid job");
-        assert_eq!(out.messages, 2);
-        assert_eq!(out.bytes, 300);
+        let o = net().recv_overhead;
+        let small_done = SimTime::from_millis(1) + hop(SMALL);
+        let big_done = small_done + o + hop(BIG);
+        // LIFO would release rank 0 at 1 ms + hop(BIG) instead.
+        assert_eq!(out.rank_finish, vec![big_done, big_done + o]);
+        assert_eq!((out.messages, out.bytes), (2, SMALL + BIG));
+    }
+
+    #[test]
+    fn receives_match_by_tag_not_arrival() {
+        // Tags 7 then 5 on one channel; the receiver asks for 5 first and
+        // must skip the earlier tag-7 message to get it.
+        let spec = wyeast(2, 1, false);
+        let p0 = RankProgram::new(vec![
+            Op::Send { dst: 1, bytes: SMALL, tag: 7 },
+            Op::Send { dst: 1, bytes: BIG, tag: 5 },
+        ]);
+        let p1 = late_receiver(&[(0, 5), (0, 7)]);
+        let out = run(&spec, &quiet_nodes(2), &[p0, p1], &net()).expect("valid job");
+        let o = net().recv_overhead;
+        let big_done = SimTime::from_millis(1) + hop(BIG);
+        let small_done = big_done + o + hop(SMALL);
+        assert_eq!(out.rank_finish, vec![big_done, small_done + o]);
+    }
+
+    #[test]
+    fn receives_match_by_source_under_a_shared_tag() {
+        // Ranks 0 and 2 both send tag 5 to rank 1 (rank 0's arrives
+        // first); rank 1 asks for rank 2's message first.
+        let spec = wyeast(3, 1, false);
+        let p0 = RankProgram::new(vec![Op::Send { dst: 1, bytes: SMALL, tag: 5 }]);
+        let p1 = late_receiver(&[(2, 5), (0, 5)]);
+        let p2 = RankProgram::new(vec![Op::Send { dst: 1, bytes: BIG, tag: 5 }]);
+        let out = run(&spec, &quiet_nodes(3), &[p0, p1, p2], &net()).expect("valid job");
+        let o = net().recv_overhead;
+        let big_done = SimTime::from_millis(1) + hop(BIG);
+        let small_done = big_done + o + hop(SMALL);
+        let eager_return = SimTime::ZERO + net().send_overhead;
+        assert_eq!(out.rank_finish, vec![eager_return, small_done + o, big_done]);
     }
 }

@@ -300,3 +300,239 @@ fn truncated_collectives_are_diagnosed_not_hung() {
         assert_rejected(&spec, &programs, "truncated collective");
     });
 }
+
+// ---------------------------------------------------------------------------
+// Matching digest: the engine's message matching pinned across rewrites.
+// ---------------------------------------------------------------------------
+
+/// FNV-1a 64 over little-endian words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, v: u64) {
+        for b in v.to_le_bytes() {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Fold one run's full result: every `RunOutcome` field, or the
+    /// complete deadlock diagnosis, or the kind of any other error.
+    fn outcome(&mut self, result: &Result<mpi_sim::RunOutcome, SimError>) {
+        match result {
+            Ok(out) => {
+                self.word(0);
+                self.word(out.makespan.as_nanos());
+                self.word(out.rank_finish.len() as u64);
+                for t in &out.rank_finish {
+                    self.word(t.as_nanos());
+                }
+                self.word(out.messages);
+                self.word(out.bytes);
+                self.word(out.total_frozen.as_nanos());
+                self.word(out.smi_count as u64);
+            }
+            Err(SimError::Deadlock { waiting_ranks, blocked_ops }) => {
+                self.word(1);
+                self.word(waiting_ranks.len() as u64);
+                for &r in waiting_ranks {
+                    self.word(r as u64);
+                }
+                self.word(blocked_ops.len() as u64);
+                for b in blocked_ops {
+                    self.word(b.rank as u64);
+                    self.word(matches!(b.kind, mpi_sim::BlockedOpKind::Recv) as u64);
+                    self.word(b.peer as u64);
+                    self.word(b.tag);
+                }
+            }
+            Err(other) => {
+                self.word(2);
+                for b in other.kind().bytes() {
+                    self.word(b as u64);
+                }
+            }
+        }
+    }
+}
+
+/// Shuffle in place (Fisher–Yates driven by the case generator).
+fn shuffle<T>(g: &mut Gen, xs: &mut [T]) {
+    for i in (1..xs.len()).rev() {
+        xs.swap(i, g.usize(0..i + 1));
+    }
+}
+
+/// One seeded random point-to-point job. Phases of
+/// * message batches — few tags, so channels carry repeated and
+///   interleaved tags, and receivers post their receives in a shuffled
+///   order (out-of-order tags, same tag from several sources), with one
+///   message in five rendezvous-sized;
+/// * ring-shift `Exchange`s (fused send+receive), some rendezvous-sized;
+/// * per-rank compute of random length, so arrivals and posts race;
+///
+/// and, in one job of four, a dropped send that must deadlock. Nodes are
+/// quiet or carry short periodic SMIs, so freezes reorder arrivals too.
+fn p2p_job(g: &mut Gen) -> (ClusterSpec, Vec<NodeState>, Vec<RankProgram>) {
+    let nodes = g.pick(&[1u32, 2, 3, 4]);
+    let rpn = if nodes == 1 { 2 } else { g.pick(&[1u32, 2]) };
+    let n = nodes * rpn;
+    let mut ops: Vec<Vec<Op>> = vec![Vec::new(); n as usize];
+    let size = |g: &mut Gen| if g.u32(0..5) == 0 { g.u64(65_537..400_000) } else { g.u64(0..8192) };
+    for _ in 0..g.usize(1..6) {
+        match g.u32(0..4) {
+            0 | 1 => {
+                let mut batch: Vec<Vec<Op>> = vec![Vec::new(); n as usize];
+                for _ in 0..g.usize(1..12) {
+                    let src = g.u32(0..n);
+                    let dst = (src + 1 + g.u32(0..n - 1)) % n;
+                    let tag = g.u32(0..3);
+                    batch[src as usize].push(Op::Send { dst, bytes: size(g), tag });
+                    batch[dst as usize].push(Op::Recv { src, tag });
+                }
+                for (r, mut b) in batch.into_iter().enumerate() {
+                    if g.bool() {
+                        shuffle(g, &mut b);
+                    } else {
+                        // Sends first (in order), receives shuffled.
+                        b.sort_by_key(|op| matches!(op, Op::Recv { .. }));
+                        let sends = b.iter().filter(|op| matches!(op, Op::Send { .. })).count();
+                        shuffle(g, &mut b[sends..]);
+                    }
+                    ops[r].extend(b);
+                }
+            }
+            2 => {
+                let k = g.u32(1..n);
+                let bytes = size(g);
+                let tag = g.u32(0..3);
+                for r in 0..n {
+                    ops[r as usize].push(Op::Exchange {
+                        send_to: (r + k) % n,
+                        recv_from: (r + n - k) % n,
+                        bytes,
+                        tag,
+                    });
+                }
+            }
+            _ => {
+                for prog in ops.iter_mut() {
+                    prog.push(Op::Compute(SimDuration::from_micros(g.u64(1..3000))));
+                }
+            }
+        }
+    }
+    if g.u32(0..4) == 0 {
+        let senders: Vec<usize> = (0..n as usize)
+            .filter(|&r| ops[r].iter().any(|op| matches!(op, Op::Send { .. })))
+            .collect();
+        if !senders.is_empty() {
+            let r = senders[g.usize(0..senders.len())];
+            let sends: Vec<usize> =
+                (0..ops[r].len()).filter(|&i| matches!(ops[r][i], Op::Send { .. })).collect();
+            ops[r].remove(sends[g.usize(0..sends.len())]);
+        }
+    }
+    let node_states = if g.bool() {
+        quiet_nodes(nodes)
+    } else {
+        let mut rng = SimRng::new(g.any_u64());
+        (0..nodes)
+            .map(|_| NodeState {
+                schedule: FreezeSchedule::periodic(PeriodicFreeze::with_random_phase(
+                    SimDuration::from_millis(7),
+                    DurationModel::short_smi(),
+                    &mut rng,
+                )),
+                effects: SmiSideEffects::none(),
+                online_cpus: 4,
+                per_core: Vec::new(),
+            })
+            .collect()
+    };
+    let programs = ops.into_iter().map(RankProgram::new).collect();
+    (wyeast(nodes, rpn, false), node_states, programs)
+}
+
+/// A rendezvous `Exchange` whose two halves share one peer and tag, on a
+/// job where the peer never answers: the diagnosis must list the stuck
+/// rank's `Recv` before its `Send` (both sort under the same key).
+fn shared_peer_exchange_deadlock() -> Result<mpi_sim::RunOutcome, SimError> {
+    let spec = wyeast(2, 1, false);
+    let programs = vec![
+        RankProgram::new(vec![Op::Exchange { send_to: 1, recv_from: 1, bytes: 1 << 20, tag: 4 }]),
+        RankProgram::new(vec![Op::Compute(SimDuration::from_millis(1))]),
+    ];
+    mpi_sim::run(&spec, &quiet_nodes(2), &programs, &NetworkParams::gigabit_cluster())
+}
+
+/// Cases folded into the matching digest. The case inputs come from
+/// fixed quickprop seeds (not `quickprop::check`, whose case count and
+/// root seed follow the environment), so the digest is a constant.
+const MATCHING_CASES: u64 = 400;
+
+/// Recorded from the per-key `(src, dst, tag)` map matcher this engine
+/// replaced; any change to match order, deadlock diagnosis or outcome
+/// fields moves it.
+const MATCHING_DIGEST: u64 = 0x8a6f_c574_b9c0_3747;
+
+#[test]
+fn p2p_matching_digest_is_pinned() {
+    let net = NetworkParams::gigabit_cluster();
+    let mut digest = Fnv::new();
+    let (mut ok, mut deadlocks) = (0, 0);
+    for case in 0..MATCHING_CASES {
+        let mut g = Gen::from_seed(0x5eed_0000 + case);
+        let (spec, nodes, programs) = p2p_job(&mut g);
+        let result = mpi_sim::run(&spec, &nodes, &programs, &net);
+        match &result {
+            Ok(_) => ok += 1,
+            Err(SimError::Deadlock { .. }) => deadlocks += 1,
+            Err(e) => panic!("case {case}: unexpected {e:?}"),
+        }
+        digest.outcome(&result);
+    }
+    digest.outcome(&shared_peer_exchange_deadlock());
+    // Both branches are well exercised.
+    assert!(ok >= MATCHING_CASES / 3 && deadlocks >= MATCHING_CASES / 5, "{ok} ok, {deadlocks}");
+    assert_eq!(digest.0, MATCHING_DIGEST, "matching digest {:#018x}", digest.0);
+}
+
+#[test]
+fn p2p_jobs_pass_the_audit() {
+    check("p2p_jobs_pass_the_audit", 64, |g| {
+        let (spec, nodes, programs) = p2p_job(g);
+        let net = NetworkParams::gigabit_cluster();
+        let plain = mpi_sim::run(&spec, &nodes, &programs, &net);
+        let audited = mpi_sim::run_with(&spec, &nodes, &programs, &net, &RunConfig::validating());
+        let (mut a, mut b) = (Fnv::new(), Fnv::new());
+        a.outcome(&plain);
+        b.outcome(&audited);
+        assert_eq!(a.0, b.0, "the audit changed the result: {plain:?} vs {audited:?}");
+        if let Err(SimError::Deadlock { waiting_ranks, blocked_ops }) = &plain {
+            assert!(!waiting_ranks.is_empty() && !blocked_ops.is_empty());
+        }
+    });
+}
+
+#[test]
+fn shared_peer_exchange_lists_recv_before_send() {
+    match shared_peer_exchange_deadlock() {
+        Err(SimError::Deadlock { waiting_ranks, blocked_ops }) => {
+            assert_eq!(waiting_ranks, vec![0]);
+            let ops: Vec<_> = blocked_ops.iter().map(|b| (b.rank, b.kind, b.peer, b.tag)).collect();
+            assert_eq!(
+                ops,
+                vec![
+                    (0, mpi_sim::BlockedOpKind::Recv, 1, 4),
+                    (0, mpi_sim::BlockedOpKind::Send, 1, 4)
+                ]
+            );
+        }
+        other => panic!("expected Deadlock, got {other:?}"),
+    }
+}
