@@ -53,6 +53,11 @@ rm -rf "$LINT_SCRATCH"
 ./target/release/smi-lab table2 --quick --validate --no-cache >/dev/null
 ./target/release/smi-lab table1 --quick --validate --no-cache >/dev/null
 ./target/release/smi-lab table3 --quick --validate --no-cache >/dev/null
+# Again on the campaign benchmark's held-out seed: a second set of SMI
+# phases through the freeze walk, so the freeze-coverage audit (work +
+# frozen == span per schedule) sees window edges the default seed does not.
+./target/release/smi-lab table1 --quick --validate --no-cache --seed 20167816 >/dev/null
+./target/release/smi-lab table3 --quick --validate --no-cache --seed 20167816 >/dev/null
 # Noise smoke: the noise-model subsystem end-to-end (crates/noise) —
 # one campaign cell per fixed-budget scenario family through the real
 # runner into a scratch cache. The binary itself re-reads the run

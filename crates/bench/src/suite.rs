@@ -5,8 +5,9 @@
 //! same-timestamp bursts), the freeze-schedule algebra (`unfreeze`
 //! lookups per message part, `advance` over compute segments, interval
 //! aggregation), the node executor's fixed-point iteration, and
-//! end-to-end engine jobs up to the paper's largest configuration (16
-//! nodes × 4 ranks). `benches/micro.rs` wraps the same workloads in
+//! end-to-end engine jobs at the paper's largest configuration (16 nodes
+//! × 4 ranks, quiet and under long SMIs) and past it (256 and 1024
+//! ranks). `benches/micro.rs` wraps the same workloads in
 //! the criterion-shim targets; `smi-lab bench --json` runs them with a
 //! fixed sample count and writes `BENCH_engine.json` (min/median/p95 per
 //! case) — the repo's perf trajectory. Workload shapes are fixed: a
@@ -15,11 +16,12 @@
 use crate::{measure, Summary};
 use jsonio::Json;
 use machine::{NodeExecutor, SmiSideEffects};
-use mpi_sim::{ClusterSpec, NetworkParams, Op, RankProgram};
+use mpi_sim::{ClusterSpec, NetworkParams, NodeState, Op, RankProgram};
 use sim_core::{
     DurationModel, EventQueue, FreezeSchedule, PeriodicFreeze, SimDuration, SimRng, SimTime,
     TriggerPolicy,
 };
+use smi_driver::{SmiClass, SmiDriver, SmiDriverConfig};
 use std::hint::black_box;
 
 /// Schema version of `BENCH_engine.json`. Schema 2 adds the seeded-
@@ -171,17 +173,32 @@ pub fn engine_alltoall_16rank() -> u64 {
     }
 }
 
-/// One noise-free NAS job at the paper's largest scale, 16 nodes × 4
-/// ranks per node: `nas::programs` with no calibration adjustment and
-/// unit jitters on `nas::quiet_nodes`. These are the engine runs behind
-/// the `n16-r4` cells of Tables 1 and 3.
-fn engine_nas_64rank(bench: nas::Bench, class: nas::Class) -> u64 {
-    let spec = match ClusterSpec::wyeast(16, 4, false) {
+/// One NAS job on `nodes` nodes × 4 ranks per node: `nas::programs`
+/// with no calibration adjustment and unit jitters. Quiet jobs run on
+/// `nas::quiet_nodes`; long-SMI jobs give every node a schedule and side
+/// effects from the MPI study's `SmiDriver`, as the table cells do, but
+/// drawn from one fixed seed.
+fn engine_nas(bench: nas::Bench, class: nas::Class, nodes: u32, smm: SmiClass) -> u64 {
+    let spec = match ClusterSpec::wyeast(nodes, 4, false) {
         Ok(s) => s,
         Err(_) => return 0,
     };
-    let progs = nas::programs(bench, class, &spec, 0.0, &[1.0; 64]);
-    let nodes = nas::quiet_nodes(&spec);
+    let progs = nas::programs(bench, class, &spec, 0.0, &vec![1.0; spec.total_ranks() as usize]);
+    let nodes = match smm {
+        SmiClass::None => nas::quiet_nodes(&spec),
+        _ => {
+            let driver = SmiDriver::new(SmiDriverConfig::mpi_study(smm));
+            let mut rng = SimRng::new(16);
+            (0..spec.nodes)
+                .map(|_| NodeState {
+                    schedule: driver.schedule_for_node(&mut rng),
+                    effects: driver.side_effects(spec.htt),
+                    online_cpus: spec.online_cpus(),
+                    per_core: Vec::new(),
+                })
+                .collect()
+        }
+    };
     let net = NetworkParams::gigabit_cluster();
     match mpi_sim::run(&spec, &nodes, &progs, &net) {
         Ok(out) => out.makespan.as_nanos(),
@@ -189,15 +206,38 @@ fn engine_nas_64rank(bench: nas::Bench, class: nas::Class) -> u64 {
     }
 }
 
-/// BT class C at 64 ranks: halo `Exchange`s and line-solve messages, a
-/// fresh tag for nearly every message.
+/// BT class C at 64 ranks (16 nodes × 4, the `n16-r4` cells of Table 1):
+/// halo `Exchange`s and line-solve messages, a fresh tag for nearly
+/// every message.
 pub fn engine_bt_c_64rank() -> u64 {
-    engine_nas_64rank(nas::Bench::Bt, nas::Class::C)
+    engine_nas(nas::Bench::Bt, nas::Class::C, 16, SmiClass::None)
 }
 
-/// FT class B at 64 ranks: all-to-all transposes, four ranks per NIC.
+/// FT class B at 64 ranks (the `n16-r4` cells of Table 3): all-to-all
+/// transposes, four ranks per NIC.
 pub fn engine_ft_b_64rank() -> u64 {
-    engine_nas_64rank(nas::Bench::Ft, nas::Class::B)
+    engine_nas(nas::Bench::Ft, nas::Class::B, 16, SmiClass::None)
+}
+
+/// [`engine_bt_c_64rank`] under long SMIs: every compute segment and
+/// message completion goes through a noisy freeze schedule.
+pub fn engine_bt_c_64rank_long_smi() -> u64 {
+    engine_nas(nas::Bench::Bt, nas::Class::C, 16, SmiClass::Long)
+}
+
+/// [`engine_ft_b_64rank`] under long SMIs.
+pub fn engine_ft_b_64rank_long_smi() -> u64 {
+    engine_nas(nas::Bench::Ft, nas::Class::B, 16, SmiClass::Long)
+}
+
+/// BT class C at 256 ranks (64 nodes × 4): scaling past the paper.
+pub fn engine_bt_c_256rank() -> u64 {
+    engine_nas(nas::Bench::Bt, nas::Class::C, 64, SmiClass::None)
+}
+
+/// BT class C at 1024 ranks (256 nodes × 4): scaling past the paper.
+pub fn engine_bt_c_1024rank() -> u64 {
+    engine_nas(nas::Bench::Bt, nas::Class::C, 256, SmiClass::None)
 }
 
 /// The noise-subsystem hot path end-to-end: generate dense per-core
@@ -293,6 +333,22 @@ pub fn engine_suite() -> Vec<SuiteCase> {
             name: "engine_ft_b_64rank",
             routine: Box::new(|| black_box(engine_ft_b_64rank())),
         },
+        SuiteCase {
+            name: "engine_bt_c_64rank_long_smi",
+            routine: Box::new(|| black_box(engine_bt_c_64rank_long_smi())),
+        },
+        SuiteCase {
+            name: "engine_ft_b_64rank_long_smi",
+            routine: Box::new(|| black_box(engine_ft_b_64rank_long_smi())),
+        },
+        SuiteCase {
+            name: "engine_bt_c_256rank",
+            routine: Box::new(|| black_box(engine_bt_c_256rank())),
+        },
+        SuiteCase {
+            name: "engine_bt_c_1024rank",
+            routine: Box::new(|| black_box(engine_bt_c_1024rank())),
+        },
     ]
 }
 
@@ -358,17 +414,32 @@ mod tests {
         let sweep = noise_model_schedule_sweep();
         assert_ne!(sweep, 0, "noise sweep must do real work");
         assert_eq!(sweep, noise_model_schedule_sweep());
-        for job in [engine_bt_c_64rank, engine_ft_b_64rank] {
+        for job in [
+            engine_bt_c_64rank,
+            engine_ft_b_64rank,
+            engine_bt_c_64rank_long_smi,
+            engine_ft_b_64rank_long_smi,
+            engine_bt_c_256rank,
+        ] {
             let makespan = job();
-            assert_ne!(makespan, 0, "64-rank job must run");
+            assert_ne!(makespan, 0, "NAS job must run");
             assert_eq!(makespan, job());
         }
+        // Long SMIs slow the paper-scale jobs down.
+        assert!(engine_bt_c_64rank_long_smi() > engine_bt_c_64rank());
+        assert!(engine_ft_b_64rank_long_smi() > engine_ft_b_64rank());
     }
 
     #[test]
     fn suite_runs_and_renders_json() {
-        let results = run_engine_suite(2);
-        assert_eq!(results.len(), engine_suite_names().len());
+        // Every case but the 1024-rank job: it allocates ~100 MiB per run,
+        // and the smaller cases exercise the same measuring and rendering.
+        let results: Vec<Summary> = engine_suite()
+            .into_iter()
+            .filter(|case| case.name != "engine_bt_c_1024rank")
+            .map(|mut case| measure(case.name, 2, |b| b.iter(&mut case.routine)))
+            .collect();
+        assert_eq!(results.len(), engine_suite_names().len() - 1);
         let doc = suite_json(2, &results);
         assert_eq!(doc.get("schema").and_then(|s| s.as_u64()), Some(BENCH_SCHEMA));
         let benches = doc.get("benchmarks").and_then(|b| b.as_array()).expect("array");

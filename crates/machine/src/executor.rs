@@ -18,7 +18,10 @@
 //! Both are expressed as *extra work* per freeze window, and the total is
 //! found by a short fixed-point iteration (more wall time ⇒ more windows
 //! ⇒ more refill work ⇒ more wall time; the iteration converges because
-//! per-window overhead is far below the trigger period).
+//! per-window overhead is far below the trigger period). A segment no
+//! window touches needs no iteration at all, and each iteration is one
+//! walk over the windows that yields the end and its window statistics
+//! together.
 
 use sim_core::{FreezeSchedule, SimDuration, SimError, SimTime};
 
@@ -219,32 +222,36 @@ impl<'a> NodeExecutor<'a> {
         Ok(NodeExecutor { schedule, effects, online_cpus, memory_intensity, comm_intensity })
     }
 
+    /// The freeze schedule this executor maps work through.
+    pub fn schedule(&self) -> &'a FreezeSchedule {
+        self.schedule
+    }
+
     /// Map `work` starting at wall `start` to its wall completion,
     /// accounting for per-window and residency-proportional overhead via
     /// fixed-point iteration.
     pub fn execute(&self, start: SimTime, work: SimDuration) -> ExecOutcome {
-        let per_window = self.effects.per_window_cost(self.online_cpus, self.memory_intensity);
-        let frozen_frac = self.effects.per_frozen_fraction(self.comm_intensity);
+        let (mut end, mut windows, mut frozen) = self.schedule.advance_stats(start, work);
         let mut total_work = work;
-        let mut end = self.schedule.advance(start, total_work);
-        for _ in 0..16 {
-            let (windows, frozen) = self.schedule.span_stats(start, end);
-            // Residency-proportional losses cannot exceed the host time
-            // actually available: post-SMI recovery is bounded by
-            // RESIDENCY_LOSS_CAP of the unfrozen time (which also keeps
-            // the fixed point contractive at extreme duty cycles).
-            let unfrozen = end.since(start).saturating_sub(frozen);
-            let residency_loss =
-                frozen.mul_f64(frozen_frac).min(unfrozen.mul_f64(self.effects.loss_cap));
-            let with_overhead = work + per_window * windows as u64 + residency_loss;
-            let new_end = self.schedule.advance(start, with_overhead);
-            if new_end == end && with_overhead == total_work {
-                break;
+        if windows > 0 || !frozen.is_zero() {
+            let per_window = self.effects.per_window_cost(self.online_cpus, self.memory_intensity);
+            let frozen_frac = self.effects.per_frozen_fraction(self.comm_intensity);
+            for _ in 0..16 {
+                // Residency-proportional losses cannot exceed the host time
+                // actually available: post-SMI recovery is bounded by
+                // RESIDENCY_LOSS_CAP of the unfrozen time (which also keeps
+                // the fixed point contractive at extreme duty cycles).
+                let unfrozen = end.since(start).saturating_sub(frozen);
+                let residency_loss =
+                    frozen.mul_f64(frozen_frac).min(unfrozen.mul_f64(self.effects.loss_cap));
+                let with_overhead = work + per_window * windows as u64 + residency_loss;
+                if with_overhead == total_work {
+                    break;
+                }
+                (end, windows, frozen) = self.schedule.advance_stats(start, with_overhead);
+                total_work = with_overhead;
             }
-            total_work = with_overhead;
-            end = new_end;
         }
-        let (windows, frozen) = self.schedule.span_stats(start, end);
         ExecOutcome {
             wall_end: end,
             wall: end.since(start),

@@ -44,7 +44,7 @@
 
 use crate::cluster::{ClusterSpec, NodeState};
 use crate::network::{NetworkParams, NicState};
-use crate::program::{lower, LowOp, RankProgram};
+use crate::program::{lower_into, LowOp, RankProgram};
 use machine::NodeExecutor;
 use sim_core::{BlockedOp, BlockedOpKind, EventQueue, SimDuration, SimError, SimTime};
 
@@ -177,13 +177,17 @@ fn validate_inputs(
 }
 
 /// Reusable per-thread scratch state for the event loop: the rank-indexed
-/// buffers (program counters, outstanding blocking parts, availability
-/// clocks, finish times, per-rank match queues) and the event queue
-/// survive across runs (a campaign executes thousands of cells per worker
-/// thread, and these were the allocation churn), while anything
-/// borrowing run inputs is rebuilt per run.
+/// buffers (lowered programs, node indices, program counters, outstanding
+/// blocking parts, availability clocks, finish times, per-rank match
+/// queues) and the event queue survive across runs (a campaign executes
+/// thousands of cells per worker thread, and these were the allocation
+/// churn), while anything borrowing run inputs is rebuilt per run.
 #[derive(Debug, Default)]
 struct SimArena {
+    /// One lowered program per rank. Kept at the largest rank count seen
+    /// so every buffer keeps its capacity; a run uses the first `n_ranks`.
+    lowered: Vec<Vec<LowOp>>,
+    node: Vec<usize>,
     pc: Vec<usize>,
     parts: Vec<u32>,
     avail: Vec<SimTime>,
@@ -193,10 +197,17 @@ struct SimArena {
 }
 
 impl SimArena {
-    /// Make every buffer hold exactly `n_ranks` zeroed entries, empty
-    /// every match queue, and empty the event queue (also resetting its
-    /// counters), keeping capacity.
+    /// Make every buffer hold exactly `n_ranks` zeroed entries (the first
+    /// `n_ranks` lowered programs empty), empty every match queue, and
+    /// empty the event queue (also resetting its counters), keeping
+    /// capacity.
     fn reset(&mut self, n_ranks: usize) {
+        if self.lowered.len() < n_ranks {
+            self.lowered.resize_with(n_ranks, Vec::new);
+        }
+        for prog in &mut self.lowered[..n_ranks] {
+            prog.clear();
+        }
         for q in &mut self.inbox {
             q.posted.clear();
             q.unexpected.clear();
@@ -256,33 +267,36 @@ fn run_core(
     config: &RunConfig,
 ) -> Result<RunOutcome, SimError> {
     let n_ranks = spec.total_ranks() as usize;
+    arena.reset(n_ranks);
+    let SimArena { lowered, node, pc, parts, avail, done, inbox, queue } = arena;
+    let lowered = &mut lowered[..n_ranks];
 
-    // Lower every rank's program.
-    let lowered: Vec<Vec<LowOp>> = programs
-        .iter()
-        .enumerate()
-        .map(|(r, p)| lower(p, r as u32, n_ranks as u32, |b| network.reduce_cost(b)))
-        .collect::<Result<_, _>>()?;
+    // Lower every rank's program (`validate_inputs` has checked them).
+    for (r, (out, p)) in lowered.iter_mut().zip(programs).enumerate() {
+        lower_into(out, p, r as u32, n_ranks as u32, |b| network.reduce_cost(b));
+    }
 
     // Per-rank executors (borrow the schedule of the core hosting the
     // rank: a per-core override when the noise model is core-local, the
     // node-global schedule otherwise).
     let rpn = spec.ranks_per_node.max(1);
+    node.clear();
+    node.extend((0..n_ranks as u32).map(|r| spec.node_of(r) as usize));
     let executors: Vec<NodeExecutor<'_>> = (0..n_ranks)
         .map(|r| {
-            let node = &nodes[spec.node_of(r as u32) as usize];
+            let state = &nodes[node[r]];
             NodeExecutor::try_new(
-                node.schedule_for_core(r as u32 % rpn),
-                node.effects,
-                node.online_cpus,
+                state.schedule_for_core(r as u32 % rpn),
+                state.effects,
+                state.online_cpus,
                 programs[r].memory_intensity,
                 programs[r].comm_intensity,
             )
         })
         .collect::<Result<_, _>>()?;
+    let lowered = &*lowered;
+    let node = &*node;
 
-    arena.reset(n_ranks);
-    let SimArena { pc, parts, avail, done, inbox, queue } = arena;
     let mut nic = NicState::new(spec.nodes as usize);
     let mut messages = 0u64;
     let mut bytes_total = 0u64;
@@ -291,7 +305,7 @@ fn run_core(
         queue.push(SimTime::ZERO, r as u32);
     }
 
-    let sched = |r: usize| nodes[spec.node_of(r as u32) as usize].schedule_for_core(r as u32 % rpn);
+    let sched = |r: usize| executors[r].schedule();
 
     // Price one transfer and reserve the NICs. Returns the completion
     // instant of the payload at the receiving node.
@@ -310,8 +324,7 @@ fn run_core(
         }
         messages += 1;
         bytes_total += bytes;
-        let sn = spec.node_of(src as u32) as usize;
-        let dn = spec.node_of(dst as u32) as usize;
+        let (sn, dn) = (node[src], node[dst]);
         let earliest = send_ready.max(recv_ready);
         if sn == dn {
             Ok(earliest + network.shm_latency + network.shm_time(bytes))
@@ -367,7 +380,7 @@ fn run_core(
             continue;
         }
         let t = t.max(avail[r]);
-        let Some(op) = lowered[r].get(pc[r]).cloned() else {
+        let Some(&op) = lowered[r].get(pc[r]) else {
             done[r] = Some(t);
             continue;
         };
@@ -500,7 +513,7 @@ fn run_core(
     };
 
     if config.validate {
-        audit_run(&lowered, inbox, messages, bytes_total, nodes, end)?;
+        audit_run(lowered, inbox, messages, bytes_total, nodes, end)?;
     }
 
     let mut total_frozen = SimDuration::ZERO;

@@ -167,7 +167,7 @@ impl RankProgram {
 }
 
 /// Lowered point-to-point operation.
-#[derive(Clone, Debug, PartialEq, jsonio::ToJson)]
+#[derive(Clone, Copy, Debug, PartialEq, jsonio::ToJson)]
 pub enum LowOp {
     /// Local computation.
     Compute(SimDuration),
@@ -222,6 +222,20 @@ pub fn lower(
 ) -> Result<Vec<LowOp>, SimError> {
     program.validate(rank, size)?;
     let mut out = Vec::with_capacity(program.ops.len() * 2);
+    lower_into(&mut out, program, rank, size, reduce_cost);
+    Ok(out)
+}
+
+/// [`lower`] without the validation, appending to `out`: for callers that
+/// have already validated `program` for this `rank` and `size`, and reuse
+/// one buffer across runs.
+pub(crate) fn lower_into(
+    out: &mut Vec<LowOp>,
+    program: &RankProgram,
+    rank: u32,
+    size: u32,
+    reduce_cost: impl Fn(u64) -> SimDuration,
+) {
     let mut collective_idx = 0u64;
     for op in &program.ops {
         match *op {
@@ -229,14 +243,14 @@ pub fn lower(
             Op::Send { dst, bytes, tag } => out.push(LowOp::Send { dst, bytes, tag: tag as u64 }),
             Op::Recv { src, tag } => out.push(LowOp::Recv { src, tag: tag as u64 }),
             Op::Barrier => {
-                lower_barrier(&mut out, rank, size, base_tag(&mut collective_idx));
+                lower_barrier(out, rank, size, base_tag(&mut collective_idx));
             }
             Op::Bcast { root, bytes } => {
-                lower_bcast(&mut out, rank, size, root, bytes, base_tag(&mut collective_idx));
+                lower_bcast(out, rank, size, root, bytes, base_tag(&mut collective_idx));
             }
             Op::Reduce { root, bytes } => {
                 lower_reduce(
-                    &mut out,
+                    out,
                     rank,
                     size,
                     root,
@@ -248,21 +262,20 @@ pub fn lower(
             Op::Allreduce { bytes } => {
                 let tag = base_tag(&mut collective_idx);
                 if size.is_power_of_two() {
-                    lower_allreduce_rd(&mut out, rank, size, bytes, tag, &reduce_cost);
+                    lower_allreduce_rd(out, rank, size, bytes, tag, &reduce_cost);
                 } else {
-                    lower_reduce(&mut out, rank, size, 0, bytes, tag, &reduce_cost);
-                    lower_bcast(&mut out, rank, size, 0, bytes, tag + 2048);
+                    lower_reduce(out, rank, size, 0, bytes, tag, &reduce_cost);
+                    lower_bcast(out, rank, size, 0, bytes, tag + 2048);
                 }
             }
             Op::Alltoall { bytes_per_pair } => {
-                lower_alltoall(&mut out, rank, size, bytes_per_pair, base_tag(&mut collective_idx));
+                lower_alltoall(out, rank, size, bytes_per_pair, base_tag(&mut collective_idx));
             }
             Op::Exchange { send_to, recv_from, bytes, tag } => {
                 out.push(LowOp::SendRecv { dst: send_to, src: recv_from, bytes, tag: tag as u64 });
             }
         }
     }
-    Ok(out)
 }
 
 fn base_tag(collective_idx: &mut u64) -> u64 {

@@ -25,7 +25,7 @@
 use crate::error::SimError;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 
 /// How per-occurrence SMM residency is generated.
 #[derive(Clone, Debug, PartialEq, jsonio::ToJson)]
@@ -223,6 +223,156 @@ impl GenState {
         self.windows.push((start, end));
     }
 
+    /// Generate windows until the cache provably covers all windows that
+    /// *begin* at or before `t`.
+    fn cover(&mut self, cfg: &PeriodicFreeze, t: SimTime) {
+        if t <= self.covered {
+            return;
+        }
+        loop {
+            let last_end = self.windows.last().map(|&(_, e)| e).unwrap_or(SimTime::ZERO);
+            // Next candidate trigger instant.
+            let candidate = if cfg.policy == TriggerPolicy::RearmAfterExit {
+                if self.windows.is_empty() {
+                    cfg.first_trigger
+                } else {
+                    match last_end.checked_add(cfg.period) {
+                        Some(c) => c,
+                        None => {
+                            self.covered = SimTime::MAX;
+                            return;
+                        }
+                    }
+                }
+            } else {
+                let Some(offset) = cfg.period.0.checked_mul(self.next_k) else {
+                    self.covered = SimTime::MAX;
+                    return;
+                };
+                match cfg.first_trigger.checked_add(SimDuration(offset)) {
+                    Some(c) => c,
+                    None => {
+                        self.covered = SimTime::MAX;
+                        return;
+                    }
+                }
+            };
+            let start = if candidate >= last_end {
+                self.next_k += 1;
+                candidate
+            } else {
+                match cfg.policy {
+                    TriggerPolicy::SkipWhileFrozen => {
+                        // Trigger lost; advance to the next candidate.
+                        self.next_k += 1;
+                        if candidate > t {
+                            // This candidate was past the horizon anyway.
+                            self.covered = self.covered.max(t);
+                            return;
+                        }
+                        continue;
+                    }
+                    TriggerPolicy::DeferToExit { min_gap } => {
+                        // Latched trigger fires after a sliver of host time.
+                        self.next_k += 1;
+                        last_end + min_gap
+                    }
+                    // Rearm candidates are derived from `last_end + period`
+                    // and so never precede `last_end`; if the arithmetic
+                    // were ever wrong, starting at the window edge keeps
+                    // generation monotone instead of faulting.
+                    TriggerPolicy::RearmAfterExit => last_end,
+                }
+            };
+            if start > t && candidate > t {
+                // We have generated a window beyond the horizon; everything
+                // starting at or before `t` is now cached (the window just
+                // generated is kept — it is valid — and coverage extends to
+                // just before its start).
+                let d = cfg.durations.sample(&mut self.rng);
+                self.push_window(start, start + d);
+                self.covered = self.covered.max(t).max(SimTime(start.0 - 1));
+                return;
+            }
+            let d = cfg.durations.sample(&mut self.rng);
+            self.push_window(start, start + d);
+        }
+    }
+
+    /// Window `k`, generating it first if needed; `None` if the schedule
+    /// has fewer windows.
+    fn window_at(&mut self, cfg: Option<&PeriodicFreeze>, k: usize) -> Option<(SimTime, SimTime)> {
+        while self.windows.len() <= k {
+            // Explicit lists are fully covered at construction.
+            let cfg = cfg.filter(|_| self.covered < SimTime::MAX)?;
+            let step = SimDuration(cfg.period.0.saturating_add(cfg.durations.max().0).max(1));
+            let horizon = self.covered.saturating_add(step);
+            self.cover(cfg, horizon);
+        }
+        Some(self.windows[k])
+    }
+
+    /// The first index from `k` on whose window starts after `t`.
+    fn skip_started(&mut self, cfg: Option<&PeriodicFreeze>, mut k: usize, t: SimTime) -> usize {
+        while self.window_at(cfg, k).is_some_and(|(s, _)| s <= t) {
+            k += 1;
+        }
+        k
+    }
+
+    /// `span_stats` over `[a, b)` given the indices `[i, j)` of the
+    /// windows overlapping it.
+    fn range_stats(
+        &self,
+        i: usize,
+        j: usize,
+        a: SimTime,
+        b: SimTime,
+        slowdown_milli: u32,
+    ) -> (usize, SimDuration) {
+        if i >= j {
+            return (0, SimDuration::ZERO);
+        }
+        let (s_first, _) = self.windows[i];
+        // Start count: every overlapping window except a leading one that
+        // began before `a` starts within `[a, b)`.
+        let first_inside = if s_first < a { i + 1 } else { i };
+        let count = j - first_inside;
+        if slowdown_milli != 0 {
+            // Slowdown windows steal only the complement of the retained
+            // throughput; compute per clipped window with the same
+            // anchored-floor arithmetic `advance_slowed` uses so
+            // `work_between` stays its exact inverse.
+            let s = slowdown_milli as u128;
+            let done = |x: u64| ((x as u128 * s) / 1000) as u64;
+            let mut stolen = 0u64;
+            for &(ws, we) in &self.windows[i..j] {
+                let lo = ws.max(a);
+                let hi = we.min(b);
+                let progressed = done(hi.0 - ws.0) - done(lo.0 - ws.0);
+                stolen += (hi.0 - lo.0) - progressed;
+            }
+            return (count, SimDuration(stolen));
+        }
+        // Frozen time: the prefix-sum total of windows [i, j), clipped at
+        // the interval edges. Windows are non-overlapping, so only the
+        // first can start before `a` and only the last can end after `b`.
+        let mut frozen = self
+            .cum_frozen
+            .get(j)
+            .copied()
+            .unwrap_or(0)
+            .saturating_sub(self.cum_frozen.get(i).copied().unwrap_or(0));
+        if s_first < a {
+            frozen = frozen.saturating_sub(a.0 - s_first.0);
+        }
+        let (_, e_last) = self.windows[j - 1];
+        if e_last > b {
+            frozen = frozen.saturating_sub(e_last.0 - b.0);
+        }
+        (count, SimDuration(frozen))
+    }
+
     /// Indices `[i, j)` of the windows overlapping the half-open interval
     /// `[a, b)`; callers guarantee `b > a` and coverage through `b`.
     /// Windows are sorted and non-overlapping, so their ends are sorted
@@ -276,6 +426,28 @@ fn locate(windows: &[(SimTime, SimTime)], hint: usize, t: SimTime) -> usize {
     }
 }
 
+/// A cached unfrozen stretch between two consecutive windows: `[lo, hi)`
+/// holds no window time, `lo` is the end of the window before it (zero if
+/// none) and `hi` the start of window `next` (`SimTime::MAX` if none).
+///
+/// The lower bound is the previous window's end, not the instant of the
+/// query that found the gap, so every rank of a node whose clock is
+/// anywhere in the same gap answers from it, in whatever order they ask.
+#[derive(Clone, Copy, Debug)]
+struct Gap {
+    lo: SimTime,
+    hi: SimTime,
+    next: usize,
+}
+
+impl Gap {
+    const EMPTY: Gap = Gap { lo: SimTime::ZERO, hi: SimTime::ZERO, next: 0 };
+
+    fn contains(self, t: SimTime) -> bool {
+        self.lo <= t && t < self.hi
+    }
+}
+
 /// The freeze windows of one node (or, for per-core noise models, one
 /// logical CPU).
 ///
@@ -299,6 +471,13 @@ pub struct FreezeSchedule {
     /// full freeze (every SMI model); `1..=999` means windows degrade
     /// instead of stopping progress (the SMT-contention model).
     slowdown_milli: u32,
+    /// The gap the last [`advance_stats`](Self::advance_stats) walk
+    /// ended in, or the last unfrozen
+    /// [`window_containing`](Self::window_containing) query fell in. Full
+    /// freezes only: slowdown schedules never set it. A pure cache —
+    /// windows are a function of the configuration, so a gap stays valid
+    /// for the schedule's lifetime, and a clone starts empty.
+    gap: Cell<Gap>,
 }
 
 impl Clone for FreezeSchedule {
@@ -311,6 +490,7 @@ impl Clone for FreezeSchedule {
                 config: None,
                 gen: Some(RefCell::new(gen.borrow().clone())),
                 slowdown_milli: 0,
+                gap: Cell::new(Gap::EMPTY),
             },
             (None, None) => FreezeSchedule::none(),
         };
@@ -322,7 +502,7 @@ impl Clone for FreezeSchedule {
 impl FreezeSchedule {
     /// A schedule with no SMI activity (the paper's "SMM 0" case).
     pub fn none() -> Self {
-        FreezeSchedule { config: None, gen: None, slowdown_milli: 0 }
+        FreezeSchedule { config: None, gen: None, slowdown_milli: 0, gap: Cell::new(Gap::EMPTY) }
     }
 
     /// A schedule over an explicit window list, which must be sorted,
@@ -357,7 +537,12 @@ impl FreezeSchedule {
             covered: SimTime::MAX,
             cursor: 0,
         };
-        Ok(FreezeSchedule { config: None, gen: Some(RefCell::new(gen)), slowdown_milli: 0 })
+        Ok(FreezeSchedule {
+            config: None,
+            gen: Some(RefCell::new(gen)),
+            slowdown_milli: 0,
+            gap: Cell::new(Gap::EMPTY),
+        })
     }
 
     /// Turn this schedule's windows into slowdown windows: work inside
@@ -409,7 +594,7 @@ impl FreezeSchedule {
                 cursor: 0,
             })
         });
-        FreezeSchedule { config, gen, slowdown_milli: 0 }
+        FreezeSchedule { config, gen, slowdown_milli: 0, gap: Cell::new(Gap::EMPTY) }
     }
 
     /// Whether this schedule ever perturbs the node.
@@ -425,82 +610,8 @@ impl FreezeSchedule {
     /// Generate windows until the window cache provably covers all windows
     /// that *begin* at or before `t`.
     fn ensure_covered(&self, t: SimTime) {
-        let Some(gen_cell) = &self.gen else { return };
-        let mut gen = gen_cell.borrow_mut();
-        let gen = &mut *gen;
-        if t <= gen.covered {
-            return;
-        }
-        // Explicit window lists are fully covered at construction, so
-        // reaching here means a periodic configuration exists.
-        let Some(cfg) = &self.config else { return };
-        loop {
-            let last_end = gen.windows.last().map(|&(_, e)| e).unwrap_or(SimTime::ZERO);
-            // Next candidate trigger instant.
-            let candidate = if cfg.policy == TriggerPolicy::RearmAfterExit {
-                if gen.windows.is_empty() {
-                    cfg.first_trigger
-                } else {
-                    match last_end.checked_add(cfg.period) {
-                        Some(c) => c,
-                        None => {
-                            gen.covered = SimTime::MAX;
-                            return;
-                        }
-                    }
-                }
-            } else {
-                let Some(offset) = cfg.period.0.checked_mul(gen.next_k) else {
-                    gen.covered = SimTime::MAX;
-                    return;
-                };
-                match cfg.first_trigger.checked_add(SimDuration(offset)) {
-                    Some(c) => c,
-                    None => {
-                        gen.covered = SimTime::MAX;
-                        return;
-                    }
-                }
-            };
-            let start = if candidate >= last_end {
-                gen.next_k += 1;
-                candidate
-            } else {
-                match cfg.policy {
-                    TriggerPolicy::SkipWhileFrozen => {
-                        // Trigger lost; advance to the next candidate.
-                        gen.next_k += 1;
-                        if candidate > t {
-                            // This candidate was past the horizon anyway.
-                            gen.covered = gen.covered.max(t);
-                            return;
-                        }
-                        continue;
-                    }
-                    TriggerPolicy::DeferToExit { min_gap } => {
-                        // Latched trigger fires after a sliver of host time.
-                        gen.next_k += 1;
-                        last_end + min_gap
-                    }
-                    // Rearm candidates are derived from `last_end + period`
-                    // and so never precede `last_end`; if the arithmetic
-                    // were ever wrong, starting at the window edge keeps
-                    // generation monotone instead of faulting.
-                    TriggerPolicy::RearmAfterExit => last_end,
-                }
-            };
-            if start > t && candidate > t {
-                // We have generated a window beyond the horizon; everything
-                // starting at or before `t` is now cached (the window just
-                // generated is kept — it is valid — and coverage extends to
-                // just before its start).
-                let d = cfg.durations.sample(&mut gen.rng);
-                gen.push_window(start, start + d);
-                gen.covered = gen.covered.max(t).max(SimTime(start.0 - 1));
-                return;
-            }
-            let d = cfg.durations.sample(&mut gen.rng);
-            gen.push_window(start, start + d);
+        if let (Some(gen), Some(cfg)) = (&self.gen, &self.config) {
+            gen.borrow_mut().cover(cfg, t);
         }
     }
 
@@ -525,7 +636,17 @@ impl FreezeSchedule {
     }
 
     /// The window containing `t`, if any.
+    #[inline]
     pub fn window_containing(&self, t: SimTime) -> Option<(SimTime, SimTime)> {
+        if self.gen.is_none() || self.gap.get().contains(t) {
+            return None;
+        }
+        self.find_window(t)
+    }
+
+    /// [`window_containing`](Self::window_containing) past its fast paths.
+    #[inline(never)]
+    fn find_window(&self, t: SimTime) -> Option<(SimTime, SimTime)> {
         let gen_cell = self.gen.as_ref()?;
         self.ensure_covered(t);
         let mut gen = gen_cell.borrow_mut();
@@ -534,15 +655,21 @@ impl FreezeSchedule {
         // (cursor-accelerated: engine queries are near-monotone).
         let idx = locate(&gen.windows, gen.cursor, t);
         gen.cursor = idx;
-        if idx == 0 {
-            return None;
+        let before = idx.checked_sub(1).map(|i| gen.windows[i]);
+        if let Some((s, e)) = before.filter(|&(_, e)| t < e) {
+            return Some((s, e));
         }
-        let (s, e) = gen.windows[idx - 1];
-        (t >= s && t < e).then_some((s, e))
+        // `t` lies in the gap before window `idx`.
+        if let (0, Some(&(hi, _))) = (self.slowdown_milli, gen.windows.get(idx)) {
+            let lo = before.map_or(SimTime::ZERO, |(_, e)| e);
+            self.gap.set(Gap { lo, hi, next: idx });
+        }
+        None
     }
 
     /// The earliest instant `>= t` at which the node is not frozen.
     /// Slowdown windows make progress, so they are transparent here.
+    #[inline]
     pub fn unfreeze(&self, t: SimTime) -> SimTime {
         if self.slowdown_milli != 0 {
             return t;
@@ -553,36 +680,15 @@ impl FreezeSchedule {
         }
     }
 
-    /// The start of the first window beginning strictly after `t`, if it
-    /// can be generated without overflowing simulated time.
+    /// The first window beginning strictly after `t`, if it can be
+    /// generated without overflowing simulated time.
     pub fn next_window_after(&self, t: SimTime) -> Option<(SimTime, SimTime)> {
         let gen_cell = self.gen.as_ref()?;
-        let Some(cfg) = &self.config else {
-            // Explicit lists are fully generated; look up directly.
-            let mut gen = gen_cell.borrow_mut();
-            let gen = &mut *gen;
-            let idx = locate(&gen.windows, gen.cursor, t);
-            gen.cursor = idx;
-            return gen.windows.get(idx).copied();
-        };
-        // Generate a little past t until we find a window starting after t.
-        let mut horizon = t;
-        let step = SimDuration(cfg.period.0.saturating_add(cfg.durations.max().0).max(1));
-        for _ in 0..64 {
-            horizon = horizon.saturating_add(step);
-            self.ensure_covered(horizon);
-            let mut gen = gen_cell.borrow_mut();
-            let gen = &mut *gen;
-            let idx = locate(&gen.windows, gen.cursor, t);
-            gen.cursor = idx;
-            if idx < gen.windows.len() {
-                return Some(gen.windows[idx]);
-            }
-            if horizon == SimTime::MAX {
-                return None;
-            }
-        }
-        None
+        self.ensure_covered(t);
+        let mut gen = gen_cell.borrow_mut();
+        let idx = locate(&gen.windows, gen.cursor, t);
+        gen.cursor = idx;
+        gen.window_at(self.config.as_ref(), idx)
     }
 
     /// Map `work` units of useful execution starting at wall instant
@@ -590,33 +696,84 @@ impl FreezeSchedule {
     ///
     /// Work only progresses outside freeze windows. `advance(t, 0) == t`
     /// exactly (even if `t` is frozen), which makes the mapping additive.
+    #[inline]
     pub fn advance(&self, start: SimTime, work: SimDuration) -> SimTime {
+        self.advance_stats(start, work).0
+    }
+
+    /// [`advance`](Self::advance) and [`span_stats`](Self::span_stats)
+    /// over the span it covers, in one walk over the windows:
+    /// `(end, count_between(start, end), frozen_between(start, end))`
+    /// with `end = advance(start, work)`.
+    ///
+    /// A full-freeze walk that ends in a gap caches it, so the next query
+    /// starting anywhere in that gap whose work fits before the next
+    /// window answers without touching the window list; a longer one
+    /// resumes the walk at the gap's window index.
+    #[inline]
+    pub fn advance_stats(
+        &self,
+        start: SimTime,
+        work: SimDuration,
+    ) -> (SimTime, usize, SimDuration) {
         if work.is_zero() {
-            return start;
+            return (start, 0, SimDuration::ZERO);
         }
-        if self.gen.is_none() {
-            return start + work;
+        let gap = self.gap.get();
+        if self.gen.is_none() || (gap.contains(start) && work.0 <= gap.hi.0 - start.0) {
+            return (start + work, 0, SimDuration::ZERO);
         }
+        self.walk(start, work)
+    }
+
+    /// [`advance_stats`](Self::advance_stats) past its fast paths.
+    #[inline(never)]
+    fn walk(&self, start: SimTime, work: SimDuration) -> (SimTime, usize, SimDuration) {
+        let Some(gen_cell) = &self.gen else { return (start + work, 0, SimDuration::ZERO) };
         if self.slowdown_milli != 0 {
-            return self.advance_slowed(start, work);
+            let end = self.advance_slowed(start, work);
+            let (windows, stolen) = self.span_stats(start, end);
+            return (end, windows, stolen);
         }
-        let mut t = start;
-        let mut remaining = work;
-        loop {
-            t = self.unfreeze(t);
-            // `next_window_after(t)` only returns windows starting
-            // strictly after `t`, so the gap is never negative.
-            let gap_end = match self.next_window_after(t) {
-                Some((s, _)) => s,
-                None => SimTime::MAX,
-            };
-            let avail = gap_end.since(t);
+        let gap = self.gap.get();
+        let cfg = self.config.as_ref();
+        let mut gen = gen_cell.borrow_mut();
+        let gen = &mut *gen;
+        // `t` is where work resumes, `k` the first window starting after
+        // `t`, `first` the first window overlapping `[start, ..)`.
+        let (mut t, mut k, first) = if gap.contains(start) {
+            (start, gap.next, gap.next)
+        } else {
+            if let Some(cfg) = cfg {
+                gen.cover(cfg, start);
+            }
+            let k = locate(&gen.windows, gen.cursor, start);
+            match k.checked_sub(1).map(|i| gen.windows[i]) {
+                // Frozen at `start`: work resumes when the window ends.
+                Some((_, e)) if start < e => (e, gen.skip_started(cfg, k, e), k - 1),
+                _ => (start, k, k),
+            }
+        };
+        let mut remaining = work.0;
+        let end = loop {
+            let gap_end = gen.window_at(cfg, k).map_or(SimTime::MAX, |(s, _)| s);
+            let avail = gap_end.0 - t.0;
             if avail >= remaining {
-                return t + remaining;
+                break SimTime(t.0 + remaining);
             }
             remaining -= avail;
-            t = gap_end;
-        }
+            // `gap_end` starts window `k`: work resumes when it ends.
+            t = gen.windows[k].1;
+            k = gen.skip_started(cfg, k + 1, t);
+        };
+        gen.cursor = k;
+        self.gap.set(Gap {
+            lo: k.checked_sub(1).map_or(SimTime::ZERO, |i| gen.windows[i].1),
+            hi: gen.windows.get(k).map_or(SimTime::MAX, |w| w.0),
+            next: k,
+        });
+        let (windows, frozen) = gen.range_stats(first, k, start, end, 0);
+        (end, windows, frozen)
     }
 
     /// [`advance`](Self::advance) when windows slow work down instead of
@@ -666,10 +823,9 @@ impl FreezeSchedule {
     }
 
     /// Freeze-window starts and frozen time over `[a, b)` in one lookup:
-    /// `(count_between(a, b), frozen_between(a, b))`. The executor's
-    /// fixed-point loop needs both at every iteration, and answering
-    /// them together from the prefix sums costs one O(log n) range
-    /// lookup instead of two window scans.
+    /// `(count_between(a, b), frozen_between(a, b))`, answered together
+    /// from the prefix sums in one O(log n) range lookup instead of two
+    /// window scans.
     pub fn span_stats(&self, a: SimTime, b: SimTime) -> (usize, SimDuration) {
         if b <= a {
             return (0, SimDuration::ZERO);
@@ -679,47 +835,7 @@ impl FreezeSchedule {
         let mut gen = gen_cell.borrow_mut();
         let gen = &mut *gen;
         let (i, j) = gen.overlap_range(a, b);
-        if i >= j {
-            return (0, SimDuration::ZERO);
-        }
-        let (s_first, _) = gen.windows[i];
-        // Start count: every overlapping window except a leading one that
-        // began before `a` starts within `[a, b)`.
-        let first_inside = if s_first < a { i + 1 } else { i };
-        let count = j - first_inside;
-        if self.slowdown_milli != 0 {
-            // Slowdown windows steal only the complement of the retained
-            // throughput; compute per clipped window with the same
-            // anchored-floor arithmetic `advance_slowed` uses so
-            // `work_between` stays its exact inverse.
-            let s = self.slowdown_milli as u128;
-            let done = |x: u64| ((x as u128 * s) / 1000) as u64;
-            let mut stolen = 0u64;
-            for &(ws, we) in &gen.windows[i..j] {
-                let lo = ws.max(a);
-                let hi = we.min(b);
-                let progressed = done(hi.0 - ws.0) - done(lo.0 - ws.0);
-                stolen += (hi.0 - lo.0) - progressed;
-            }
-            return (count, SimDuration(stolen));
-        }
-        // Frozen time: the prefix-sum total of windows [i, j), clipped at
-        // the interval edges. Windows are non-overlapping, so only the
-        // first can start before `a` and only the last can end after `b`.
-        let mut frozen = gen
-            .cum_frozen
-            .get(j)
-            .copied()
-            .unwrap_or(0)
-            .saturating_sub(gen.cum_frozen.get(i).copied().unwrap_or(0));
-        if s_first < a {
-            frozen = frozen.saturating_sub(a.0 - s_first.0);
-        }
-        let (_, e_last) = gen.windows[j - 1];
-        if e_last > b {
-            frozen = frozen.saturating_sub(e_last.0 - b.0);
-        }
-        (count, SimDuration(frozen))
+        gen.range_stats(i, j, a, b, self.slowdown_milli)
     }
 
     /// Useful work accomplished within the wall interval `[a, b)`: the

@@ -117,7 +117,7 @@ impl SimDuration {
     /// never aborts a measurement run.
     pub fn from_secs_f64(s: f64) -> Self {
         debug_assert!(s.is_finite() && s >= 0.0, "SimDuration::from_secs_f64: invalid seconds {s}");
-        SimDuration((s * 1e9).round() as u64)
+        SimDuration(round_to_u64(s * 1e9))
     }
 
     /// Nanoseconds in this duration.
@@ -152,7 +152,7 @@ impl SimDuration {
     /// [`SimDuration::MAX`]) so the simulation path never aborts.
     pub fn mul_f64(self, k: f64) -> SimDuration {
         debug_assert!(k.is_finite() && k >= 0.0, "SimDuration::mul_f64: invalid factor {k}");
-        SimDuration((self.0 as f64 * k).round() as u64)
+        SimDuration(round_to_u64(self.0 as f64 * k))
     }
     /// The smaller of two durations.
     pub fn min(self, other: SimDuration) -> SimDuration {
@@ -161,6 +161,21 @@ impl SimDuration {
     /// The larger of two durations.
     pub fn max(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.max(other.0))
+    }
+}
+
+/// `x.round() as u64` — nearest integer, ties away from zero, saturating
+/// (negative and NaN to 0, too large to `u64::MAX`) — in integer
+/// arithmetic. The x86-64 baseline has no rounding instruction, so
+/// `f64::round` is a libm call; this runs on every message's wire time.
+/// For `x < 2^52` the truncation is exact and so is `x - t`; from `2^52`
+/// up every `f64` is an integer and the difference is zero.
+fn round_to_u64(x: f64) -> u64 {
+    let t = x as u64;
+    if x - t as f64 >= 0.5 {
+        t.saturating_add(1)
+    } else {
+        t
     }
 }
 
@@ -305,6 +320,80 @@ mod tests {
     #[cfg_attr(debug_assertions, should_panic(expected = "invalid seconds"))]
     fn from_secs_f64_rejects_negative_in_debug_and_saturates_in_release() {
         assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
+    }
+
+    /// The formula `round_to_u64` replaces.
+    fn libm_round(x: f64) -> u64 {
+        x.round() as u64
+    }
+
+    #[test]
+    fn rounding_matches_libm_round_on_random_bit_patterns() {
+        quickprop::check("rounding_matches_libm_round_on_random_bit_patterns", 4096, |g| {
+            // Every bit pattern: subnormals, huge values, negatives, NaNs.
+            let x = f64::from_bits(g.any_u64());
+            assert_eq!(round_to_u64(x), libm_round(x), "x = {x:e}");
+            // Values with a fractional part, where ties can occur.
+            let y = g.u64(0..1 << 53) as f64 / (1u64 << g.u32(0..53)) as f64;
+            assert_eq!(round_to_u64(y), libm_round(y), "y = {y:e}");
+        });
+    }
+
+    #[test]
+    fn from_secs_f64_and_mul_f64_match_libm_round() {
+        quickprop::check("from_secs_f64_and_mul_f64_match_libm_round", 4096, |g| {
+            // Finite, non-negative inputs (the debug-asserted domain).
+            let s = f64::from_bits(g.any_u64() & !(1 << 63));
+            let s = if s.is_finite() { s } else { g.u64(0..1 << 40) as f64 / 7.0 };
+            assert_eq!(SimDuration::from_secs_f64(s).0, libm_round(s * 1e9), "s = {s:e}");
+            let d = SimDuration(g.any_u64() >> g.u32(0..64));
+            let k = g.u64(0..1 << 32) as f64 / g.u64(1..1 << 32) as f64;
+            assert_eq!(d.mul_f64(k).0, libm_round(d.0 as f64 * k), "{d:?} x {k:e}");
+        });
+    }
+
+    #[test]
+    fn rounding_edge_cases_match_libm_round() {
+        let two52 = (1u64 << 52) as f64;
+        let cases = [
+            // Exact ties round away from zero.
+            0.5,
+            1.5,
+            2.5,
+            1e9 + 0.5,
+            two52 - 0.5,
+            // Just below a tie.
+            0.499_999_999_999_999_94,
+            two52 - 1.5,
+            // 2^52 .. 2^64: every value is an integer.
+            two52,
+            two52 + 1.0,
+            (1u64 << 53) as f64 + 2.0,
+            (1u64 << 63) as f64,
+            18_446_744_073_709_549_568.0, // the largest f64 below 2^64
+            // 2^64 and beyond saturate.
+            18_446_744_073_709_551_616.0,
+            1e30,
+            f64::MAX,
+            f64::INFINITY,
+            // Negative values, NaN and -inf saturate to zero.
+            -0.0,
+            -0.4,
+            -0.5,
+            -1.5,
+            -1e30,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::MIN_POSITIVE,
+            0.0,
+        ];
+        for x in cases {
+            assert_eq!(round_to_u64(x), libm_round(x), "x = {x:e}");
+        }
+        assert_eq!(round_to_u64(2.5), 3);
+        assert_eq!(round_to_u64(f64::INFINITY), u64::MAX);
+        assert_eq!(round_to_u64(f64::NAN), 0);
     }
 
     #[test]

@@ -178,3 +178,180 @@ fn no_noise_schedule_is_identity() {
         assert_eq!(s.work_between(t, t + w), w);
     });
 }
+
+/// Any kind of schedule the engine can meet: periodic under each trigger
+/// policy (sometimes with zero-length windows), an explicit window list
+/// (sometimes with back-to-back windows), and either of those turned
+/// into slowdown windows.
+fn any_schedule(g: &mut Gen) -> FreezeSchedule {
+    let base = if g.bool() {
+        let s = schedule(g);
+        if g.u64(0..8) == 0 {
+            // Zero-length windows: a legal, if odd, periodic configuration.
+            let cfg = s.config().expect("periodic").clone();
+            FreezeSchedule::periodic(PeriodicFreeze {
+                durations: DurationModel::Uniform {
+                    lo: SimDuration::ZERO,
+                    hi: SimDuration::from_nanos(g.u64(0..3)),
+                },
+                ..cfg
+            })
+        } else {
+            s
+        }
+    } else {
+        let mut windows = Vec::new();
+        let mut t = g.u64(0..50_000_000);
+        for _ in 0..g.usize(0..40) {
+            let len = g.u64(1..200_000_000);
+            windows.push((SimTime::from_nanos(t), SimTime::from_nanos(t + len)));
+            // A third of the windows start exactly where the last ended.
+            t += len + if g.u64(0..3) == 0 { 0 } else { g.u64(1..300_000_000) };
+        }
+        FreezeSchedule::from_windows(windows).expect("sorted, disjoint, non-empty windows")
+    };
+    if g.u64(0..4) == 0 {
+        base.with_slowdown(g.u32(1..1000)).expect("valid factor")
+    } else {
+        base
+    }
+}
+
+/// The work-to-wall mapping as one loop over the public window queries:
+/// resume at the end of any window containing `t`, run to the next
+/// window that starts after `t`, repeat. Slowdown windows progress at
+/// the anchored-floor rate instead of stopping.
+fn reference_advance(s: &FreezeSchedule, start: SimTime, work: SimDuration) -> SimTime {
+    if work.is_zero() {
+        return start;
+    }
+    let next_start = |t| s.next_window_after(t).map_or(SimTime::MAX, |(ws, _)| ws);
+    let mut t = start;
+    let mut remaining = work.0;
+    let milli = s.slowdown_milli() as u128;
+    if milli == 0 {
+        loop {
+            t = s.unfreeze(t);
+            let gap_end = next_start(t);
+            let avail = gap_end.since(t).0;
+            if avail >= remaining {
+                return t + SimDuration(remaining);
+            }
+            remaining -= avail;
+            t = gap_end;
+        }
+    }
+    let done = |x: u64| ((x as u128 * milli) / 1000) as u64;
+    loop {
+        if let Some((ws, we)) = s.window_containing(t) {
+            let done_t = done(t.0 - ws.0);
+            let avail = done(we.0 - ws.0) - done_t;
+            if avail >= remaining {
+                let target = (done_t + remaining) as u128;
+                return SimTime(ws.0 + (target * 1000).div_ceil(milli) as u64);
+            }
+            remaining -= avail;
+            t = we;
+        } else {
+            let gap_end = next_start(t);
+            let avail = gap_end.since(t).0;
+            if avail >= remaining {
+                return t + SimDuration(remaining);
+            }
+            remaining -= avail;
+            t = gap_end;
+        }
+    }
+}
+
+#[test]
+fn advance_stats_is_advance_then_span_stats() {
+    check("advance_stats_is_advance_then_span_stats", 512, |g| {
+        let s = any_schedule(g);
+        let reference = s.clone();
+        for _ in 0..8 {
+            let start = SimTime::from_nanos(g.u64(0..6_000_000_000));
+            let work = SimDuration::from_nanos(match g.u64(0..4) {
+                0 => 0,
+                1 => g.u64(1..1_000),
+                _ => g.u64(1..3_000_000_000),
+            });
+            let (end, windows, frozen) = s.advance_stats(start, work);
+            assert_eq!(end, s.advance(start, work));
+            assert_eq!((windows, frozen), s.span_stats(start, end), "[{start:?}, {end:?})");
+            assert_eq!(end, reference_advance(&reference, start, work), "{start:?} + {work:?}");
+        }
+    });
+}
+
+/// One query of a simulated rank against a shared schedule.
+fn query(
+    s: &FreezeSchedule,
+    kind: u64,
+    t: SimTime,
+    w: SimDuration,
+) -> (SimTime, usize, SimDuration) {
+    let none = SimDuration::ZERO;
+    match kind {
+        0 => s.advance_stats(t, w),
+        1 => (s.unfreeze(t), s.is_frozen(t) as usize, none),
+        2 => match s.window_containing(t) {
+            Some((ws, we)) => (ws, 1, we.since(ws)),
+            None => (SimTime::ZERO, 0, none),
+        },
+        3 => (s.advance(t, w), 0, none),
+        _ => {
+            let (n, f) = s.span_stats(t, t + w);
+            (SimTime::ZERO, n, f)
+        }
+    }
+}
+
+#[test]
+fn cached_gap_is_invisible() {
+    check("cached_gap_is_invisible", 512, |g| {
+        let s = any_schedule(g);
+        let fresh = s.clone();
+        let probe = s.clone();
+        // Four ranks of one node, each with its own near-monotone clock,
+        // interleaved in random order: their queries land out of order
+        // around window edges, where a gap cached by one rank is stale
+        // for another.
+        let mut clocks = [0u64; 4];
+        for _ in 0..64 {
+            let r = g.usize(0..4);
+            clocks[r] += match g.u64(0..4) {
+                0 => 0,
+                1 => g.u64(0..1_000),
+                2 => g.u64(0..50_000_000),
+                _ => g.u64(0..400_000_000),
+            };
+            let clock = SimTime::from_nanos(clocks[r]);
+            let next = probe.next_window_after(clock);
+            let last = probe.windows_between(SimTime::ZERO, SimTime(clock.0 + 1)).pop();
+            // Often probe right at a window's edges, or inside the last
+            // window that started by the rank's clock.
+            let t = match (g.u64(0..6), next, last) {
+                (0, Some((ws, _)), _) => ws,
+                (1, Some((_, we)), _) => we,
+                (2, Some((ws, _)), _) => SimTime(ws.0 - 1),
+                (3, _, Some((ws, we))) => SimTime(ws.0 + (we.0 - ws.0) / 2),
+                (4, _, Some((_, we))) => we,
+                _ => clock,
+            };
+            // Work that ends just before, at, or just after the next
+            // window's start, or a fixed amount.
+            let to_next = next.map_or(0, |(ws, _)| ws.0.saturating_sub(t.0));
+            let w = SimDuration::from_nanos(match g.u64(0..3) {
+                0 => (to_next + g.u64(0..3)).saturating_sub(1),
+                _ => g.pick(&[0, 1, 999, 20_000, 3_000_000, 900_000_000]),
+            });
+            let kind = g.u64(0..5);
+            assert_eq!(
+                query(&s, kind, t, w),
+                query(&fresh.clone(), kind, t, w),
+                "query {kind} at {t:?} for {w:?}"
+            );
+        }
+    });
+}
