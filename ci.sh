@@ -114,6 +114,30 @@ test "$rc" -le 1
 cmp "$DUR_DIR/reference.jsonl" "$DUR_DIR/survivors.jsonl"
 grep -q '"storage"' "$DUR_DIR/cache/manifests/table2.json"
 rm -rf "$DUR_DIR"
+# Resume start-up gate: the warm-resume start-up path end-to-end
+# (DESIGN.md §14 "Start-up cost"). After a cold run, plant a stranded
+# `.tmp.` file in one object shard, in journal/ and in manifests/, and
+# tear the journal's tail mid-line. The --resume must exit 0, sweep one
+# orphan per area, truncate the torn tail, replay the journal, produce
+# records byte-identical to the cold run, and leave a store fsck calls
+# Clean (exit 0).
+RESUME_DIR="$(mktemp -d)"
+./target/release/smi-lab table2 --quick --cache-dir "$RESUME_DIR/cache" \
+    --records "$RESUME_DIR/cold.jsonl" >/dev/null
+RESUME_SHARD="$(find "$RESUME_DIR/cache" -mindepth 1 -maxdepth 1 -type d -name '[0-9a-f][0-9a-f]' | sort | head -n 1)"
+echo torn > "$RESUME_SHARD/planted.json.tmp.1.0"
+echo torn > "$RESUME_DIR/cache/journal/table2.jsonl.tmp.1.0"
+echo torn > "$RESUME_DIR/cache/manifests/table2.json.tmp.1.0"
+printf '{"schema":1,"key":"00' >> "$RESUME_DIR/cache/journal/table2.jsonl"
+./target/release/smi-lab table2 --quick --resume --cache-dir "$RESUME_DIR/cache" \
+    --records "$RESUME_DIR/warm.jsonl" >/dev/null
+cmp "$RESUME_DIR/cold.jsonl" "$RESUME_DIR/warm.jsonl"
+grep -q '"journal_torn_bytes": [1-9]' "$RESUME_DIR/cache/manifests/table2.json"
+grep -q '"cache_tmp": 1,' "$RESUME_DIR/cache/manifests/table2.json"
+grep -q '"journal_tmp": 1,' "$RESUME_DIR/cache/manifests/table2.json"
+grep -q '"manifest_tmp": 1$' "$RESUME_DIR/cache/manifests/table2.json"
+./target/release/smi-lab fsck --cache-dir "$RESUME_DIR/cache"
+rm -rf "$RESUME_DIR"
 # Bench smoke: the perf harness end-to-end at a tiny sample count,
 # writing to a scratch path so the committed BENCH_engine.json baseline
 # (recorded at the default 40 samples) is never clobbered by CI. A zero

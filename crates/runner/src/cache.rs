@@ -244,41 +244,81 @@ impl SweepStats {
     }
 }
 
-/// Remove stale `*.tmp.*` siblings stranded by a process killed between
-/// temp write and rename — in the cache shard directories, the store's
-/// bookkeeping directories (`journal/`, `index/`, `intent/`), the
-/// `manifests/` directory, and the root itself. Sweeping is best-effort:
-/// an unreadable directory simply contributes nothing.
-pub fn sweep_stats(dir: &Path) -> SweepStats {
-    let mut stats = SweepStats::default();
-    let sweep_dir = |sub: &Path, counter: &mut u64| {
-        let Ok(files) = std::fs::read_dir(sub) else { return };
-        for file in files.flatten() {
-            let path = file.path();
-            if path.is_dir() {
-                continue;
-            }
-            if file.file_name().to_string_lossy().contains(".tmp.")
-                && std::fs::remove_file(&path).is_ok()
-            {
-                *counter += 1;
-            }
-        }
-    };
-    sweep_dir(dir, &mut stats.cache_tmp);
-    let Ok(entries) = std::fs::read_dir(dir) else { return stats };
+/// The storage area a stranded temp file belongs to, named after the
+/// [`SweepStats`] counter it feeds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Area {
+    /// The root itself and every object shard directory.
+    Cache,
+    /// `journal/`, `index/` and `intent/`.
+    Journal,
+    /// `manifests/`.
+    Manifest,
+}
+
+/// Whether a directory entry is a directory, taken from the listing
+/// itself (`d_type` on Linux) so the walk issues no stat per entry. A
+/// symlink, or an entry whose type the filesystem does not report, falls
+/// back to `Path::is_dir`, which follows the link.
+fn entry_is_dir(entry: &std::fs::DirEntry) -> bool {
+    match entry.file_type() {
+        Ok(kind) if !kind.is_symlink() => kind.is_dir(),
+        _ => entry.path().is_dir(),
+    }
+}
+
+fn is_tmp_name(entry: &std::fs::DirEntry) -> bool {
+    entry.file_name().to_string_lossy().contains(".tmp.")
+}
+
+/// Every stranded `*.tmp.*` file under the store root, by area, sorted
+/// by path: the root's own files, then the files (never directories) of
+/// each subdirectory one level down — the object shards, the
+/// bookkeeping directories (`journal/`, `index/`, `intent/`) and
+/// `manifests/`. The store never nests deeper. An unreadable directory
+/// contributes nothing. The start-up sweep removes what this lists and
+/// fsck reports it.
+pub fn orphan_temps(root: &Path) -> Vec<(Area, PathBuf)> {
+    let mut found = Vec::new();
+    let Ok(entries) = std::fs::read_dir(root) else { return found };
     for entry in entries.flatten() {
-        let sub = entry.path();
-        if !sub.is_dir() {
+        if !entry_is_dir(&entry) {
+            if is_tmp_name(&entry) {
+                found.push((Area::Cache, entry.path()));
+            }
             continue;
         }
-        let name = entry.file_name();
-        let counter = match name.to_string_lossy().as_ref() {
-            "journal" | "index" | "intent" => &mut stats.journal_tmp,
-            "manifests" => &mut stats.manifest_tmp,
-            _ => &mut stats.cache_tmp,
+        let area = match entry.file_name().to_string_lossy().as_ref() {
+            "journal" | "index" | "intent" => Area::Journal,
+            "manifests" => Area::Manifest,
+            _ => Area::Cache,
         };
-        sweep_dir(&sub, counter);
+        let Ok(files) = std::fs::read_dir(entry.path()) else { continue };
+        for file in files.flatten() {
+            if is_tmp_name(&file) && !entry_is_dir(&file) {
+                found.push((area, file.path()));
+            }
+        }
+    }
+    found.sort_by(|a, b| a.1.cmp(&b.1));
+    found
+}
+
+/// Remove the stale `*.tmp.*` siblings stranded by a process killed
+/// between temp write and rename (see [`orphan_temps`] for where they
+/// are looked for), counting each removal by area. Sweeping is
+/// best-effort: a file that cannot be removed is not counted.
+pub fn sweep_stats(dir: &Path) -> SweepStats {
+    let mut stats = SweepStats::default();
+    for (area, path) in orphan_temps(dir) {
+        if std::fs::remove_file(&path).is_err() {
+            continue;
+        }
+        match area {
+            Area::Cache => stats.cache_tmp += 1,
+            Area::Journal => stats.journal_tmp += 1,
+            Area::Manifest => stats.manifest_tmp += 1,
+        }
     }
     stats
 }

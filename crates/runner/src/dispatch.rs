@@ -442,13 +442,13 @@ fn open_storage(
     if runner.cache_mode == CacheMode::Off {
         return (None, None, StorageAccount { lock_broken, ..StorageAccount::default() });
     }
-    let journal_path = journal::journal_path(&runner.cache_dir, label);
-    // Truncate a torn journal tail (we hold the campaign lock) so the
-    // appender never writes after a damaged fragment.
-    let journal_torn_bytes = journal::sweep_torn_tail(&journal_path);
     let (store, open_stats) =
         store::Store::open(runner.vfs.clone(), &runner.cache_dir, label, &runner.code_version);
-    let prior = journal::Journal::load(&journal_path);
+    let journal_path = journal::journal_path(&runner.cache_dir, label);
+    // Truncate a torn journal tail (we hold the campaign lock) so the
+    // appender never writes after a damaged fragment, and replay the
+    // rest from the same read.
+    let (prior, journal_torn_bytes) = journal::recover(&journal_path);
     let journal_prior_ok =
         keys.iter().filter(|&&key| prior.status(key) == Some(journal::Status::Ok)).count() as u64;
     let writer = match journal::Writer::open_with(&journal_path, runner.vfs.clone()) {

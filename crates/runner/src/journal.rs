@@ -69,7 +69,7 @@ pub fn journal_path(cache_dir: &Path, label: &str) -> PathBuf {
 }
 
 /// A replayed journal: the last recorded status per cache key.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Journal {
     entries: BTreeMap<String, Status>,
 }
@@ -80,7 +80,10 @@ impl Journal {
     /// skipped. Later lines win, so a cell that failed in one run and
     /// succeeded in a resumed run reads back as `Ok`.
     pub fn load(path: &Path) -> Journal {
-        let Ok(text) = std::fs::read_to_string(path) else { return Journal::default() };
+        std::fs::read_to_string(path).map(|text| Journal::replay(&text)).unwrap_or_default()
+    }
+
+    fn replay(text: &str) -> Journal {
         let mut entries = BTreeMap::new();
         for line in text.lines() {
             let Ok(entry) = Json::parse(line) else { continue };
@@ -117,25 +120,28 @@ impl Journal {
 /// torn tail: a fragment with no newline, or a final line a fault tore
 /// mid-append. Garbage lines *inside* the valid region (followed by
 /// further valid lines) are the loader's tolerance problem, not a tail.
+///
+/// The answer is the end of the last complete line that parses, so the
+/// scan runs backwards from the end and normally parses one line.
 pub fn torn_tail_start(text: &str) -> usize {
-    let mut valid_end = 0;
-    let mut pos = 0;
-    while let Some(nl) = text[pos..].find('\n') {
-        let line = &text[pos..pos + nl];
-        pos += nl + 1;
-        if Json::parse(line).is_ok() {
-            valid_end = pos;
+    let Some(mut newline) = text.rfind('\n') else { return 0 };
+    loop {
+        let start = text[..newline].rfind('\n').map_or(0, |i| i + 1);
+        if Json::parse(&text[start..newline]).is_ok() {
+            return newline + 1;
         }
+        if start == 0 {
+            return 0;
+        }
+        newline = start - 1;
     }
-    valid_end
 }
 
-/// Truncate a journal's torn tail in place, returning the number of
-/// bytes removed. A missing or fully-valid file removes nothing. Called
-/// at campaign startup (under the campaign lock) and by `fsck --repair`.
-pub fn sweep_torn_tail(path: &Path) -> u64 {
-    let Ok(text) = std::fs::read_to_string(path) else { return 0 };
-    let keep = torn_tail_start(&text);
+/// Truncate the torn tail of `text`, which was just read from `path`,
+/// returning the number of bytes removed: 0 when there is no tail or the
+/// truncate fails.
+fn trim_tail(path: &Path, text: &str) -> u64 {
+    let keep = torn_tail_start(text);
     if keep == text.len() {
         return 0;
     }
@@ -144,6 +150,26 @@ pub fn sweep_torn_tail(path: &Path) -> u64 {
         return 0;
     }
     (text.len() - keep) as u64
+}
+
+/// Truncate a journal's torn tail in place, returning the number of
+/// bytes removed. A missing or fully-valid file removes nothing. Called
+/// by `fsck --repair`; campaign startup uses [`recover`].
+pub fn sweep_torn_tail(path: &Path) -> u64 {
+    std::fs::read_to_string(path).map_or(0, |text| trim_tail(path, &text))
+}
+
+/// Campaign startup in one read of the journal: truncate its torn tail
+/// (as [`sweep_torn_tail`]) and replay what the file then holds (as
+/// [`Journal::load`]), returning the journal and the bytes truncated.
+/// When the truncate fails the whole file is replayed, tail included,
+/// exactly as a load after a failed sweep would. Call with the campaign
+/// lock held, so no live appender races the truncate.
+pub fn recover(path: &Path) -> (Journal, u64) {
+    let Ok(text) = std::fs::read_to_string(path) else { return (Journal::default(), 0) };
+    let torn = trim_tail(path, &text);
+    let kept = &text[..text.len() - torn as usize];
+    (Journal::replay(kept), torn)
 }
 
 /// Crash-safe journal appender shared by all worker threads.

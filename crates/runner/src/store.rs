@@ -448,8 +448,8 @@ pub struct Finding {
 /// The result of one fsck pass.
 #[derive(Clone, Debug, Default)]
 pub struct FsckReport {
-    /// Everything found, in scan order (objects, indexes, intents,
-    /// locks, journals).
+    /// Everything found, in scan order (orphan temps in path order,
+    /// then objects, indexes, intents, locks, journals).
     pub findings: Vec<Finding>,
     /// Repairs applied (0 on audit-only passes).
     pub repaired: u64,
@@ -503,31 +503,15 @@ pub fn fsck(root: &Path, repair: bool) -> FsckReport {
         }
     }
 
-    // Orphaned temp files, everywhere under the root (one level of
-    // subdirectories covers shards, journal/, index/, intent/,
-    // manifests/ — the store never nests deeper).
-    let mut dirs = vec![root.to_path_buf()];
-    if let Ok(entries) = std::fs::read_dir(root) {
-        dirs.extend(entries.flatten().map(|e| e.path()).filter(|p| p.is_dir()));
-    }
-    for dir in dirs {
-        let Ok(files) = std::fs::read_dir(&dir) else { continue };
-        let mut paths: Vec<PathBuf> = files.flatten().map(|e| e.path()).collect();
-        paths.sort();
-        for path in paths {
-            if path.is_dir()
-                || !path.file_name().is_some_and(|n| n.to_string_lossy().contains(".tmp."))
-            {
-                continue;
-            }
-            report.findings.push(Finding {
-                kind: FindingKind::OrphanTmp,
-                path: rel(root, &path),
-                detail: "stranded temp file from an interrupted publish".to_string(),
-            });
-            if repair {
-                fix(std::fs::remove_file(&path).is_ok(), &mut report);
-            }
+    // Orphaned temp files, everywhere the start-up sweep looks.
+    for (_, path) in cache::orphan_temps(root) {
+        report.findings.push(Finding {
+            kind: FindingKind::OrphanTmp,
+            path: rel(root, &path),
+            detail: "stranded temp file from an interrupted publish".to_string(),
+        });
+        if repair {
+            fix(std::fs::remove_file(&path).is_ok(), &mut report);
         }
     }
 

@@ -222,8 +222,10 @@ impl Progress {
             return "0.0s".to_string();
         }
         // Scale observed wall throughput; cached cells are ~free, so use
-        // the executed-cell average when anything actually executed.
-        let executed = done - cached;
+        // the executed-cell average when anything actually executed. The
+        // two counters are loaded separately, so a concurrent cache hit
+        // can make `cached` overtake this thread's `done`.
+        let executed = done.saturating_sub(cached);
         let remaining = (self.total - done) as f64;
         let eta = if executed > 0 {
             let per_cell = elapsed / done as f64;
@@ -392,6 +394,14 @@ mod tests {
         p.cell_done("y", 1 << 20, false);
         assert!(p.quantile_micros(0.5) <= 256);
         assert!(p.quantile_micros(1.0) >= 1 << 20);
+    }
+
+    #[test]
+    fn eta_tolerates_cached_ahead_of_done() {
+        let p = Progress::new(10, false);
+        assert_eq!(p.eta_seconds(3, 4, 1.0), "0.0s", "nothing executed: no estimate");
+        assert_eq!(p.eta_seconds(3, 3, 1.0), "0.0s");
+        assert_eq!(p.eta_seconds(4, 2, 2.0), "3.0s", "6 remaining at 0.5 s per cell");
     }
 
     #[test]
