@@ -63,7 +63,7 @@ fn measured_from(json: &Json) -> Option<Measured> {
 // The `expect`s in the assemble_* path decode payloads written by the
 // paired producer cell in this same module: a shape mismatch means the
 // result cache is corrupted, and aborting with a field-naming message is
-// the intended failure mode (runner::CacheMode::Refresh recovers). One
+// the intended failure mode (`--no-cache` recomputes every cell). One
 // shape is NOT a corruption: `Json::Null`, the explicit hole a
 // quarantined cell leaves in `RunReport::payloads` — every assembler
 // maps it to an absent measurement so a degraded campaign still renders,

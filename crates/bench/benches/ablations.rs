@@ -58,7 +58,7 @@ fn run_phases(synchronized: bool) -> f64 {
 
 fn ablation_phase_alignment(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_smi_phase_alignment");
-    group.sample_size(10);
+    group.sample_size(2);
     group.bench_function("unsynchronized", |b| b.iter(|| black_box(run_phases(false))));
     group.bench_function("synchronized", |b| b.iter(|| black_box(run_phases(true))));
     group.finish();
@@ -140,7 +140,7 @@ fn ablation_duration_band(c: &mut Criterion) {
 
 criterion_group! {
     name = ablations;
-    config = Criterion::default().sample_size(10);
+    config = Criterion::default().sample_size(2);
     targets = ablation_phase_alignment, ablation_side_effects, ablation_smt_contention, ablation_duration_band
 }
 criterion_main!(ablations);

@@ -35,7 +35,7 @@ fn figure1_convolve(c: &mut Criterion) {
 
 fn figure2_unixbench(c: &mut Criterion) {
     let mut group = c.benchmark_group("figure2_unixbench");
-    group.sample_size(10);
+    group.sample_size(2);
     for (cpus, interval) in [(4u32, 100u64), (8, 1600)] {
         let label = format!("{cpus}cpu_{interval}ms");
         group.bench_function(&label, |b| {
@@ -53,7 +53,7 @@ fn figure2_unixbench(c: &mut Criterion) {
 
 criterion_group! {
     name = figures;
-    config = Criterion::default().sample_size(20);
+    config = Criterion::default().sample_size(2);
     targets = figure1_convolve, figure2_unixbench
 }
 criterion_main!(figures);

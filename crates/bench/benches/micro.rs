@@ -109,7 +109,7 @@ fn cache_hierarchy(c: &mut Criterion) {
 
 criterion_group! {
     name = micro;
-    config = Criterion::default().sample_size(20);
+    config = Criterion::default().sample_size(2);
     targets = freeze_advance, event_queue, freeze_lookup, detector_polling, engine_throughput,
         cache_hierarchy
 }

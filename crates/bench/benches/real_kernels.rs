@@ -87,7 +87,7 @@ fn convolve_kernel(c: &mut Criterion) {
 
 criterion_group! {
     name = real_kernels;
-    config = Criterion::default().sample_size(20);
+    config = Criterion::default().sample_size(2);
     targets = ep_kernel, bt_kernel, ft_kernel, convolve_kernel
 }
 criterion_main!(real_kernels);

@@ -68,7 +68,7 @@ fn table5_ft_htt(c: &mut Criterion) {
 
 criterion_group! {
     name = tables;
-    config = Criterion::default().sample_size(10);
+    config = Criterion::default().sample_size(2);
     targets = table1_bt, table2_ep, table3_ft, table4_ep_htt, table5_ft_htt
 }
 criterion_main!(tables);

@@ -9,10 +9,9 @@
 //! The bench targets are written against a small criterion-compatible
 //! API ([`Criterion`], [`Bencher`], [`criterion_group!`],
 //! [`criterion_main!`]) implemented here on plain `std::time::Instant` —
-//! no external crates. By default every target takes a quick pass
-//! (sample counts divided by ten); building with
-//! `--features criterion-bench` restores full sample counts and adds
-//! warmup, turning the same targets into real measurement runs.
+//! no external crates. Every target takes a quick pass: one untimed
+//! warmup, then exactly the sample count it requests. Measurement runs
+//! with fixed sample counts go through [`suite`] (`smi-lab bench`).
 //!
 //! Every sample is kept and summarized as min/median/p95 ([`Summary`]) —
 //! dispersion, not just a point estimate, following the measurement
@@ -183,19 +182,13 @@ impl Summary {
     }
 }
 
-/// Measure `routine` for exactly `samples` timed invocations (plus a
-/// warmup bounded by the sample count) and return every sample. This is
+/// Measure `routine` for exactly `samples` timed invocations (plus one
+/// untimed warmup pass) and return every sample. This is
 /// the primitive both [`Criterion::bench_function`] and the
 /// [`suite`] runner sit on.
 pub fn measure(name: &str, samples: usize, mut routine: impl FnMut(&mut Bencher)) -> Summary {
     let samples = samples.max(1);
-    // Warmup: quick mode takes one untimed pass, full mode three — but
-    // never more passes than the requested sample count, so tiny smoke
-    // runs stay tiny.
-    let warmup = if cfg!(feature = "criterion-bench") { 3 } else { 1 }.min(samples);
-    for _ in 0..warmup {
-        routine(&mut Bencher { elapsed: Duration::ZERO });
-    }
+    routine(&mut Bencher { elapsed: Duration::ZERO });
     let mut samples_ns = Vec::with_capacity(samples);
     for _ in 0..samples {
         let mut b = Bencher { elapsed: Duration::ZERO };
@@ -213,12 +206,12 @@ pub struct Criterion {
 
 impl Default for Criterion {
     fn default() -> Self {
-        Criterion { sample_size: 100 }
+        Criterion { sample_size: 10 }
     }
 }
 
 impl Criterion {
-    /// Requested samples per benchmark (scaled down in quick mode).
+    /// Samples per benchmark (at least 2).
     pub fn sample_size(mut self, n: usize) -> Self {
         self.sample_size = n.max(2);
         self
@@ -273,23 +266,13 @@ impl BenchmarkGroup {
     pub fn finish(self) {}
 }
 
-/// Samples actually taken for a requested sample size: full under the
-/// `criterion-bench` feature, a tenth (minimum 2) on the quick default.
-fn effective_samples(requested: usize) -> usize {
-    if cfg!(feature = "criterion-bench") {
-        requested.max(2)
-    } else {
-        (requested / 10).max(2)
-    }
-}
-
 fn run_bench(
     name: &str,
-    requested: usize,
+    samples: usize,
     throughput: Option<Throughput>,
     routine: impl FnMut(&mut Bencher),
 ) -> Summary {
-    let summary = measure(name, effective_samples(requested), routine);
+    let summary = measure(name, samples, routine);
     let rate = throughput.map(|t| {
         let secs = (summary.mean_ns() as f64 / 1e9).max(1e-12);
         match t {
@@ -374,8 +357,8 @@ mod tests {
             calls += 1;
             b.iter(|| std::hint::black_box(7u64 * 6));
         });
-        // warmup + effective samples, each invoking the routine once.
-        assert!(calls >= 3, "routine ran only {calls} times");
+        // One warmup plus ten samples, each invoking the routine once.
+        assert_eq!(calls, 11);
     }
 
     #[test]
@@ -394,16 +377,6 @@ mod tests {
     }
 
     #[test]
-    fn quick_mode_divides_samples() {
-        if cfg!(feature = "criterion-bench") {
-            assert_eq!(effective_samples(100), 100);
-        } else {
-            assert_eq!(effective_samples(100), 10);
-            assert_eq!(effective_samples(10), 2);
-        }
-    }
-
-    #[test]
     fn measure_keeps_every_sample_and_bounds_warmup() {
         let mut calls = 0u32;
         let s = measure("count", 5, |b| {
@@ -411,18 +384,18 @@ mod tests {
             b.iter(|| std::hint::black_box(3u64 + 4));
         });
         assert_eq!(s.samples_ns.len(), 5, "one recorded sample per timed pass");
-        // Warmup is bounded by the sample count: at most 3 extra passes.
-        assert!((6..=8).contains(&calls), "calls = {calls}");
+        // One untimed warmup pass, then one pass per sample.
+        assert_eq!(calls, 6);
         // Sorted ascending, so the quantile walk is well-defined.
         assert!(s.samples_ns.windows(2).all(|w| w[0] <= w[1]));
 
-        // A 2-sample smoke run must not pay a bigger warmup than itself.
+        // A 2-sample smoke run stays tiny.
         let mut tiny_calls = 0u32;
         let _ = measure("tiny", 2, |b| {
             tiny_calls += 1;
             b.iter(|| std::hint::black_box(1u64));
         });
-        assert!(tiny_calls <= 5, "tiny run took {tiny_calls} passes");
+        assert_eq!(tiny_calls, 3);
     }
 
     #[test]

@@ -76,11 +76,10 @@
 //! then keeps sampling until the Student-t 95 % confidence interval on
 //! the mean is relatively tighter than `--ci-target` (default 0.05 =
 //! ±5 %) or `--max-reps` (default 4×reps) is spent. Per-repetition
-//! seeds are identical to the fixed design's, dispatch order is
-//! deterministically shuffled (and restored in every output byte), and
-//! the run manifest gains a schema-6 `stats` block: per-cell n, t and
-//! bootstrap CIs, stopped-early/exhausted flags, and the campaign-level
-//! power verdict naming every under-sampled cell. Results are
+//! seeds are identical to the fixed design's, and the run manifest
+//! gains a schema-6 `stats` block: per-cell n, t and bootstrap CIs,
+//! stopped-early/exhausted flags, and the campaign-level power verdict
+//! naming every under-sampled cell. Results are
 //! byte-identical across `--jobs` counts and across in-process vs
 //! `--isolate` execution.
 //!
@@ -273,9 +272,7 @@ fn parse_args() -> Result<Args, String> {
     if resume && no_cache {
         return Err("--resume and --no-cache are mutually exclusive".into());
     }
-    if (deadline_units > 0 || isolate_watchdog_ms.is_some() || !isolate_kill.is_empty())
-        && !isolate
-        && command.as_deref() != Some("worker")
+    if (deadline_units > 0 || isolate_watchdog_ms.is_some() || !isolate_kill.is_empty()) && !isolate
     {
         return Err("--deadline-units/--isolate-watchdog-ms/--isolate-kill need --isolate".into());
     }
@@ -348,13 +345,6 @@ fn runner_for(args: &Args) -> Runner {
     }));
     if args.isolate {
         r.isolate = Some(isolate_config(args));
-    }
-    // Hunold's prescription for adaptive designs: decorrelate run order
-    // from grid order. The shuffle is seeded (reproducible) and every
-    // output byte is restored to submission order, so it is invisible
-    // in records, payloads, and manifests.
-    if args.design.is_some() {
-        r.dispatch_shuffle = Some(args.opts.seed);
     }
     if let Some(spec) = &args.vfs_faults {
         // Parse re-validated at parse_args time; a failure here would be
@@ -733,7 +723,9 @@ fn print_figure2(fig: &analysis::Figure2Result, args: &Args) {
 /// the schema-6 `stats` block is present with its power verdict.
 /// Degrades (exit 1) rather than aborting on mismatch.
 fn verify_manifest(args: &Args, label: &str, cells_expected: usize, expect_stats: bool) {
-    let path = std::path::Path::new(&args.cache_dir).join(format!("manifests/{label}.json"));
+    let path = std::path::Path::new(&args.cache_dir)
+        .join("manifests")
+        .join(format!("{}.json", runner::cache::label_stem(label)));
     let verified = std::fs::read_to_string(&path)
         .ok()
         .and_then(|body| jsonio::Json::parse(&body).ok())

@@ -122,15 +122,6 @@ impl Json {
         }
     }
 
-    /// Numeric value as `i64` if exactly representable.
-    pub fn as_i64(&self) -> Option<i64> {
-        match *self {
-            Json::I64(v) => Some(v),
-            Json::U64(v) if v <= i64::MAX as u64 => Some(v as i64),
-            _ => None,
-        }
-    }
-
     /// Numeric value as `u32` if exactly representable.
     pub fn as_u32(&self) -> Option<u32> {
         self.as_u64().and_then(|v| u32::try_from(v).ok())
@@ -156,14 +147,6 @@ impl Json {
     pub fn as_array(&self) -> Option<&[Json]> {
         match self {
             Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Object contents.
-    pub fn as_object(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(fields) => Some(fields),
             _ => None,
         }
     }

@@ -97,16 +97,6 @@ pub enum Lookup {
     Corrupt,
 }
 
-impl Lookup {
-    /// The verified payload, if this was a hit.
-    pub fn into_payload(self) -> Option<Json> {
-        match self {
-            Lookup::Hit(payload) => Some(payload),
-            Lookup::Miss | Lookup::Corrupt => None,
-        }
-    }
-}
-
 /// Verify a sealed entry's identity fields against a request and extract
 /// the payload. Shared by [`load_with`] and the store's intent recovery.
 pub(crate) fn verify_entry(
@@ -129,15 +119,10 @@ pub(crate) fn verify_entry(
     entry.get("payload").cloned()
 }
 
-/// Try to load a cached payload. Never panics: a missing entry is
-/// [`Lookup::Miss`], and any form of corruption (unreadable file, broken
-/// checksum frame, bad JSON, wrong schema/key/identity) is
-/// [`Lookup::Corrupt`].
-pub fn load(dir: &Path, key: CacheKey, code_version: &str, spec: &CellSpec) -> Lookup {
-    load_with(&Vfs::real(), dir, key, code_version, spec)
-}
-
-/// [`load`] through an explicit filesystem handle (fault-injectable).
+/// Try to load a cached payload through a (fault-injectable) filesystem
+/// handle. Never panics: a missing entry is [`Lookup::Miss`], and any
+/// form of corruption (unreadable file, broken checksum frame, bad JSON,
+/// wrong schema/key/identity) is [`Lookup::Corrupt`].
 pub fn load_with(
     vfs: &Vfs,
     dir: &Path,
@@ -155,6 +140,25 @@ pub fn load_with(
         Some(payload) => Lookup::Hit(payload),
         None => Lookup::Corrupt,
     }
+}
+
+/// The file-name stem of a campaign label, shared by every per-label
+/// file: journal, lock, index, intent log and manifest. Bytes in
+/// `[A-Za-z0-9_-]` pass through unchanged; every other byte becomes
+/// `%XX` (uppercase hex). `%` is itself escaped, so distinct labels never
+/// share a file, and no stem contains a `.`, so none carries the `.tmp.`
+/// marker the orphan sweep removes.
+pub fn label_stem(label: &str) -> String {
+    use std::fmt::Write;
+    let mut stem = String::with_capacity(label.len());
+    for b in label.bytes() {
+        if b.is_ascii_alphanumeric() || b == b'_' || b == b'-' {
+            stem.push(b as char);
+        } else {
+            let _ = write!(stem, "%{b:02X}");
+        }
+    }
+    stem
 }
 
 /// Monotonic discriminator folded into temp-file names so concurrent
@@ -196,22 +200,12 @@ pub(crate) fn entry_line(
     line
 }
 
-/// Persist a payload. Written to a per-store-unique temporary sibling
-/// then renamed, so a concurrent reader never observes a half-written
-/// entry and racing writers never tear each other's temp file. The
-/// cache stays an optimization — callers treat an `Err` as degradation
-/// to *count*, never as a reason to abort the run.
-pub fn store(
-    dir: &Path,
-    key: CacheKey,
-    code_version: &str,
-    spec: &CellSpec,
-    payload: &Json,
-) -> std::io::Result<()> {
-    store_with(&Vfs::real(), dir, key, code_version, spec, payload)
-}
-
-/// [`store`] through an explicit filesystem handle (fault-injectable).
+/// Persist a payload through a (fault-injectable) filesystem handle.
+/// Written to a per-store-unique temporary sibling then renamed, so a
+/// concurrent reader never observes a half-written entry and racing
+/// writers never tear each other's temp file. The cache stays an
+/// optimization — callers treat an `Err` as degradation to *count*,
+/// never as a reason to abort the run.
 pub fn store_with(
     vfs: &Vfs,
     dir: &Path,
@@ -323,13 +317,6 @@ pub fn sweep_stats(dir: &Path) -> SweepStats {
     stats
 }
 
-/// Total orphaned temp files swept under the cache root — the
-/// pre-breakdown form of [`sweep_stats`], kept for callers that only
-/// need the count.
-pub fn sweep_orphans(dir: &Path) -> u64 {
-    sweep_stats(dir).total()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,15 +365,30 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("smi-lab-cache-seal-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let key = cell_key("v1", &spec());
-        store(&dir, key, "v1", &spec(), &Json::U64(42)).expect("store");
+        store_with(&Vfs::real(), &dir, key, "v1", &spec(), &Json::U64(42)).expect("store");
         let path = entry_path(&dir, key);
         let text = std::fs::read_to_string(&path).expect("read entry");
         assert!(text.starts_with("crc64:"), "entries are checksum-framed: {text:?}");
-        assert_eq!(load(&dir, key, "v1", &spec()), Lookup::Hit(Json::U64(42)));
+        assert_eq!(load_with(&Vfs::real(), &dir, key, "v1", &spec()), Lookup::Hit(Json::U64(42)));
         // Tear the tail off the sealed line: the checksum fails closed.
         std::fs::write(&path, &text[..text.len() / 2]).expect("tear");
-        assert_eq!(load(&dir, key, "v1", &spec()), Lookup::Corrupt);
+        assert_eq!(load_with(&Vfs::real(), &dir, key, "v1", &spec()), Lookup::Corrupt);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn label_stems_are_injective_and_never_temp_names() {
+        assert_eq!(label_stem("table2"), "table2");
+        assert_eq!(label_stem("x-detect_2"), "x-detect_2");
+        let labels = ["a/b", "a b", "a-b", "a%2Fb", "run.tmp.1", "ü", ""];
+        let stems: Vec<String> = labels.iter().map(|l| label_stem(l)).collect();
+        for (i, a) in stems.iter().enumerate() {
+            assert!(!a.contains('.'), "{a:?} has a dot");
+            for b in &stems[i + 1..] {
+                assert_ne!(a, b, "two labels share a stem");
+            }
+        }
+        assert_eq!(label_stem("run.tmp.1"), "run%2Etmp%2E1");
     }
 
     #[test]
@@ -406,7 +408,7 @@ mod tests {
             "one per area plus the root-level orphan"
         );
         assert_eq!(stats.total(), 5);
-        assert_eq!(sweep_orphans(&dir), 0, "second sweep finds nothing");
+        assert_eq!(sweep_stats(&dir).total(), 0, "second sweep finds nothing");
         for sub in ["ab", "journal", "manifests", "index"] {
             assert!(dir.join(sub).join("keep.json").exists(), "{sub} data must survive");
         }

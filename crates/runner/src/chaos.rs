@@ -220,7 +220,7 @@ pub fn truncate_entry(dir: &Path, key: CacheKey) -> bool {
 
 /// Strand a fake `*.tmp.*` temp-file sibling next to a cell's entry —
 /// what a SIGKILL between temp write and rename leaves behind for
-/// `cache::sweep_orphans` to collect. Returns the stranded path.
+/// `cache::sweep_stats` to collect. Returns the stranded path.
 pub fn strand_tmp(dir: &Path, key: CacheKey) -> std::io::Result<PathBuf> {
     let path = cache::entry_path(dir, key);
     if let Some(parent) = path.parent() {

@@ -19,9 +19,8 @@
 //! lines, counters, and quarantine reasons cannot drift between modes.
 //! A retry is a requeue: the cell goes back to the front of the shared
 //! queue with its attempt count, and whichever slot pops it next runs
-//! it. The optional dispatch shuffle only permutes the order cells
-//! enter the queue; results land in slots by submission index, so the
-//! shuffle is invisible in every output byte.
+//! it. Cells enter the queue in submission order and results land in
+//! slots by submission index.
 
 use crate::telemetry::{Progress, Stopwatch};
 use crate::{
@@ -109,12 +108,6 @@ pub(crate) fn run(
     let keys: Vec<cache::CacheKey> =
         cells.iter().map(|c| cache::cell_key(&runner.code_version, &c.spec)).collect();
     let (store, writer, mut account) = open_storage(runner, label, &keys, &progress, lock_broken);
-    // Hunold's seeded dispatch shuffle (see `Runner::dispatch_shuffle`)
-    // decides only the order cells enter the queue.
-    let mut order: Vec<usize> = (0..cells.len()).collect();
-    if let Some(seed) = runner.dispatch_shuffle {
-        sim_core::SimRng::from_path(seed, &["dispatch-shuffle", label]).shuffle(&mut order);
-    }
     let d = Dispatcher {
         runner,
         cells: &cells,
@@ -123,7 +116,7 @@ pub(crate) fn run(
         store: store.as_ref(),
         writer: writer.as_ref(),
         queue: Mutex::new(
-            order.into_iter().map(|idx| WorkItem { idx, attempts: 0, watch: None }).collect(),
+            (0..cells.len()).map(|idx| WorkItem { idx, attempts: 0, watch: None }).collect(),
         ),
         results: (0..cells.len()).map(|_| Mutex::new(None)).collect(),
         settled: AtomicUsize::new(0),
@@ -249,9 +242,6 @@ impl Dispatcher<'_> {
     }
 
     fn lookup(&self, idx: usize) -> Option<Json> {
-        if self.runner.cache_mode != CacheMode::ReadWrite {
-            return None;
-        }
         match self.store?.load(self.keys[idx], &self.cells[idx].spec) {
             cache::Lookup::Hit(payload) => Some(payload),
             cache::Lookup::Corrupt => {

@@ -65,7 +65,7 @@ impl Status {
 
 /// Path of the journal for a run label under the cache root.
 pub fn journal_path(cache_dir: &Path, label: &str) -> PathBuf {
-    cache_dir.join("journal").join(format!("{}.jsonl", label.replace(['/', ' '], "-")))
+    cache_dir.join("journal").join(format!("{}.jsonl", crate::cache::label_stem(label)))
 }
 
 /// A replayed journal: the last recorded status per cache key.
@@ -301,6 +301,6 @@ mod tests {
     #[test]
     fn labels_sanitize_like_manifests() {
         let p = journal_path(Path::new("cache"), "table 2/fast");
-        assert_eq!(p, Path::new("cache").join("journal").join("table-2-fast.jsonl"));
+        assert_eq!(p, Path::new("cache").join("journal").join("table%202%2Ffast.jsonl"));
     }
 }

@@ -159,8 +159,6 @@ impl Cell {
 pub enum CacheMode {
     /// Read hits, write misses (the default; also what `--resume` uses).
     ReadWrite,
-    /// Recompute everything but still persist results.
-    WriteOnly,
     /// No cache traffic at all (`--no-cache`).
     Off,
 }
@@ -205,15 +203,6 @@ pub struct Runner {
     /// Degraded instead of hammering a failing disk. `0` disables the
     /// ladder (every write keeps being attempted).
     pub disk_fault_limit: u64,
-    /// Deterministic randomized dispatch order (Hunold's experiment-
-    /// design prescription): `Some(seed)` shuffles the order cells are
-    /// handed to workers with a permutation seeded from
-    /// `(seed, campaign label)`, decorrelating cell position from any
-    /// slowly-drifting host state. Only the queue order changes:
-    /// outcomes land in submission-order slots, so reports, records, and
-    /// manifests never see the shuffle. `None` (the default) dispatches
-    /// in submission order.
-    pub dispatch_shuffle: Option<u64>,
 }
 
 impl std::fmt::Debug for Runner {
@@ -229,7 +218,6 @@ impl std::fmt::Debug for Runner {
             .field("isolate", &self.isolate)
             .field("vfs_faulty", &self.vfs.is_faulty())
             .field("disk_fault_limit", &self.disk_fault_limit)
-            .field("dispatch_shuffle", &self.dispatch_shuffle)
             .finish()
     }
 }
@@ -250,7 +238,6 @@ impl Runner {
             isolate: None,
             vfs: vfs::Vfs::real(),
             disk_fault_limit: 32,
-            dispatch_shuffle: None,
         }
     }
 
@@ -872,7 +859,7 @@ impl RunReport {
         cache_dir: &std::path::Path,
     ) -> std::io::Result<PathBuf> {
         let dir = cache_dir.join("manifests");
-        let path = dir.join(format!("{}.json", self.label.replace(['/', ' '], "-")));
+        let path = dir.join(format!("{}.json", cache::label_stem(&self.label)));
         let mut body = self.manifest().to_string_pretty();
         body.push('\n');
         vfs.write_atomic(&path, &body)?;
@@ -883,6 +870,7 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -974,31 +962,7 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_shuffle_is_invisible_in_every_output_byte() {
-        let executions = Arc::new(AtomicU64::new(0));
-        let plain = {
-            let mut r = Runner::new(3);
-            r.cache_mode = CacheMode::Off;
-            r.verbose = false;
-            r.run("shuffled", counting_cells(17, &executions))
-        };
-        let shuffled = {
-            let mut r = Runner::new(3);
-            r.cache_mode = CacheMode::Off;
-            r.verbose = false;
-            r.dispatch_shuffle = Some(20160816);
-            r.run("shuffled", counting_cells(17, &executions))
-        };
-        assert_eq!(plain.records_jsonl(), shuffled.records_jsonl());
-        for (i, o) in shuffled.outcomes.iter().enumerate() {
-            assert_eq!(o.spec.cell, format!("c{i}"), "submission order restored");
-        }
-        // Fixed-design manifests carry a null stats section either way.
-        assert_eq!(shuffled.manifest().get("stats"), Some(&Json::Null));
-    }
-
-    #[test]
-    fn dispatch_shuffle_restores_quarantines_in_submission_order() {
+    fn parallel_run_lists_quarantines_in_submission_order() {
         quiet_injected_panics();
         let executions = Arc::new(AtomicU64::new(0));
         let mut cells = counting_cells(9, &executions);
@@ -1010,8 +974,7 @@ mod tests {
         runner.cache_mode = CacheMode::Off;
         runner.verbose = false;
         runner.max_attempts = 1;
-        runner.dispatch_shuffle = Some(7);
-        let report = runner.run("shuffled-quarantine", cells);
+        let report = runner.run("parallel-quarantine", cells);
         assert_eq!(report.cells_failed, 2);
         let labels: Vec<&str> = report.quarantined.iter().map(|q| q.cell.as_str()).collect();
         assert_eq!(labels, ["c1", "c6"], "quarantines listed in submission order");
@@ -1035,6 +998,40 @@ mod tests {
         assert_eq!(second.journal_prior_ok, 8, "first run journaled every cell");
         assert_eq!(first.records_jsonl(), second.records_jsonl(), "records identical from cache");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn temp_like_labels_keep_their_bookkeeping() {
+        // A label containing the sweep's `.tmp.` marker: its journal,
+        // index, intent log and held lock must not read as orphans.
+        let dir = tmp_dir("tmp-label");
+        let executions = Arc::new(AtomicU64::new(0));
+        let mut runner = Runner::new(1);
+        runner.cache_dir = dir.clone();
+        runner.verbose = false;
+        let first = runner.run("run.tmp.1", counting_cells(4, &executions));
+        assert_eq!(first.status(), RunStatus::Clean);
+        let second = runner.run("run.tmp.1", counting_cells(4, &executions));
+        assert_eq!(second.journal_prior_ok, 4, "the first run's journal survived");
+        assert_eq!(second.sweep.journal_tmp, 0, "nothing of the label was swept");
+        assert_eq!(second.sweep.total(), 0);
+        assert_eq!(second.cells_cached, 4);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn distinct_labels_get_distinct_journals_and_locks() {
+        let dir = Path::new("cache");
+        for (a, b) in [("a/b", "a-b"), ("a b", "a-b"), ("a/b", "a b")] {
+            assert_ne!(journal::journal_path(dir, a), journal::journal_path(dir, b));
+            assert_ne!(
+                lockfile::CampaignLock::lock_path(dir, a),
+                lockfile::CampaignLock::lock_path(dir, b)
+            );
+        }
+        // Plain labels keep their file names.
+        assert!(journal::journal_path(dir, "table2").ends_with("journal/table2.jsonl"));
+        assert!(lockfile::CampaignLock::lock_path(dir, "table2").ends_with("journal/table2.lock"));
     }
 
     #[test]
@@ -1134,7 +1131,8 @@ mod tests {
         let journal = journal::Journal::load(&journal::journal_path(&dir, "quarantine"));
         assert_eq!(journal.status(report.outcomes[3].key), Some(journal::Status::Failed));
         assert_eq!(
-            cache::load(
+            cache::load_with(
+                &vfs::Vfs::real(),
                 &dir,
                 report.outcomes[3].key,
                 &runner.code_version,
@@ -1194,7 +1192,8 @@ mod tests {
         assert_eq!(report.payloads()[1], Json::Null);
         assert_eq!(report.records_jsonl().lines().count(), 4);
         assert_eq!(
-            cache::load(
+            cache::load_with(
+                &vfs::Vfs::real(),
                 &dir,
                 report.outcomes[1].key,
                 &runner.code_version,

@@ -77,9 +77,9 @@ pub struct CampaignLock {
 
 impl CampaignLock {
     /// Path of the lock guarding a campaign label under a cache root
-    /// (next to the journal it protects, same label sanitization).
+    /// (next to the journal it protects, same [`crate::cache::label_stem`]).
     pub fn lock_path(cache_dir: &Path, label: &str) -> PathBuf {
-        cache_dir.join("journal").join(format!("{}.lock", label.replace(['/', ' '], "-")))
+        cache_dir.join("journal").join(format!("{}.lock", crate::cache::label_stem(label)))
     }
 
     /// Try to take the lock. `Ok` with a guard holds it; `Err` means a

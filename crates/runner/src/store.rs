@@ -39,20 +39,14 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Sanitize a campaign label for use in store bookkeeping file names
-/// (same rule as journals and manifests).
-fn safe_label(label: &str) -> String {
-    label.replace(['/', ' '], "-")
-}
-
 /// Path of a campaign's index file under a store root.
 pub fn index_path(root: &Path, label: &str) -> PathBuf {
-    root.join("index").join(format!("{}.idx", safe_label(label)))
+    root.join("index").join(format!("{}.idx", cache::label_stem(label)))
 }
 
 /// Path of a campaign's write-ahead intent log under a store root.
 pub fn intent_path(root: &Path, label: &str) -> PathBuf {
-    root.join("intent").join(format!("{}.log", safe_label(label)))
+    root.join("intent").join(format!("{}.log", cache::label_stem(label)))
 }
 
 /// Entry path for a raw hex key (fsck and compaction work from index
@@ -796,7 +790,8 @@ mod tests {
         // An object nobody references (e.g. left by a campaign whose
         // index was deleted).
         let stray = cache::cell_key("v1", &spec(9));
-        cache::store(&root, stray, "v1", &spec(9), &Json::U64(9)).expect("stray store");
+        cache::store_with(&Vfs::real(), &root, stray, "v1", &spec(9), &Json::U64(9))
+            .expect("stray store");
 
         let stats = compact(&root, &Vfs::real());
         assert_eq!(stats, CompactStats { index_files: 1, referenced: 1, removed: 1, kept: 1 });
@@ -863,7 +858,7 @@ mod tests {
         assert!(after.is_clean(), "repair must restore Clean, found {:?}", after.findings);
         // The intact object and its index reference survive repair.
         assert_eq!(
-            cache::load(&root, good, "v1", &spec(1)),
+            cache::load_with(&Vfs::real(), &root, good, "v1", &spec(1)),
             Lookup::Hit(Json::U64(1)),
             "repair must never harm intact data"
         );

@@ -17,11 +17,12 @@
 //!
 //! ## Crash discipline
 //!
-//! A worker death — clean exit, SIGKILL, `abort()`, torn frame, or
-//! watchdog shot — costs exactly the attempts in flight on that worker.
-//! Each is reported to the dispatcher as a lost attempt, which journals
-//! it [`crate::journal::Status::Crashed`] (so a killed campaign resumes knowing
-//! the cell was dispatched) and requeues the cell until the ordinary
+//! A worker runs one cell at a time, so a worker death — clean exit,
+//! SIGKILL, `abort()`, torn frame, or watchdog shot — costs exactly the
+//! one attempt in flight on that worker. It is reported to the
+//! dispatcher as a lost attempt, which journals it
+//! [`crate::journal::Status::Crashed`] (so a killed campaign resumes
+//! knowing the cell was dispatched) and requeues the cell until the ordinary
 //! [`crate::Runner::max_attempts`] budget is spent, then quarantines it
 //! with a machine-readable `worker-crash` reason. The manager re-spawns
 //! its worker with bounded exponential backoff; a slot whose respawn
@@ -44,7 +45,6 @@
 use crate::dispatch::{for_each_slot, Attempt, Dispatcher, Settled, WorkItem};
 use crate::{proto, QuarantineKind};
 use jsonio::framed::{FrameReader, FrameWriter};
-use std::collections::VecDeque;
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::time::Duration;
@@ -74,10 +74,6 @@ pub struct IsolateConfig {
     /// flight is presumed wedged and killed. Liveness only — it can
     /// cost attempts, never change a record byte.
     pub watchdog_ms: u64,
-    /// Admission bound: cells a manager keeps in flight on its worker
-    /// at once (clamped to at least 1). Backpressure, and the bound on
-    /// how many attempts one worker death can cost.
-    pub inflight: usize,
     /// Fault injection for tests and the CI gate: cells whose label is
     /// listed here get their worker SIGKILLed right after dispatch.
     pub kill_cells: Vec<String>,
@@ -93,7 +89,6 @@ impl IsolateConfig {
             backoff_ms: 25,
             deadline_units: 0,
             watchdog_ms: 30_000,
-            inflight: 1,
             kill_cells: Vec::new(),
         }
     }
@@ -134,93 +129,73 @@ pub(crate) fn run(d: &Dispatcher<'_>, cfg: &IsolateConfig) -> IsolateReport {
 }
 
 /// One manager: own one worker slot until the campaign drains or the
-/// slot's respawn budget is spent.
+/// slot's respawn budget is spent. The worker runs one cell at a time,
+/// so a worker death costs exactly one attempt.
 fn manage_worker(d: &Dispatcher<'_>, cfg: &IsolateConfig, stats: &mut WorkerStats) {
     let mut conn: Option<Conn> = None;
-    let mut inflight: VecDeque<(u64, WorkItem)> = VecDeque::new();
-    let mut next_id: u64 = 1;
+    let mut next_id: u64 = 0;
     loop {
-        // Admission: dispatch misses from the shared queue up to the
-        // in-flight bound. The bound is also backpressure — it caps the
-        // attempts one worker death can cost.
-        let mut fault = None;
-        while inflight.len() < cfg.inflight.max(1) {
-            let Some(item) = d.next_miss() else { break };
-            if conn.is_none() {
-                conn = connect(cfg, stats);
-            }
-            let Some(c) = conn.as_mut() else {
-                // The slot gave up: hand the cell back to a sibling (or
-                // to the dispatcher's pool-exhausted drain).
-                d.requeue(item);
-                return;
-            };
-            let spec = d.spec(&item);
-            let kill_after = cfg.kill_cells.contains(&spec.cell);
-            let msg = proto::ToWorker::Run {
-                id: next_id,
-                attempt: item.attempts + 1,
-                budget_units: cfg.deadline_units,
-                spec: spec.clone(),
-            };
-            if c.tx.write(&msg.to_json()).is_err() {
-                d.requeue(item);
-                fault = Some("pipe-closed");
+        let Some(item) = d.next_miss() else {
+            if d.done() {
                 break;
             }
-            inflight.push_back((next_id, item));
-            next_id += 1;
-            if kill_after {
-                // Injected fault: SIGKILL our own worker with this cell
-                // in flight (the kill-resume gate). The kill is accounted
-                // as a crash *now*, without draining the pipe first: if
-                // the manager was preempted between the dispatch write
-                // and the kill, a fast worker may already have replied
-                // `Done` for the doomed cell — reading it would let the
-                // kill's target land Ok and the injection silently miss.
-                let _ = c.child.kill();
-                fault = Some("worker-exit");
-                break;
-            }
+            // Nothing queued, but the campaign is not done — a sibling's
+            // crash may yet requeue work. Poll gently.
+            std::thread::sleep(Duration::from_millis(2));
+            continue;
+        };
+        if conn.is_none() {
+            conn = connect(cfg, stats);
         }
-        let cause = match fault {
-            Some(cause) => cause,
-            None if inflight.is_empty() => {
-                if d.done() {
-                    break;
-                }
-                // Nothing to wait on, but the campaign is not done — a
-                // sibling's crash may yet requeue work. Poll gently.
-                std::thread::sleep(Duration::from_millis(2));
-                continue;
+        let Some(c) = conn.as_mut() else {
+            // The slot gave up: hand the cell back to a sibling (or to
+            // the dispatcher's pool-exhausted drain).
+            d.requeue(item);
+            return;
+        };
+        next_id += 1;
+        let spec = d.spec(&item);
+        let msg = proto::ToWorker::Run {
+            id: next_id,
+            attempt: item.attempts + 1,
+            budget_units: cfg.deadline_units,
+            spec: spec.clone(),
+        };
+        if c.tx.write(&msg.to_json()).is_err() {
+            // The worker is gone, but the cell never reached it: no
+            // attempt is charged.
+            d.requeue(item);
+            stats.crashes += 1;
+            if let Some(c) = conn.take() {
+                c.stop();
             }
-            None => {
-                let Some(c) = conn.as_mut() else { continue };
-                match c.rx.recv_timeout(Duration::from_millis(cfg.watchdog_ms.max(1))) {
-                    Ok(Ok(proto::FromWorker::Hello { .. })) => continue,
-                    Ok(Ok(proto::FromWorker::Done { id, outcome })) => {
-                        let pos = inflight.iter().position(|(i, _)| *i == id);
-                        let Some((_, item)) = pos.and_then(|p| inflight.remove(p)) else {
-                            continue;
-                        };
-                        match d.settle(item, Attempt::Ran(outcome)) {
-                            Settled::Ok => stats.cells_ok += 1,
-                            Settled::Quarantined(QuarantineKind::Deadline) => {
-                                stats.cells_deadline += 1
-                            }
-                            _ => {}
-                        }
-                        continue;
+            continue;
+        }
+        let cause = if cfg.kill_cells.contains(&spec.cell) {
+            // Injected fault: SIGKILL our own worker with this cell in
+            // flight (the kill-resume gate). The kill is accounted as a
+            // crash *now*, without draining the pipe first: if the
+            // manager was preempted between the dispatch write and the
+            // kill, a fast worker may already have replied `Done` for the
+            // doomed cell — reading it would let the kill's target land
+            // Ok and the injection silently miss.
+            let _ = c.child.kill();
+            "worker-exit"
+        } else {
+            match c.await_done(next_id, cfg.watchdog_ms) {
+                Ok(outcome) => {
+                    match d.settle(item, Attempt::Ran(outcome)) {
+                        Settled::Ok => stats.cells_ok += 1,
+                        Settled::Quarantined(QuarantineKind::Deadline) => stats.cells_deadline += 1,
+                        _ => {}
                     }
-                    // Torn/garbage frame or worker exit: either way the
-                    // channel is unusable — treat as a death.
-                    Ok(Err(_)) | Err(RecvTimeoutError::Disconnected) => "worker-exit",
-                    Err(RecvTimeoutError::Timeout) => "watchdog-timeout",
+                    continue;
                 }
+                Err(cause) => cause,
             }
         };
         if let Some(c) = conn.take() {
-            crash(d, stats, c, &mut inflight, cause);
+            crash(d, stats, c, item, cause);
         }
     }
     if let Some(c) = conn.take() {
@@ -250,21 +225,19 @@ fn connect(cfg: &IsolateConfig, stats: &mut WorkerStats) -> Option<Conn> {
     }
 }
 
-/// Account one worker death: every in-flight attempt goes back to the
+/// Account one worker death: the attempt in flight goes back to the
 /// dispatcher as lost, to be requeued or quarantined `worker-crash`.
 fn crash(
     d: &Dispatcher<'_>,
     stats: &mut WorkerStats,
     conn: Conn,
-    inflight: &mut VecDeque<(u64, WorkItem)>,
+    lost: WorkItem,
     cause: &'static str,
 ) {
     stats.crashes += 1;
     conn.stop();
-    for (_, item) in inflight.drain(..) {
-        if let Settled::Quarantined(_) = d.settle(item, Attempt::Lost(cause)) {
-            stats.cells_crashed += 1;
-        }
+    if let Settled::Quarantined(_) = d.settle(lost, Attempt::Lost(cause)) {
+        stats.cells_crashed += 1;
     }
 }
 
@@ -313,6 +286,23 @@ impl Conn {
             }
         });
         Ok(Conn { child, tx: FrameWriter::new(stdin), rx, reader: Some(reader) })
+    }
+
+    /// Wait for the `Done` frame of dispatch `id`, skipping `Hello` and
+    /// stale replies. `Err` names how the worker died: a torn or garbage
+    /// frame or an exit (`worker-exit`), or silence for `watchdog_ms`
+    /// (`watchdog-timeout`).
+    fn await_done(&self, id: u64, watchdog_ms: u64) -> Result<proto::WorkOutcome, &'static str> {
+        loop {
+            match self.rx.recv_timeout(Duration::from_millis(watchdog_ms.max(1))) {
+                Ok(Ok(proto::FromWorker::Done { id: done, outcome })) if done == id => {
+                    return Ok(outcome)
+                }
+                Ok(Ok(_)) => continue,
+                Ok(Err(_)) | Err(RecvTimeoutError::Disconnected) => return Err("worker-exit"),
+                Err(RecvTimeoutError::Timeout) => return Err("watchdog-timeout"),
+            }
+        }
     }
 
     /// Tear the connection down without ever blocking unboundedly:

@@ -4,7 +4,8 @@
 //! temp-file naming under concurrent stores, and orphan sweeping.
 
 use jsonio::Json;
-use runner::cache::{cell_key, entry_path, load, store, sweep_orphans, Lookup};
+use runner::cache::{cell_key, entry_path, load_with, store_with, sweep_stats, Lookup};
+use runner::vfs::Vfs;
 use runner::{CacheMode, Cell, CellSpec, Runner};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,9 +38,9 @@ fn store_then_load_round_trips() {
     let dir = tmp_dir("roundtrip");
     let s = spec("A-n4-r1", 20160816, 6);
     let key = cell_key("v1", &s);
-    assert_eq!(load(&dir, key, "v1", &s), Lookup::Miss, "cold cache must miss");
-    store(&dir, key, "v1", &s, &payload(42)).expect("store");
-    assert_eq!(load(&dir, key, "v1", &s), Lookup::Hit(payload(42)));
+    assert_eq!(load_with(&Vfs::real(), &dir, key, "v1", &s), Lookup::Miss, "cold cache must miss");
+    store_with(&Vfs::real(), &dir, key, "v1", &s, &payload(42)).expect("store");
+    assert_eq!(load_with(&Vfs::real(), &dir, key, "v1", &s), Lookup::Hit(payload(42)));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -47,7 +48,7 @@ fn store_then_load_round_trips() {
 fn any_identity_change_misses() {
     let dir = tmp_dir("invalidation");
     let s = spec("A-n4-r1", 20160816, 6);
-    store(&dir, cell_key("v1", &s), "v1", &s, &payload(1)).expect("store");
+    store_with(&Vfs::real(), &dir, cell_key("v1", &s), "v1", &s, &payload(1)).expect("store");
 
     // Different code version, experiment, cell, params, seed, or reps each
     // produce a different key, so the stored entry is never found.
@@ -63,9 +64,17 @@ fn any_identity_change_misses() {
     ];
     for v in &variants {
         let key = cell_key("v1", v);
-        assert_eq!(load(&dir, key, "v1", v), Lookup::Miss, "variant {v:?} must miss");
+        assert_eq!(
+            load_with(&Vfs::real(), &dir, key, "v1", v),
+            Lookup::Miss,
+            "variant {v:?} must miss"
+        );
     }
-    assert_eq!(load(&dir, cell_key("v2", &s), "v2", &s), Lookup::Miss, "new code tag must miss");
+    assert_eq!(
+        load_with(&Vfs::real(), &dir, cell_key("v2", &s), "v2", &s),
+        Lookup::Miss,
+        "new code tag must miss"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -74,7 +83,7 @@ fn corrupted_entries_are_corrupt_not_panics() {
     let dir = tmp_dir("corruption");
     let s = spec("A-n4-r1", 20160816, 6);
     let key = cell_key("v1", &s);
-    store(&dir, key, "v1", &s, &payload(7)).expect("store");
+    store_with(&Vfs::real(), &dir, key, "v1", &s, &payload(7)).expect("store");
     let path = entry_path(&dir, key);
 
     for garbage in [
@@ -87,17 +96,16 @@ fn corrupted_entries_are_corrupt_not_panics() {
     ] {
         std::fs::write(&path, garbage).expect("inject corruption");
         assert_eq!(
-            load(&dir, key, "v1", &s),
+            load_with(&Vfs::real(), &dir, key, "v1", &s),
             Lookup::Corrupt,
             "corrupt entry {garbage:?} must be distinguishable from a cold miss"
         );
-        assert!(load(&dir, key, "v1", &s).into_payload().is_none());
     }
 
     // A tampered-but-correctly-resealed entry still fails the identity
     // check: flip one identity field, reseal so the frame is valid, and
     // the load must call it corrupt anyway.
-    store(&dir, key, "v1", &s, &payload(7)).expect("store");
+    store_with(&Vfs::real(), &dir, key, "v1", &s, &payload(7)).expect("store");
     let text = std::fs::read_to_string(&path).unwrap();
     let mut entry = jsonio::checked::unseal(text.trim_end()).unwrap();
     if let Json::Obj(fields) = &mut entry {
@@ -108,16 +116,24 @@ fn corrupted_entries_are_corrupt_not_panics() {
         }
     }
     std::fs::write(&path, jsonio::checked::seal(&entry)).unwrap();
-    assert_eq!(load(&dir, key, "v1", &s), Lookup::Corrupt, "identity mismatch is corruption");
+    assert_eq!(
+        load_with(&Vfs::real(), &dir, key, "v1", &s),
+        Lookup::Corrupt,
+        "identity mismatch is corruption"
+    );
 
     // A single flipped payload byte inside an otherwise intact frame
     // fails the checksum — the torn-write detection the store rests on.
-    store(&dir, key, "v1", &s, &payload(7)).expect("store");
+    store_with(&Vfs::real(), &dir, key, "v1", &s, &payload(7)).expect("store");
     let sealed = std::fs::read_to_string(&path).unwrap();
     let flipped = sealed.replacen("\"value\":7", "\"value\":8", 1);
     assert_ne!(sealed, flipped, "the tamper must hit the payload");
     std::fs::write(&path, flipped).unwrap();
-    assert_eq!(load(&dir, key, "v1", &s), Lookup::Corrupt, "checksum catches flipped bytes");
+    assert_eq!(
+        load_with(&Vfs::real(), &dir, key, "v1", &s),
+        Lookup::Corrupt,
+        "checksum catches flipped bytes"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -194,12 +210,13 @@ fn concurrent_stores_of_the_same_key_never_collide_on_tmp_files() {
         for _ in 0..8 {
             scope.spawn(|| {
                 for _ in 0..50 {
-                    store(&dir, key, "v1", &s, &payload(42)).expect("racing store");
+                    store_with(&Vfs::real(), &dir, key, "v1", &s, &payload(42))
+                        .expect("racing store");
                 }
             });
         }
     });
-    assert_eq!(load(&dir, key, "v1", &s), Lookup::Hit(payload(42)));
+    assert_eq!(load_with(&Vfs::real(), &dir, key, "v1", &s), Lookup::Hit(payload(42)));
     let shard = entry_path(&dir, key);
     let leftovers: Vec<_> = std::fs::read_dir(shard.parent().unwrap())
         .unwrap()
@@ -215,7 +232,7 @@ fn startup_sweep_removes_stranded_tmp_files_only() {
     let dir = tmp_dir("sweep");
     let s = spec("A-n4-r1", 20160816, 6);
     let key = cell_key("v1", &s);
-    store(&dir, key, "v1", &s, &payload(3)).expect("store");
+    store_with(&Vfs::real(), &dir, key, "v1", &s, &payload(3)).expect("store");
     let entry = entry_path(&dir, key);
     // Strand two orphans (a killed process's torn writes) next to the
     // real entry and one under manifests/.
@@ -226,11 +243,11 @@ fn startup_sweep_removes_stranded_tmp_files_only() {
     std::fs::create_dir_all(dir.join("manifests")).unwrap();
     std::fs::write(dir.join("manifests").join("x.json.tmp.1.2"), "torn").unwrap();
 
-    assert_eq!(sweep_orphans(&dir), 3);
+    assert_eq!(sweep_stats(&dir).total(), 3);
     assert!(!orphan1.exists() && !orphan2.exists());
     assert!(entry.exists(), "the real entry must survive the sweep");
-    assert_eq!(load(&dir, key, "v1", &s), Lookup::Hit(payload(3)));
-    assert_eq!(sweep_orphans(&dir), 0, "second sweep finds nothing");
+    assert_eq!(load_with(&Vfs::real(), &dir, key, "v1", &s), Lookup::Hit(payload(3)));
+    assert_eq!(sweep_stats(&dir).total(), 0, "second sweep finds nothing");
 
     // A fresh Runner::run sweeps on startup and reports the count.
     let orphan3 = entry.with_file_name("cccc.json.tmp.9.9");

@@ -17,7 +17,7 @@
 //! flow, lock-order cycles, and panic paths — each reporting the full
 //! call chain from a record-producing entry point to the flagged site.
 //! Per-line suppression pragmas (`// smi-lint: allow(<rule>): reason`)
-//! and a JSON baseline ratchet legacy findings down to zero.
+//! are the only way to keep a flagged line; every other finding fails.
 //!
 //! Run it as `cargo run -p smi-lint`, or `smi-lab lint` from the CLI.
 
@@ -32,7 +32,6 @@ pub mod taint;
 pub use rules::{ChainStep, FilePolicy, Finding, Rule, ScanResult, Severity, ALL_RULES};
 
 use jsonio::Json;
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// Crates whose output feeds canonical records (tables, figures,
@@ -134,9 +133,36 @@ pub struct WorkspaceScan {
 /// plus the facade crate's `src/`). Test directories (`tests/`,
 /// `benches/`, `examples/`) are dev code and out of scope by
 /// construction; `#[cfg(test)]` regions are excluded by the walker.
-/// Single-threaded; see [`scan_workspace_jobs`] for the parallel form.
+/// Files are scanned and parsed in the (sorted) file order, then the
+/// graph passes run over the parsed workspace.
 pub fn scan_workspace(root: &Path) -> Result<WorkspaceScan, String> {
-    scan_workspace_jobs(root, 1)
+    let mut scan = WorkspaceScan::default();
+    let mut parsed: Vec<parser::ParsedFile> = Vec::new();
+    for (crate_name, rel, abs) in workspace_files(root)? {
+        let src = std::fs::read_to_string(&abs)
+            .map_err(|e| format!("cannot read {}: {e}", abs.display()))?;
+        let result = scan_with_policy(&crate_name, &rel, &src);
+        scan.findings.extend(result.findings);
+        scan.suppressed += result.suppressed;
+        scan.files_scanned += 1;
+        parsed.push(parser::parse_source(&crate_name, &rel, &src));
+    }
+
+    let deps = graph::workspace_deps(root)?;
+    let g = graph::CallGraph::build(&parsed, &deps);
+    let record_entries = taint::workspace_entries(&g, &parsed);
+    let strict_entries = taint::strict_entries(&g, &parsed);
+    for pass in [
+        taint::smi007(&parsed, &g, &record_entries),
+        taint::smi008(&parsed, &g),
+        taint::smi009(&parsed, &g, &strict_entries),
+    ] {
+        scan.findings.extend(pass.findings);
+        scan.suppressed += pass.suppressed;
+    }
+
+    scan.findings.sort_by(|a, b| (&a.path, a.line, a.rule.id).cmp(&(&b.path, b.line, b.rule.id)));
+    Ok(scan)
 }
 
 /// The deterministic workspace file list: `(crate name, relative path,
@@ -177,85 +203,6 @@ pub fn workspace_files(root: &Path) -> Result<Vec<(String, String, PathBuf)>, St
     Ok(out)
 }
 
-/// Scan and parse the workspace with `jobs` worker threads. The output
-/// is byte-identical for every `jobs` value: files are claimed from a
-/// shared counter but results land in per-file slots, so merge order is
-/// the (sorted) file order, and the graph passes that follow are
-/// single-threaded over already-deterministic inputs.
-pub fn scan_workspace_jobs(root: &Path, jobs: usize) -> Result<WorkspaceScan, String> {
-    let units = workspace_files(root)?;
-    let per_file = scan_files(&units, jobs.max(1))?;
-
-    let mut scan = WorkspaceScan::default();
-    let mut parsed: Vec<parser::ParsedFile> = Vec::with_capacity(per_file.len());
-    for (result, pf) in per_file {
-        scan.findings.extend(result.findings);
-        scan.suppressed += result.suppressed;
-        scan.files_scanned += 1;
-        parsed.push(pf);
-    }
-
-    let deps = graph::workspace_deps(root)?;
-    let g = graph::CallGraph::build(&parsed, &deps);
-    let record_entries = taint::workspace_entries(&g, &parsed);
-    let strict_entries = taint::strict_entries(&g, &parsed);
-    for pass in [
-        taint::smi007(&parsed, &g, &record_entries),
-        taint::smi008(&parsed, &g),
-        taint::smi009(&parsed, &g, &strict_entries),
-    ] {
-        scan.findings.extend(pass.findings);
-        scan.suppressed += pass.suppressed;
-    }
-
-    scan.findings.sort_by(|a, b| (&a.path, a.line, a.rule.id).cmp(&(&b.path, b.line, b.rule.id)));
-    Ok(scan)
-}
-
-type FileOutput = (ScanResult, parser::ParsedFile);
-
-/// Per-file scan + parse, fanned out over `jobs` threads with
-/// order-preserving result slots.
-fn scan_files(units: &[(String, String, PathBuf)], jobs: usize) -> Result<Vec<FileOutput>, String> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    let slots: Mutex<Vec<Option<Result<FileOutput, String>>>> =
-        Mutex::new((0..units.len()).map(|_| None).collect());
-    let next = AtomicUsize::new(0);
-    let workers = jobs.min(units.len()).max(1);
-
-    let scan_one = |i: usize| -> Result<FileOutput, String> {
-        let (crate_name, rel, abs) = &units[i];
-        let src = std::fs::read_to_string(abs)
-            .map_err(|e| format!("cannot read {}: {e}", abs.display()))?;
-        let result = scan_with_policy(crate_name, rel, &src);
-        let pf = parser::parse_source(crate_name, rel, &src);
-        Ok((result, pf))
-    };
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= units.len() {
-                    break;
-                }
-                let out = scan_one(i);
-                if let Ok(mut slots) = slots.lock() {
-                    slots[i] = Some(out);
-                }
-            });
-        }
-    });
-
-    let slots = slots.into_inner().map_err(|_| "scan worker panicked".to_string())?;
-    slots
-        .into_iter()
-        .map(|slot| slot.unwrap_or_else(|| Err("file scan did not complete".to_string())))
-        .collect()
-}
-
 /// Render the workspace call graph (`kind == "call"`, reachable slice
 /// from the record entry points) or the lock-order graph
 /// (`kind == "lock"`) as DOT.
@@ -294,98 +241,6 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
 }
 
 // ---------------------------------------------------------------------
-// Baseline: ratcheting legacy findings.
-// ---------------------------------------------------------------------
-
-/// A baseline maps `(rule id, path)` to the number of findings that are
-/// grandfathered there. Only findings *beyond* the baselined count are
-/// "new" and fail the build, so the count can only ratchet down.
-#[derive(Clone, Debug, Default)]
-pub struct Baseline {
-    entries: BTreeMap<(String, String), u32>,
-}
-
-impl Baseline {
-    /// Parse the baseline JSON (`{"schema":1,"entries":[{rule,path,count}]}`).
-    pub fn parse(text: &str) -> Result<Baseline, String> {
-        let json = Json::parse(text).map_err(|e| format!("baseline: {e}"))?;
-        let mut entries = BTreeMap::new();
-        let list = json
-            .get("entries")
-            .and_then(|e| e.as_array())
-            .ok_or("baseline: missing `entries` array")?;
-        for item in list {
-            let rule = item
-                .get("rule")
-                .and_then(|r| r.as_str())
-                .ok_or("baseline entry: missing `rule`")?;
-            let path = item
-                .get("path")
-                .and_then(|p| p.as_str())
-                .ok_or("baseline entry: missing `path`")?;
-            let count = item
-                .get("count")
-                .and_then(|c| c.as_u64())
-                .ok_or("baseline entry: missing `count`")? as u32;
-            entries.insert((rule.to_string(), path.to_string()), count);
-        }
-        Ok(Baseline { entries })
-    }
-
-    /// Load from a file; a missing file is an empty baseline.
-    pub fn load(path: &Path) -> Result<Baseline, String> {
-        match std::fs::read_to_string(path) {
-            Ok(text) => Baseline::parse(&text),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Baseline::default()),
-            Err(e) => Err(format!("cannot read {}: {e}", path.display())),
-        }
-    }
-
-    /// Serialize findings as a fresh baseline document.
-    pub fn render(findings: &[Finding]) -> String {
-        let mut counts: BTreeMap<(String, String), u32> = BTreeMap::new();
-        for f in findings {
-            *counts.entry((f.rule.id.to_string(), f.path.clone())).or_insert(0) += 1;
-        }
-        let entries: Vec<Json> = counts
-            .into_iter()
-            .map(|((rule, path), count)| {
-                Json::obj(vec![
-                    ("rule", Json::Str(rule)),
-                    ("path", Json::Str(path)),
-                    ("count", Json::U64(count as u64)),
-                ])
-            })
-            .collect();
-        let mut doc = Json::obj(vec![("schema", Json::U64(1)), ("entries", Json::Arr(entries))])
-            .to_string_pretty();
-        doc.push('\n');
-        doc
-    }
-
-    /// Mark each finding's `new` flag: within a `(rule, path)` group the
-    /// first `count` findings (in line order) are covered, the rest are
-    /// new. Returns the number of new findings.
-    pub fn apply(&self, findings: &mut [Finding]) -> u32 {
-        let mut used: BTreeMap<(String, String), u32> = BTreeMap::new();
-        let mut new = 0;
-        for f in findings.iter_mut() {
-            let key = (f.rule.id.to_string(), f.path.clone());
-            let budget = self.entries.get(&key).copied().unwrap_or(0);
-            let used = used.entry(key).or_insert(0);
-            if *used < budget {
-                *used += 1;
-                f.new = false;
-            } else {
-                f.new = true;
-                new += 1;
-            }
-        }
-        new
-    }
-}
-
-// ---------------------------------------------------------------------
 // Reporting.
 // ---------------------------------------------------------------------
 
@@ -398,22 +253,19 @@ pub enum Format {
     Json,
 }
 
-/// Render the scan in the requested format. `new_count` comes from
-/// [`Baseline::apply`] (equal to `findings.len()` with no baseline).
-pub fn render_report(scan: &WorkspaceScan, new_count: u32, format: Format) -> String {
+/// Render the scan in the requested format.
+pub fn render_report(scan: &WorkspaceScan, format: Format) -> String {
     match format {
         Format::Text => {
             let mut out = String::new();
             for f in &scan.findings {
-                let tag = if f.new { "" } else { " (baseline)" };
                 out.push_str(&format!(
-                    "{}:{}: {} {} [{}]{}: {}\n",
+                    "{}:{}: {} {} [{}]: {}\n",
                     f.path,
                     f.line,
                     f.rule.id,
                     f.rule.name,
                     f.rule.severity.label(),
-                    tag,
                     f.message
                 ));
                 for step in &f.chain {
@@ -421,10 +273,8 @@ pub fn render_report(scan: &WorkspaceScan, new_count: u32, format: Format) -> St
                 }
             }
             out.push_str(&format!(
-                "smi-lint: {} finding(s) ({} new, {} baselined, {} suppressed) in {} files\n",
+                "smi-lint: {} finding(s) ({} suppressed) in {} files\n",
                 scan.findings.len(),
-                new_count,
-                scan.findings.len() as u32 - new_count,
                 scan.suppressed,
                 scan.files_scanned
             ));
@@ -453,18 +303,16 @@ pub fn render_report(scan: &WorkspaceScan, new_count: u32, format: Format) -> St
                         ("crate", Json::Str(f.crate_name.clone())),
                         ("path", Json::Str(f.path.clone())),
                         ("line", Json::U64(f.line as u64)),
-                        ("new", Json::Bool(f.new)),
                         ("message", Json::Str(f.message.clone())),
                         ("chain", Json::Arr(chain)),
                     ])
                 })
                 .collect();
             let mut doc = Json::obj(vec![
-                ("schema", Json::U64(1)),
+                ("schema", Json::U64(REPORT_SCHEMA)),
                 ("tool", Json::Str("smi-lint".to_string())),
                 ("files_scanned", Json::U64(scan.files_scanned as u64)),
                 ("total", Json::U64(scan.findings.len() as u64)),
-                ("new", Json::U64(new_count as u64)),
                 ("suppressed", Json::U64(scan.suppressed as u64)),
                 ("findings", Json::Arr(findings)),
             ])
@@ -475,19 +323,23 @@ pub fn render_report(scan: &WorkspaceScan, new_count: u32, format: Format) -> St
     }
 }
 
+/// Version of the `--format json` report. 2: no baseline, so neither
+/// the document nor its findings carry a `new` field.
+pub const REPORT_SCHEMA: u64 = 2;
+
 /// Validate a `--format json` report: schema fields, per-finding shape
 /// (including call-chain steps), and a jsonio round-trip
 /// (`parse(render(parse(text))) == parse(text)`). Returns the number of
 /// findings the report carries.
 pub fn verify_report(text: &str) -> Result<u32, String> {
     let doc = Json::parse(text).map_err(|e| format!("report does not parse: {e}"))?;
-    if doc.get("schema").and_then(|s| s.as_u64()) != Some(1) {
-        return Err("report `schema` must be 1".into());
+    if doc.get("schema").and_then(|s| s.as_u64()) != Some(REPORT_SCHEMA) {
+        return Err(format!("report `schema` must be {REPORT_SCHEMA}"));
     }
     if doc.get("tool").and_then(|t| t.as_str()) != Some("smi-lint") {
         return Err("report `tool` must be \"smi-lint\"".into());
     }
-    for key in ["files_scanned", "total", "new", "suppressed"] {
+    for key in ["files_scanned", "total", "suppressed"] {
         if doc.get(key).and_then(|v| v.as_u64()).is_none() {
             return Err(format!("report `{key}` must be a number"));
         }
@@ -504,9 +356,6 @@ pub fn verify_report(text: &str) -> Result<u32, String> {
         }
         if f.get("line").and_then(|v| v.as_u64()).is_none() {
             return Err(format!("finding {i}: `line` must be a number"));
-        }
-        if f.get("new").and_then(|v| v.as_bool()).is_none() {
-            return Err(format!("finding {i}: `new` must be a bool"));
         }
         let chain = f
             .get("chain")
@@ -550,21 +399,17 @@ pub fn verify_report(text: &str) -> Result<u32, String> {
 pub const USAGE: &str = "\
 smi-lint — determinism & hermeticity linter for the smi-lab workspace
 
-usage: smi-lint [--root DIR] [--format text|json] [--jobs N]
-                [--baseline FILE] [--write-baseline]
+usage: smi-lint [--root DIR] [--format text|json]
                 [--graph call|lock] [--verify-report FILE]
 
   --root DIR           workspace root to scan (default: .)
   --format FMT         `text` (default) or `json`
-  --jobs N             scan with N threads (output identical for any N)
-  --baseline FILE      ratchet file; findings covered by it do not fail
-  --write-baseline     rewrite FILE from the current findings and exit 0
   --graph KIND         print the record-entry call graph (`call`) or the
                        lock-order graph (`lock`) as DOT and exit
   --verify-report FILE validate a --format json report (schema, chain
                        shape, jsonio round-trip) and exit
 
-exit status: 0 clean (no new findings), 1 new findings, 2 usage/IO error
+exit status: 0 clean, 1 any finding, 2 usage/IO error
 ";
 
 /// Parse arguments and run a scan. Returns the process exit code and
@@ -572,9 +417,6 @@ exit status: 0 clean (no new findings), 1 new findings, 2 usage/IO error
 pub fn run_cli(args: &[String]) -> i32 {
     let mut root = PathBuf::from(".");
     let mut format = Format::Text;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut write_baseline = false;
-    let mut jobs: usize = 1;
     let mut graph_kind: Option<String> = None;
     let mut verify_path: Option<PathBuf> = None;
 
@@ -590,15 +432,6 @@ pub fn run_cli(args: &[String]) -> i32 {
                 Some("json") => format = Format::Json,
                 other => return usage_error(&format!("--format must be text|json, got {other:?}")),
             },
-            "--jobs" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => jobs = n,
-                _ => return usage_error("--jobs needs a positive integer"),
-            },
-            "--baseline" => match it.next() {
-                Some(v) => baseline_path = Some(PathBuf::from(v)),
-                None => return usage_error("--baseline needs a value"),
-            },
-            "--write-baseline" => write_baseline = true,
             "--graph" => match it.next() {
                 Some(v) => graph_kind = Some(v.clone()),
                 None => return usage_error("--graph needs call|lock"),
@@ -648,47 +481,18 @@ pub fn run_cli(args: &[String]) -> i32 {
         };
     }
 
-    let mut scan = match scan_workspace_jobs(&root, jobs) {
+    let scan = match scan_workspace(&root) {
         Ok(scan) => scan,
         Err(e) => {
             eprintln!("smi-lint: {e}");
             return 2;
         }
     };
-
-    if write_baseline {
-        let Some(path) = baseline_path else {
-            return usage_error("--write-baseline needs --baseline FILE");
-        };
-        let body = Baseline::render(&scan.findings);
-        if let Err(e) = std::fs::write(&path, body) {
-            eprintln!("smi-lint: cannot write {}: {e}", path.display());
-            return 2;
-        }
-        println!(
-            "smi-lint: wrote baseline with {} finding(s) to {}",
-            scan.findings.len(),
-            path.display()
-        );
-        return 0;
-    }
-
-    let baseline = match baseline_path {
-        Some(path) => match Baseline::load(&path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("smi-lint: {e}");
-                return 2;
-            }
-        },
-        None => Baseline::default(),
-    };
-    let new_count = baseline.apply(&mut scan.findings);
-    print!("{}", render_report(&scan, new_count, format));
-    if new_count > 0 {
-        1
-    } else {
+    print!("{}", render_report(&scan, format));
+    if scan.findings.is_empty() {
         0
+    } else {
+        1
     }
 }
 
@@ -737,45 +541,5 @@ mod tests {
         assert!(!p.check_panics && !p.check_hermeticity && p.is_crate_root);
         let p = policy_for("bench", "crates/bench/src/lib.rs");
         assert!(!p.check_wall_clock && p.check_hermeticity);
-    }
-
-    #[test]
-    fn baseline_roundtrip_and_ratchet() {
-        let mk = |line: u32| Finding {
-            rule: rules::NO_PANIC,
-            crate_name: "machine".into(),
-            path: "crates/machine/src/x.rs".into(),
-            line,
-            message: "m".into(),
-            chain: Vec::new(),
-            new: true,
-        };
-        let findings = vec![mk(3), mk(9)];
-        let doc = Baseline::render(&findings);
-        let baseline = Baseline::parse(&doc).expect("parse rendered baseline");
-        // Same findings: fully covered.
-        let mut f2 = findings.clone();
-        assert_eq!(baseline.apply(&mut f2), 0);
-        assert!(f2.iter().all(|f| !f.new));
-        // One extra finding in the same file: exactly one is new.
-        let mut f3 = vec![mk(3), mk(9), mk(20)];
-        assert_eq!(baseline.apply(&mut f3), 1);
-        assert!(f3[2].new);
-    }
-
-    #[test]
-    fn missing_baseline_file_is_empty() {
-        let b = Baseline::load(Path::new("/nonexistent/lint-baseline.json"))
-            .expect("missing file is fine");
-        let mut f = vec![Finding {
-            rule: rules::HASH_ITER,
-            crate_name: "nas".into(),
-            path: "crates/nas/src/x.rs".into(),
-            line: 1,
-            message: "m".into(),
-            chain: Vec::new(),
-            new: false,
-        }];
-        assert_eq!(b.apply(&mut f), 1);
     }
 }

@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 /// for future ratchets that report without failing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Severity {
-    /// Reported and counted against the baseline; new findings fail.
+    /// Reported; any finding fails the gate.
     Deny,
     /// Reported only.
     Warn,
@@ -142,8 +142,6 @@ pub struct Finding {
     /// For interprocedural rules (SMI007–SMI009): the full call chain
     /// from the entry point to the flagged site. Empty for line rules.
     pub chain: Vec<ChainStep>,
-    /// Set by the baseline layer: finding is not covered by the baseline.
-    pub new: bool,
 }
 
 /// Result of scanning one file.
@@ -170,7 +168,6 @@ pub fn scan_source(crate_name: &str, path: &str, policy: &FilePolicy, src: &str)
         line,
         message,
         chain: Vec::new(),
-        new: true,
     };
 
     // --- SMI001 hash-iter & SMI005 float-reduce (record crates only) ---

@@ -116,7 +116,6 @@ pub fn smi007(files: &[ParsedFile], graph: &CallGraph, entries: &[usize]) -> Pas
                     entry.display
                 ),
                 chain: chain_steps(graph, &chain),
-                new: true,
             });
         }
     }
@@ -277,7 +276,6 @@ pub fn smi008(files: &[ParsedFile], graph: &CallGraph) -> PassResult {
                     canon.iter().chain(canon.first()).cloned().collect::<Vec<_>>().join(" -> ")
                 ),
                 chain: steps,
-                new: true,
             });
         }
     }
@@ -367,7 +365,6 @@ pub fn smi009(files: &[ParsedFile], graph: &CallGraph, entries: &[usize]) -> Pas
                     site.what, node.display, entry.display
                 ),
                 chain: chain_steps(graph, &chain),
-                new: true,
             });
         }
     }

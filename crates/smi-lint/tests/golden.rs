@@ -1,13 +1,13 @@
 //! Golden-fixture tests: each rule fires on its fixture at the expected
-//! line, pragmas suppress, the baseline ratchets, and — the keystone —
-//! the real workspace is lint-clean.
+//! line, pragmas suppress, the CLI's exit codes hold, and — the keystone
+//! — the real workspace is lint-clean.
 
 use smi_lint::graph::{flat_closure, CallGraph};
 use smi_lint::parser::{parse_source, ParsedFile};
 use smi_lint::rules::{scan_source, FilePolicy};
 use smi_lint::taint;
-use smi_lint::{policy_for, scan_workspace, Baseline};
-use std::path::Path;
+use smi_lint::{policy_for, run_cli, scan_workspace};
+use std::path::{Path, PathBuf};
 
 /// The strictest policy: what a record-producing library crate gets.
 fn record_policy() -> FilePolicy {
@@ -128,32 +128,62 @@ fn removing_the_pragma_reinstates_the_finding() {
     assert!(result.findings.iter().all(|f| f.rule.id == "SMI004"));
 }
 
+/// A minimal workspace root in a scratch directory: the facade crate's
+/// manifest and a clean `src/lib.rs`, and an empty `crates/`.
+fn scratch_root(tag: &str) -> PathBuf {
+    let root = std::env::temp_dir().join(format!("smi-lint-golden-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(root.join("src")).expect("mkdir src");
+    std::fs::create_dir_all(root.join("crates")).expect("mkdir crates");
+    std::fs::write(root.join("Cargo.toml"), "[package]\nname = \"smi-lab\"\n").expect("manifest");
+    std::fs::write(
+        root.join("src/lib.rs"),
+        "#![deny(unsafe_code)]\n\npub fn id(x: u64) -> u64 {\n    x\n}\n",
+    )
+    .expect("lib.rs");
+    root
+}
+
+/// Run the CLI driver over `root` with extra arguments; its exit code.
+fn lint_exit(root: &Path, extra: &[&str]) -> i32 {
+    let mut args = vec!["--root".to_string(), root.display().to_string()];
+    args.extend(extra.iter().map(|a| a.to_string()));
+    run_cli(&args)
+}
+
 #[test]
-fn baseline_ratchets_known_findings_and_flags_new_ones() {
-    let src = fixture("smi001_hash_iter.rs");
-    let mut findings =
-        scan_source("fixture", "smi001_hash_iter.rs", &record_policy(), &src).findings;
-    let total = findings.len() as u32;
-    assert!(total >= 2, "fixture should produce at least two findings");
+fn cli_exits_0_on_a_clean_root() {
+    let root = scratch_root("clean");
+    assert_eq!(lint_exit(&root, &[]), 0, "text report");
+    assert_eq!(lint_exit(&root, &["--format", "json"]), 0, "json report");
+    let _ = std::fs::remove_dir_all(&root);
+}
 
-    // A baseline covering every finding: nothing is new.
-    let full = Baseline::parse(&Baseline::render(&findings)).expect("render/parse round-trip");
-    assert_eq!(full.apply(&mut findings), 0, "fully baselined scan has no new findings");
+#[test]
+fn cli_exits_1_on_any_finding() {
+    let root = scratch_root("finding");
+    let planted = root.join("crates/nas");
+    std::fs::create_dir_all(planted.join("src")).expect("mkdir crate");
+    std::fs::write(planted.join("Cargo.toml"), "[package]\nname = \"nas\"\n").expect("manifest");
+    std::fs::write(planted.join("src/hash.rs"), fixture("smi001_hash_iter.rs")).expect("plant");
+    assert_eq!(lint_exit(&root, &[]), 1, "a planted SMI001 finding fails the gate");
+    assert_eq!(lint_exit(&root, &["--format", "json"]), 1);
+    let _ = std::fs::remove_dir_all(&root);
+}
 
-    // A baseline covering one fewer: exactly one is new.
-    let mut shorter = findings.clone();
-    shorter.pop();
-    let partial = Baseline::parse(&Baseline::render(&shorter)).expect("parse");
-    assert_eq!(partial.apply(&mut findings), 1, "one finding beyond the ratchet is new");
-
-    // An empty baseline: everything is new.
-    let empty = Baseline::parse(r#"{"schema":1,"entries":[]}"#).expect("parse");
-    assert_eq!(empty.apply(&mut findings), total);
+#[test]
+fn cli_exits_2_on_retired_and_unknown_flags() {
+    let root = scratch_root("usage");
+    assert_eq!(lint_exit(&root, &["--jobs", "4"]), 2, "--jobs is no longer a flag");
+    assert_eq!(lint_exit(&root, &["--baseline", "x"]), 2, "--baseline is no longer a flag");
+    assert_eq!(lint_exit(&root, &["--write-baseline"]), 2);
+    assert_eq!(lint_exit(&root, &["--format", "xml"]), 2);
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// The keystone self-test: the real workspace, scanned with the shipped
 /// policy tables, has zero findings (everything is either fixed or
-/// carries a justified pragma — the shipped baseline is empty).
+/// carries a justified pragma).
 #[test]
 fn real_workspace_is_lint_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -206,7 +236,7 @@ fn smi007_chain_renders_entry_to_site() {
         suppressed: r.suppressed,
         files_scanned: 1,
     };
-    let text = smi_lint::render_report(&scan, 1, smi_lint::Format::Text);
+    let text = smi_lint::render_report(&scan, smi_lint::Format::Text);
     let want = "smi007_taint.rs:14: SMI007 nd-taint [deny]: \
                 `Instant::now` (wall clock) in `mpi_sim::stamp` is reachable from \
                 record entry point `mpi_sim::run`";
@@ -254,7 +284,7 @@ fn json_report_with_chains_round_trips() {
         suppressed: r.suppressed,
         files_scanned: 1,
     };
-    let json = smi_lint::render_report(&scan, 1, smi_lint::Format::Json);
+    let json = smi_lint::render_report(&scan, smi_lint::Format::Json);
     let n = smi_lint::verify_report(&json).expect("report must validate");
     assert_eq!(n, 1);
 }
