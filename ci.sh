@@ -113,8 +113,9 @@ rm -rf "$DUR_DIR"
 # `.tmp.` file in one object shard, in journal/ and in manifests/, and
 # tear the journal's tail mid-line. The --resume must exit 0, sweep one
 # orphan per area, truncate the torn tail, replay the journal, produce
-# records byte-identical to the cold run, and leave a store fsck calls
-# Clean (exit 0).
+# records byte-identical to the cold run, leave the journal exactly as
+# the cold run wrote it (the tail truncated, no line re-appended for a
+# cell already journaled ok), and leave a store fsck calls Clean (exit 0).
 RESUME_DIR="$(mktemp -d)"
 ./target/release/smi-lab table2 --quick --cache-dir "$RESUME_DIR/cache" \
     --records "$RESUME_DIR/cold.jsonl" >/dev/null
@@ -122,10 +123,12 @@ RESUME_SHARD="$(find "$RESUME_DIR/cache" -mindepth 1 -maxdepth 1 -type d -name '
 echo torn > "$RESUME_SHARD/planted.json.tmp.1.0"
 echo torn > "$RESUME_DIR/cache/journal/table2.jsonl.tmp.1.0"
 echo torn > "$RESUME_DIR/cache/manifests/table2.json.tmp.1.0"
+cp "$RESUME_DIR/cache/journal/table2.jsonl" "$RESUME_DIR/cold-journal.jsonl"
 printf '{"schema":1,"key":"00' >> "$RESUME_DIR/cache/journal/table2.jsonl"
 ./target/release/smi-lab table2 --quick --resume --cache-dir "$RESUME_DIR/cache" \
     --records "$RESUME_DIR/warm.jsonl" >/dev/null
 cmp "$RESUME_DIR/cold.jsonl" "$RESUME_DIR/warm.jsonl"
+cmp "$RESUME_DIR/cold-journal.jsonl" "$RESUME_DIR/cache/journal/table2.jsonl"
 grep -q '"journal_torn_bytes": [1-9]' "$RESUME_DIR/cache/manifests/table2.json"
 grep -q '"cache_tmp": 1,' "$RESUME_DIR/cache/manifests/table2.json"
 grep -q '"journal_tmp": 1,' "$RESUME_DIR/cache/manifests/table2.json"

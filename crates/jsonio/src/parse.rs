@@ -146,64 +146,61 @@ impl<'a> Parser<'a> {
         self.pos += 1; // '"'
         let mut out = String::new();
         loop {
+            // Copy the run of plain bytes (no quote, backslash or control
+            // byte) in one slice. The run starts on a char boundary and
+            // ends at an ASCII byte or the end of input, so the slice is
+            // always whole UTF-8 scalars.
+            let start = self.pos;
+            let rest = &self.bytes[start..];
+            let run = rest.iter().position(|&b| b == b'"' || b == b'\\' || b < 0x20);
+            self.pos += run.unwrap_or(rest.len());
+            let Some(plain) = self.text.get(start..self.pos) else {
+                return Err(self.err("string not on a char boundary"));
+            };
+            out.push_str(plain);
             let Some(b) = self.peek() else {
                 return Err(self.err("unterminated string"));
             };
-            match b {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    let Some(esc) = self.peek() else {
-                        return Err(self.err("unterminated escape"));
+            if b == b'"' {
+                self.pos += 1;
+                return Ok(out);
+            }
+            if b != b'\\' {
+                return Err(self.err("raw control character in string"));
+            }
+            self.pos += 1;
+            let Some(esc) = self.peek() else {
+                return Err(self.err("unterminated escape"));
+            };
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'u' => {
+                    let hi = self.hex4()?;
+                    let c = if (0xD800..0xDC00).contains(&hi) {
+                        // Surrogate pair: expect \uDC00..\uDFFF.
+                        if !(self.eat(b'\\') && self.eat(b'u')) {
+                            return Err(self.err("lone high surrogate"));
+                        }
+                        let lo = self.hex4()?;
+                        if !(0xDC00..0xE000).contains(&lo) {
+                            return Err(self.err("invalid low surrogate"));
+                        }
+                        let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                        char::from_u32(code).ok_or_else(|| self.err("bad surrogate pair"))?
+                    } else {
+                        char::from_u32(hi).ok_or_else(|| self.err("lone surrogate"))?
                     };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: expect \uDC00..\uDFFF.
-                                if !(self.eat(b'\\') && self.eat(b'u')) {
-                                    return Err(self.err("lone high surrogate"));
-                                }
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("bad surrogate pair"))?
-                            } else {
-                                char::from_u32(hi).ok_or_else(|| self.err("lone surrogate"))?
-                            };
-                            out.push(c);
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
+                    out.push(c);
                 }
-                0x00..=0x1F => return Err(self.err("raw control character in string")),
-                _ => {
-                    // Consume one UTF-8 scalar. The input is a &str and the
-                    // cursor only ever advances by whole scalars or ASCII
-                    // bytes, so pos sits on a char boundary here.
-                    match self.text.get(self.pos..).and_then(|s| s.chars().next()) {
-                        Some(c) => {
-                            out.push(c);
-                            self.pos += c.len_utf8();
-                        }
-                        None => return Err(self.err("string not on a char boundary")),
-                    }
-                }
+                _ => return Err(self.err("unknown escape")),
             }
         }
     }

@@ -35,14 +35,37 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// space (the schema participates in the key), never as corruption.
 pub const ENTRY_SCHEMA: u64 = 2;
 
-/// A 128-bit content key rendered as 32 hex chars.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// A 128-bit content key rendered as 32 hex chars. Keys order as their
+/// hex forms do, so a key-typed map iterates in file-name order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct CacheKey(pub u64, pub u64);
 
 impl CacheKey {
     /// Hex form used for file names and manifests.
     pub fn hex(&self) -> String {
         format!("{:016x}{:016x}", self.0, self.1)
+    }
+
+    /// The exact inverse of [`CacheKey::hex`]: 32 lowercase hex digits,
+    /// else `None`. A string `hex` could not have written never names a
+    /// key, so replaying a log through this drops nothing a lookup by
+    /// `hex()` could have found.
+    pub fn from_hex(hex: &str) -> Option<CacheKey> {
+        fn lane(digits: &[u8]) -> Option<u64> {
+            digits.iter().try_fold(0u64, |acc, &b| {
+                let d = match b {
+                    b'0'..=b'9' => b - b'0',
+                    b'a'..=b'f' => b - b'a' + 10,
+                    _ => return None,
+                };
+                Some(acc << 4 | d as u64)
+            })
+        }
+        let bytes = hex.as_bytes();
+        if bytes.len() != 32 {
+            return None;
+        }
+        Some(CacheKey(lane(&bytes[..16])?, lane(&bytes[16..])?))
     }
 }
 
@@ -351,6 +374,31 @@ mod tests {
         s.params = Json::obj(vec![("nodes", Json::U64(2))]);
         assert_ne!(base, cell_key("v1", &s), "params must change the key");
         assert_ne!(base, cell_key("v2", &spec()), "code version must change the key");
+    }
+
+    #[test]
+    fn from_hex_inverts_hex_and_rejects_everything_else() {
+        quickprop::check("cache_key_from_hex", 512, |g| {
+            let key = CacheKey(g.any_u64(), g.any_u64());
+            assert_eq!(CacheKey::from_hex(&key.hex()), Some(key));
+            // Ordering agrees with the hex forms it replaces as map keys.
+            let other = CacheKey(g.any_u64() >> g.below(64), g.any_u64());
+            assert_eq!(key.cmp(&other), key.hex().cmp(&other.hex()));
+        });
+        let hex = CacheKey(0x0123_4567_89ab_cdef, 0xfedc_ba98_7654_3210).hex();
+        assert_eq!(
+            CacheKey::from_hex(&hex),
+            Some(CacheKey(0x0123_4567_89ab_cdef, 0xfedc_ba98_7654_3210))
+        );
+        assert_eq!(CacheKey::from_hex(&hex.to_uppercase()), None, "uppercase");
+        assert_eq!(CacheKey::from_hex(&hex[..31]), None, "31 digits");
+        assert_eq!(CacheKey::from_hex(&format!("{hex}0")), None, "33 digits");
+        for bad in ['g', 'G', 'x', ' ', '-', '+'] {
+            let mut s = hex[..31].to_string();
+            s.push(bad);
+            assert_eq!(CacheKey::from_hex(&s), None, "non-hex {bad:?}");
+        }
+        assert_eq!(CacheKey::from_hex(""), None);
     }
 
     #[test]

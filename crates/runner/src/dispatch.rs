@@ -88,6 +88,9 @@ pub(crate) struct Dispatcher<'a> {
     progress: &'a Progress,
     store: Option<&'a store::Store>,
     writer: Option<&'a journal::Writer>,
+    /// Per cell: the journal's last line for its key said `ok` when the
+    /// campaign opened, so a store hit has nothing new to journal.
+    prior_ok: Vec<bool>,
     queue: Mutex<VecDeque<WorkItem>>,
     results: Vec<Mutex<Option<Result<CellValue, CellError>>>>,
     settled: AtomicUsize,
@@ -107,7 +110,8 @@ pub(crate) fn run(
         .with_disk_fault_limit(runner.disk_fault_limit);
     let keys: Vec<cache::CacheKey> =
         cells.iter().map(|c| cache::cell_key(&runner.code_version, &c.spec)).collect();
-    let (store, writer, mut account) = open_storage(runner, label, &keys, &progress, lock_broken);
+    let (store, writer, prior_ok, mut account) =
+        open_storage(runner, label, &keys, &progress, lock_broken);
     let d = Dispatcher {
         runner,
         cells: &cells,
@@ -115,6 +119,7 @@ pub(crate) fn run(
         progress: &progress,
         store: store.as_ref(),
         writer: writer.as_ref(),
+        prior_ok,
         queue: Mutex::new(
             (0..cells.len()).map(|idx| WorkItem { idx, attempts: 0, watch: None }).collect(),
         ),
@@ -352,7 +357,12 @@ impl Dispatcher<'_> {
     fn succeed(&self, item: WorkItem, payload: Json, cached: bool) -> Settled {
         let micros = item.elapsed();
         self.progress.cell_done(&self.spec(&item).cell, micros, cached);
-        self.journal(&item, journal::Status::Ok);
+        // A store hit settles on its first dequeue, before this run can
+        // have journaled the cell, so the open-time bit is still current:
+        // when it says `ok`, another `ok` line would change no replay.
+        if !(cached && self.prior_ok[item.idx]) {
+            self.journal(&item, journal::Status::Ok);
+        }
         self.finish(&item, Ok(CellValue { payload, cached, attempts: item.attempts, micros }));
         Settled::Ok
     }
@@ -420,17 +430,19 @@ pub(crate) struct StorageAccount {
 }
 
 /// Open the shared store and journal for one campaign: replay intents,
-/// sweep orphans, truncate this label's torn journal tail, and count
-/// prior completions. Returns `None` store when the cache is off.
+/// sweep orphans, truncate this label's torn journal tail, and mark the
+/// cells whose last journaled status is `ok`. Returns `None` store when
+/// the cache is off.
 fn open_storage(
     runner: &Runner,
     label: &str,
     keys: &[cache::CacheKey],
     progress: &Progress,
     lock_broken: Option<lockfile::BrokenLock>,
-) -> (Option<store::Store>, Option<journal::Writer>, StorageAccount) {
+) -> (Option<store::Store>, Option<journal::Writer>, Vec<bool>, StorageAccount) {
     if runner.cache_mode == CacheMode::Off {
-        return (None, None, StorageAccount { lock_broken, ..StorageAccount::default() });
+        let account = StorageAccount { lock_broken, ..StorageAccount::default() };
+        return (None, None, vec![false; keys.len()], account);
     }
     let (store, open_stats) =
         store::Store::open(runner.vfs.clone(), &runner.cache_dir, label, &runner.code_version);
@@ -439,8 +451,9 @@ fn open_storage(
     // appender never writes after a damaged fragment, and replay the
     // rest from the same read.
     let (prior, journal_torn_bytes) = journal::recover(&journal_path);
-    let journal_prior_ok =
-        keys.iter().filter(|&&key| prior.status(key) == Some(journal::Status::Ok)).count() as u64;
+    let prior_ok: Vec<bool> =
+        keys.iter().map(|&key| prior.status(key) == Some(journal::Status::Ok)).collect();
+    let journal_prior_ok = prior_ok.iter().filter(|&&ok| ok).count() as u64;
     let writer = match journal::Writer::open_with(&journal_path, runner.vfs.clone()) {
         Ok(w) => Some(w),
         Err(_) => {
@@ -457,7 +470,7 @@ fn open_storage(
         lock_broken,
         store: store::StoreCounters::default(),
     };
-    (Some(store), writer, account)
+    (Some(store), writer, prior_ok, account)
 }
 
 /// Assemble the final [`RunReport`] from a drained campaign.

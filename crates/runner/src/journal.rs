@@ -1,12 +1,18 @@
 //! Append-only completion journal: the crash-safe record of which cells
 //! of a labelled campaign finished, and how.
 //!
-//! One JSONL line per completed cell under
+//! One JSONL line per recorded cell outcome under
 //! `<cache_dir>/journal/<label>.jsonl`:
 //!
 //! ```text
 //! {"schema":1,"key":"<32-hex cache key>","cell":"A-n4-r1","status":"ok","attempts":1}
 //! ```
+//!
+//! A line is written only when it can change what replay answers: the
+//! dispatcher skips the `ok` line of a cell served from the store whose
+//! last line already says `ok`, so a fully cached resume leaves the file
+//! byte-identical: it grows with the cells runs compute or quarantine,
+//! not with the number of reruns.
 //!
 //! Each line is appended with a single `write_all` on an `O_APPEND`
 //! handle and flushed immediately, so a SIGKILL can lose at most the
@@ -71,14 +77,15 @@ pub fn journal_path(cache_dir: &Path, label: &str) -> PathBuf {
 /// A replayed journal: the last recorded status per cache key.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Journal {
-    entries: BTreeMap<String, Status>,
+    entries: BTreeMap<CacheKey, Status>,
 }
 
 impl Journal {
     /// Replay a journal file. A missing file is an empty journal; a line
     /// torn by a mid-write kill (or any other unparseable line) is
     /// skipped. Later lines win, so a cell that failed in one run and
-    /// succeeded in a resumed run reads back as `Ok`.
+    /// succeeded in a resumed run reads back as `Ok`. A line whose key is
+    /// not a [`CacheKey::hex`] form names no cell and is skipped too.
     pub fn load(path: &Path) -> Journal {
         std::fs::read_to_string(path).map(|text| Journal::replay(&text)).unwrap_or_default()
     }
@@ -90,10 +97,10 @@ impl Journal {
             if entry.get("schema").and_then(Json::as_u64) != Some(JOURNAL_SCHEMA) {
                 continue;
             }
-            let key = entry.get("key").and_then(Json::as_str);
+            let key = entry.get("key").and_then(Json::as_str).and_then(CacheKey::from_hex);
             let status = entry.get("status").and_then(Json::as_str).and_then(Status::parse);
             if let (Some(key), Some(status)) = (key, status) {
-                entries.insert(key.to_string(), status);
+                entries.insert(key, status);
             }
         }
         Journal { entries }
@@ -101,7 +108,7 @@ impl Journal {
 
     /// The last recorded status of a cell, if any run journaled it.
     pub fn status(&self, key: CacheKey) -> Option<Status> {
-        self.entries.get(&key.hex()).copied()
+        self.entries.get(&key).copied()
     }
 
     /// Number of distinct cells journaled.

@@ -101,7 +101,7 @@ pub struct Store {
     index_file_path: PathBuf,
     intent_file: Mutex<Option<std::fs::File>>,
     intent_file_path: PathBuf,
-    index_keys: Mutex<BTreeSet<String>>,
+    index_keys: Mutex<BTreeSet<CacheKey>>,
     hits: AtomicU64,
     dedup_hits: AtomicU64,
     misses: AtomicU64,
@@ -176,15 +176,17 @@ impl Store {
         }
 
         // Load this campaign's index: keys referenced by prior runs.
-        // Torn lines are skipped here (fsck reports them); the worst
-        // outcome is a re-appended reference.
+        // Torn lines, and lines whose key no `CacheKey::hex` wrote, are
+        // skipped here (fsck reports them); the worst outcome is a
+        // re-appended reference.
         let index = index_path(root, label);
         let mut keys = BTreeSet::new();
         if let Ok(text) = std::fs::read_to_string(&index) {
             for line in text.lines() {
                 let Ok(record) = checked::unseal(line) else { continue };
-                if let Some(key) = record.get("key").and_then(Json::as_str) {
-                    keys.insert(key.to_string());
+                let key = record.get("key").and_then(Json::as_str).and_then(CacheKey::from_hex);
+                if let Some(key) = key {
+                    keys.insert(key);
                 }
             }
         }
@@ -251,14 +253,10 @@ impl Store {
     /// Record that this campaign references `key`, appending an index
     /// line the first time.
     fn add_ref(&self, key: CacheKey) {
-        let hex = key.hex();
-        {
-            let mut keys = crate::dispatch::lock_clean(&self.index_keys);
-            if !keys.insert(hex.clone()) {
-                return;
-            }
+        if !crate::dispatch::lock_clean(&self.index_keys).insert(key) {
+            return;
         }
-        let record = Json::obj(vec![("key", Json::Str(hex))]);
+        let record = Json::obj(vec![("key", Json::Str(key.hex()))]);
         self.append_sealed(&self.index_file, &self.index_file_path, &record);
     }
 
@@ -275,7 +273,7 @@ impl Store {
         let result = cache::load_with(&self.vfs, &self.root, key, &self.code_version, spec);
         match &result {
             Lookup::Hit(_) => {
-                let known = crate::dispatch::lock_clean(&self.index_keys).contains(&key.hex());
+                let known = crate::dispatch::lock_clean(&self.index_keys).contains(&key);
                 if known {
                     self.hits.fetch_add(1, Ordering::AcqRel);
                 } else {

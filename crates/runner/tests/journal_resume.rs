@@ -110,3 +110,69 @@ fn journal_accumulates_across_distinct_labels_independently() {
     assert_eq!(Journal::load(&journal_path(&dir, "beta")).len(), 3);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn fully_cached_resume_leaves_the_journal_byte_identical() {
+    let dir = tmp_dir("cached-resume");
+    let executions = Arc::new(AtomicU64::new(0));
+    const N: u64 = 6;
+    let mut runner = Runner::new(2);
+    runner.cache_dir = dir.clone();
+    runner.verbose = false;
+    let cold = runner.run("camp", campaign(N, &executions));
+    let jpath = journal_path(&dir, "camp");
+    let after_cold = std::fs::read(&jpath).expect("journal exists");
+    assert_eq!(after_cold.iter().filter(|&&b| b == b'\n').count() as u64, N);
+    for round in 1..=2 {
+        let resumed = runner.run("camp", campaign(N, &executions));
+        assert_eq!(resumed.cells_cached, N, "round {round}: every cell is a store hit");
+        assert_eq!(resumed.journal_prior_ok, N, "round {round}: every cell journaled ok");
+        assert_eq!(resumed.records_jsonl(), cold.records_jsonl());
+        assert_eq!(
+            std::fs::read(&jpath).expect("journal exists"),
+            after_cold,
+            "round {round}: a fully cached resume appends nothing"
+        );
+    }
+    assert_eq!(executions.load(Ordering::Relaxed), N);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_failed_line_is_followed_by_ok_on_resume() {
+    let dir = tmp_dir("failed-then-hit");
+    let executions = Arc::new(AtomicU64::new(0));
+    let mut runner = Runner::new(1);
+    runner.cache_dir = dir.clone();
+    runner.verbose = false;
+    let cold = runner.run("camp", campaign(3, &executions));
+    // Leave c1's last journal line `failed`, as a later run that
+    // quarantined the cell would, while its store entry stays intact.
+    let jpath = journal_path(&dir, "camp");
+    let failed_key = cold.outcomes[1].key;
+    let line = Json::obj(vec![
+        ("schema", Json::U64(1)),
+        ("key", Json::Str(failed_key.hex())),
+        ("cell", Json::Str("c1".into())),
+        ("status", Json::Str("failed".into())),
+        ("attempts", Json::U64(3)),
+    ]);
+    let mut text = std::fs::read_to_string(&jpath).expect("journal exists");
+    text.push_str(&line.to_string());
+    text.push('\n');
+    std::fs::write(&jpath, &text).expect("append failed line");
+    assert_eq!(Journal::load(&jpath).status(failed_key), Some(Status::Failed));
+
+    let resumed = runner.run("camp", campaign(3, &executions));
+    assert_eq!(resumed.cells_cached, 3, "c1 now hits the store");
+    assert_eq!(resumed.journal_prior_ok, 2, "c1's last line said failed");
+    let after = std::fs::read_to_string(&jpath).expect("journal exists");
+    let appended: Vec<&str> = after[text.len()..].lines().collect();
+    assert_eq!(appended.len(), 1, "only the cell whose status changed is journaled");
+    let appended = Json::parse(appended[0]).expect("journal line parses");
+    assert_eq!(appended.get("key").and_then(Json::as_str), Some(failed_key.hex().as_str()));
+    assert_eq!(appended.get("status").and_then(Json::as_str), Some("ok"));
+    assert_eq!(Journal::load(&jpath).status(failed_key), Some(Status::Ok));
+    assert_eq!(executions.load(Ordering::Relaxed), 3);
+    let _ = std::fs::remove_dir_all(&dir);
+}

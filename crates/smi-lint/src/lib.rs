@@ -29,7 +29,7 @@ pub mod parser;
 pub mod rules;
 pub mod taint;
 
-pub use rules::{ChainStep, FilePolicy, Finding, Rule, ScanResult, Severity, ALL_RULES};
+pub use rules::{ChainStep, FilePolicy, Finding, Rule, ScanResult, ALL_RULES};
 
 use jsonio::Json;
 use std::path::{Path, PathBuf};
@@ -247,7 +247,7 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
 /// Output format.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Format {
-    /// One `path:line: ID name [severity]: message` line per finding.
+    /// One `path:line: ID name: message` line per finding.
     Text,
     /// A single machine-readable JSON document.
     Json,
@@ -260,13 +260,8 @@ pub fn render_report(scan: &WorkspaceScan, format: Format) -> String {
             let mut out = String::new();
             for f in &scan.findings {
                 out.push_str(&format!(
-                    "{}:{}: {} {} [{}]: {}\n",
-                    f.path,
-                    f.line,
-                    f.rule.id,
-                    f.rule.name,
-                    f.rule.severity.label(),
-                    f.message
+                    "{}:{}: {} {}: {}\n",
+                    f.path, f.line, f.rule.id, f.rule.name, f.message
                 ));
                 for step in &f.chain {
                     out.push_str(&format!("    via {} ({}:{})\n", step.what, step.path, step.line));
@@ -299,7 +294,6 @@ pub fn render_report(scan: &WorkspaceScan, format: Format) -> String {
                     Json::obj(vec![
                         ("rule", Json::Str(f.rule.id.to_string())),
                         ("name", Json::Str(f.rule.name.to_string())),
-                        ("severity", Json::Str(f.rule.severity.label().to_string())),
                         ("crate", Json::Str(f.crate_name.clone())),
                         ("path", Json::Str(f.path.clone())),
                         ("line", Json::U64(f.line as u64)),
@@ -324,8 +318,9 @@ pub fn render_report(scan: &WorkspaceScan, format: Format) -> String {
 }
 
 /// Version of the `--format json` report. 2: no baseline, so neither
-/// the document nor its findings carry a `new` field.
-pub const REPORT_SCHEMA: u64 = 2;
+/// the document nor its findings carry a `new` field. 3: findings carry
+/// no `severity` field; every finding fails the gate.
+pub const REPORT_SCHEMA: u64 = 3;
 
 /// Validate a `--format json` report: schema fields, per-finding shape
 /// (including call-chain steps), and a jsonio round-trip
@@ -349,7 +344,7 @@ pub fn verify_report(text: &str) -> Result<u32, String> {
         .and_then(|f| f.as_array())
         .ok_or("report `findings` must be an array")?;
     for (i, f) in findings.iter().enumerate() {
-        for key in ["rule", "name", "severity", "crate", "path", "message"] {
+        for key in ["rule", "name", "crate", "path", "message"] {
             if f.get(key).and_then(|v| v.as_str()).is_none() {
                 return Err(format!("finding {i}: `{key}` must be a string"));
             }

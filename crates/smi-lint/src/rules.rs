@@ -21,26 +21,6 @@
 use crate::lexer::{lex, Tok, TokKind};
 use std::collections::BTreeMap;
 
-/// Rule severity. Every current rule is `Deny` (gates CI); `Warn` exists
-/// for future ratchets that report without failing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Severity {
-    /// Reported; any finding fails the gate.
-    Deny,
-    /// Reported only.
-    Warn,
-}
-
-impl Severity {
-    /// Lowercase label used in text and JSON output.
-    pub fn label(self) -> &'static str {
-        match self {
-            Severity::Deny => "deny",
-            Severity::Warn => "warn",
-        }
-    }
-}
-
 /// A lint rule's stable identity.
 #[derive(Clone, Copy, Debug)]
 pub struct Rule {
@@ -48,35 +28,32 @@ pub struct Rule {
     pub id: &'static str,
     /// Pragma name (`hash-iter`, ...).
     pub name: &'static str,
-    /// Severity.
-    pub severity: Severity,
 }
 
 /// SMI001 hash-iter.
-pub const HASH_ITER: Rule = Rule { id: "SMI001", name: "hash-iter", severity: Severity::Deny };
+pub const HASH_ITER: Rule = Rule { id: "SMI001", name: "hash-iter" };
 /// SMI002 wall-clock.
-pub const WALL_CLOCK: Rule = Rule { id: "SMI002", name: "wall-clock", severity: Severity::Deny };
+pub const WALL_CLOCK: Rule = Rule { id: "SMI002", name: "wall-clock" };
 /// SMI003 hermeticity.
-pub const HERMETICITY: Rule = Rule { id: "SMI003", name: "hermeticity", severity: Severity::Deny };
+pub const HERMETICITY: Rule = Rule { id: "SMI003", name: "hermeticity" };
 /// SMI004 no-panic.
-pub const NO_PANIC: Rule = Rule { id: "SMI004", name: "no-panic", severity: Severity::Deny };
+pub const NO_PANIC: Rule = Rule { id: "SMI004", name: "no-panic" };
 /// SMI005 float-reduce.
-pub const FLOAT_REDUCE: Rule =
-    Rule { id: "SMI005", name: "float-reduce", severity: Severity::Deny };
+pub const FLOAT_REDUCE: Rule = Rule { id: "SMI005", name: "float-reduce" };
 /// SMI006 unsafe (crate root must deny unsafe_code or justify it).
-pub const UNSAFE_ROOT: Rule = Rule { id: "SMI006", name: "unsafe", severity: Severity::Deny };
+pub const UNSAFE_ROOT: Rule = Rule { id: "SMI006", name: "unsafe" };
 /// SMI007 nd-taint: a nondeterminism source (wall clock, ambient
 /// authority, hash-order iteration, thread identity) is reachable over
 /// the conservative call graph from a record-producing entry point.
-pub const ND_TAINT: Rule = Rule { id: "SMI007", name: "nd-taint", severity: Severity::Deny };
+pub const ND_TAINT: Rule = Rule { id: "SMI007", name: "nd-taint" };
 /// SMI008 lock-order: a cycle in the interprocedural lock-acquisition
 /// order graph — a potential deadlock under parallel execution.
-pub const LOCK_ORDER: Rule = Rule { id: "SMI008", name: "lock-order", severity: Severity::Deny };
+pub const LOCK_ORDER: Rule = Rule { id: "SMI008", name: "lock-order" };
 /// SMI009 panic-path: a panic site (`unwrap`/`expect`/`panic!`/the
 /// `assert!` family) is reachable over the call graph from a
 /// record-producing entry point — the derived form of the strict
 /// no-panic regime.
-pub const PANIC_PATH: Rule = Rule { id: "SMI009", name: "panic-path", severity: Severity::Deny };
+pub const PANIC_PATH: Rule = Rule { id: "SMI009", name: "panic-path" };
 
 /// All rules, in ID order.
 pub const ALL_RULES: [Rule; 9] = [

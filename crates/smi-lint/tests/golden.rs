@@ -237,7 +237,7 @@ fn smi007_chain_renders_entry_to_site() {
         files_scanned: 1,
     };
     let text = smi_lint::render_report(&scan, smi_lint::Format::Text);
-    let want = "smi007_taint.rs:14: SMI007 nd-taint [deny]: \
+    let want = "smi007_taint.rs:14: SMI007 nd-taint: \
                 `Instant::now` (wall clock) in `mpi_sim::stamp` is reachable from \
                 record entry point `mpi_sim::run`";
     assert!(text.contains(want), "text rendering drifted:\n{text}");
@@ -287,6 +287,10 @@ fn json_report_with_chains_round_trips() {
     let json = smi_lint::render_report(&scan, smi_lint::Format::Json);
     let n = smi_lint::verify_report(&json).expect("report must validate");
     assert_eq!(n, 1);
+    let doc = jsonio::Json::parse(&json).expect("report parses");
+    assert_eq!(doc.get("schema").and_then(|s| s.as_u64()), Some(3));
+    let finding = &doc.get("findings").and_then(|f| f.as_array()).expect("findings")[0];
+    assert_eq!(finding.get("severity"), None, "every finding fails the gate; no severity tag");
 }
 
 /// Determinism of the graph passes themselves: building and analyzing
