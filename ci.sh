@@ -44,14 +44,32 @@ rm -rf "$LINT_SCRATCH"
 # Tables 1 and 3 carry the paper-scale 64-rank (16 nodes x 4 ranks) BT
 # and FT cells, so message conservation and the byte tally are audited
 # at the scale the match queues see the most traffic.
+# Each Tables 1/3 run also pins the engine work its manifest's "engine"
+# block reports: events popped and engine runs (calibration iterations
+# plus repetitions), so a change that adds or drops an engine run, or
+# moves an event, fails here and not only in the campaign benchmark.
+VALID_DIR="$(mktemp -d)"
+engine_counts() { # manifest events runs
+    grep -A5 '"engine": {' "$1" | grep -q "\"events_popped\": $2,"
+    grep -A5 '"engine": {' "$1" | grep -q "\"runs\": $3,"
+}
 ./target/release/smi-lab table2 --quick --validate --no-cache >/dev/null
-./target/release/smi-lab table1 --quick --validate --no-cache >/dev/null
-./target/release/smi-lab table3 --quick --validate --no-cache >/dev/null
+./target/release/smi-lab table1 --quick --validate --no-cache \
+    --cache-dir "$VALID_DIR/t1" >/dev/null
+engine_counts "$VALID_DIR/t1/manifests/table1.json" 4519797 141
+./target/release/smi-lab table3 --quick --validate --no-cache \
+    --cache-dir "$VALID_DIR/t3" >/dev/null
+engine_counts "$VALID_DIR/t3/manifests/table3.json" 2824722 222
 # Again on the campaign benchmark's held-out seed: a second set of SMI
 # phases through the freeze walk, so the freeze-coverage audit (work +
 # frozen == span per schedule) sees window edges the default seed does not.
-./target/release/smi-lab table1 --quick --validate --no-cache --seed 20167816 >/dev/null
-./target/release/smi-lab table3 --quick --validate --no-cache --seed 20167816 >/dev/null
+./target/release/smi-lab table1 --quick --validate --no-cache --seed 20167816 \
+    --cache-dir "$VALID_DIR/t1s" >/dev/null
+engine_counts "$VALID_DIR/t1s/manifests/table1.json" 4519797 141
+./target/release/smi-lab table3 --quick --validate --no-cache --seed 20167816 \
+    --cache-dir "$VALID_DIR/t3s" >/dev/null
+engine_counts "$VALID_DIR/t3s/manifests/table3.json" 2824722 222
+rm -rf "$VALID_DIR"
 # Noise smoke: the noise-model subsystem end-to-end (crates/noise) —
 # one campaign cell per fixed-budget scenario family through the real
 # runner into a scratch cache. The binary itself re-reads the run

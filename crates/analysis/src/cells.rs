@@ -16,14 +16,14 @@ use crate::figures::{
     convolve_point, fig1_intervals, ubench_index, FigPoint, FigSeries, Figure1Result,
     Figure2Result, FIG1_CPUS, FIG2_CPUS, FIG2_INTERVALS,
 };
-use crate::mpi_tables::{measure_cell, measure_cell_adaptive};
+use crate::mpi_tables::{measure_cell_job, measure_cell_job_adaptive};
 use crate::mpi_tables::{
     HttTableCell, HttTableResult, Measured, TableCell, TableResult, SMM_CLASSES,
 };
 use crate::opts::RunOptions;
 use jsonio::{Json, ToJson};
 use mpi_sim::{ClusterSpec, NetworkParams};
-use nas::{calibrate_extra, htt_cell, table_cell, Bench, Class};
+use nas::{htt_cell, table_cell, Bench, CellJob, Class};
 use runner::design::{AdaptiveRun, SampleDesign};
 use runner::{Cell, CellSpec};
 use smi_driver::SmiClass;
@@ -197,21 +197,19 @@ fn grid_cells(bench: Bench, opts: &RunOptions, design: Option<SampleDesign>) -> 
                 };
                 let network = NetworkParams::gigabit_cluster();
                 let spec = ClusterSpec::wyeast(nodes, rpn, false).map_err(|e| e.reason_json())?;
-                let extra = calibrate_extra(bench, class, &spec, &network, target)
-                    .map_err(|e| e.reason_json())?;
+                // One job serves calibration and every repetition.
+                let job =
+                    CellJob::new(bench, class, &spec, &network).map_err(|e| e.reason_json())?;
+                let extra = job.calibrate(target).map_err(|e| e.reason_json())?;
                 let mut runs = Vec::new();
                 for (k, smm) in SMM_CLASSES.into_iter().enumerate() {
                     let m = match &design {
-                        None => {
-                            measure_cell(bench, class, &spec, extra, smm, &opts, &network, &label)
-                        }
-                        Some(d) => measure_cell_adaptive(
-                            bench, class, &spec, extra, smm, &opts, &network, &label, d,
-                        )
-                        .map(|(m, run)| {
-                            runs.push(run);
-                            m
-                        }),
+                        None => measure_cell_job(&job, extra, smm, &opts, &label),
+                        Some(d) => measure_cell_job_adaptive(&job, extra, smm, &opts, &label, d)
+                            .map(|(m, run)| {
+                                runs.push(run);
+                                m
+                            }),
                     };
                     measured[k] = Some(m.map_err(|e| e.reason_json())?);
                 }
@@ -290,15 +288,14 @@ pub fn htt_cells(bench: Bench, opts: &RunOptions) -> Vec<Cell> {
                             let spec =
                                 ClusterSpec::wyeast(nodes, 4, htt).map_err(|e| e.reason_json())?;
                             let target = paper_vals[0][ht_idx];
-                            let extra = calibrate_extra(bench, class, &spec, &network, target)
+                            let job = CellJob::new(bench, class, &spec, &network)
                                 .map_err(|e| e.reason_json())?;
+                            let extra = job.calibrate(target).map_err(|e| e.reason_json())?;
                             let label = format!("{}-n{}-ht{}", class.letter(), nodes, ht_idx);
                             for (k, smm) in SMM_CLASSES.into_iter().enumerate() {
                                 measured[k][ht_idx] = Some(
-                                    measure_cell(
-                                        bench, class, &spec, extra, smm, &opts, &network, &label,
-                                    )
-                                    .map_err(|e| e.reason_json())?,
+                                    measure_cell_job(&job, extra, smm, &opts, &label)
+                                        .map_err(|e| e.reason_json())?,
                                 );
                             }
                         }
@@ -512,6 +509,8 @@ pub fn text_payload(payload: &Json) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mpi_tables::measure_cell;
+    use nas::calibrate_extra;
     use runner::{CacheMode, Runner};
 
     fn quiet_runner() -> Runner {

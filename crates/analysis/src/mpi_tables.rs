@@ -12,8 +12,8 @@
 //!    and report the average").
 
 use crate::opts::RunOptions;
-use mpi_sim::{ClusterSpec, NetworkParams, NodeState, RankProgram, RunConfig, SimError};
-use nas::{programs, Bench, Class};
+use mpi_sim::{ClusterSpec, NetworkParams, NodeState, RunConfig, SimError};
+use nas::{Bench, CellJob, Class};
 use runner::design::{run_adaptive, AdaptiveRun, SampleDesign};
 use sim_core::stats::Accumulator;
 use sim_core::SimRng;
@@ -88,46 +88,31 @@ fn nodes_for(spec: &ClusterSpec, smm: SmiClass, rng: &mut SimRng) -> Vec<NodeSta
         .collect()
 }
 
-fn jittered_programs(
-    bench: Bench,
-    class: Class,
-    spec: &ClusterSpec,
-    extra: f64,
-    opts: &RunOptions,
-    rng: &mut SimRng,
-) -> Vec<RankProgram> {
-    let jitters: Vec<f64> = (0..spec.total_ranks()).map(|_| rng.jitter(opts.jitter)).collect();
-    programs(bench, class, spec, extra, &jitters)
-}
-
 /// Measure one repetition of a (cell, SMM class): the exact per-rep
-/// seed derivation and operation order of the original fixed loop,
-/// factored out so [`measure_cell`] and the adaptive sampler
+/// seed derivation and operation order of the original fixed loop
+/// (per-rank jitters, then node schedules, from one stream), factored
+/// out so [`measure_cell`] and the adaptive sampler
 /// ([`measure_cell_adaptive`]) replay byte-identical simulations.
 /// Repetition `rep` is a pure function of the cell identity — never of
 /// how many repetitions ran before it — so an adaptive run's first `n`
 /// repetitions are exactly the fixed design's first `n`.
-#[allow(clippy::too_many_arguments)]
 fn measure_rep(
-    bench: Bench,
-    class: Class,
-    spec: &ClusterSpec,
+    cell: &CellJob,
     extra: f64,
     smm: SmiClass,
     opts: &RunOptions,
-    network: &NetworkParams,
     config: &RunConfig,
     cell_label: &str,
     rep: u32,
 ) -> Result<f64, SimError> {
+    let spec = cell.spec();
     let mut rng = SimRng::from_path(
         opts.seed,
-        &[bench.name(), cell_label, smm.label(), &format!("rep{rep}")],
+        &[cell.bench().name(), cell_label, smm.label(), &format!("rep{rep}")],
     );
-    let progs = jittered_programs(bench, class, spec, extra, opts, &mut rng);
+    let jitters: Vec<f64> = (0..spec.total_ranks()).map(|_| rng.jitter(opts.jitter)).collect();
     let nodes = nodes_for(spec, smm, &mut rng);
-    let out = mpi_sim::run_with(spec, &nodes, &progs, network, config)?;
-    Ok(out.seconds())
+    Ok(cell.simulate(&nodes, extra, &jitters, config)?.seconds())
 }
 
 /// Measure one cell (fixed spec) under one SMM class.
@@ -142,12 +127,23 @@ pub fn measure_cell(
     network: &NetworkParams,
     cell_label: &str,
 ) -> Result<Measured, SimError> {
+    let cell = CellJob::new(bench, class, spec, network)?;
+    measure_cell_job(&cell, extra, smm, opts, cell_label)
+}
+
+/// [`measure_cell`] on a cell job the caller built (and may share with
+/// calibration and the other SMM classes).
+pub(crate) fn measure_cell_job(
+    cell: &CellJob,
+    extra: f64,
+    smm: SmiClass,
+    opts: &RunOptions,
+    cell_label: &str,
+) -> Result<Measured, SimError> {
     let mut acc = Accumulator::new();
     let config = opts.engine_config();
     for rep in 0..opts.reps {
-        acc.push(measure_rep(
-            bench, class, spec, extra, smm, opts, network, &config, cell_label, rep,
-        )?);
+        acc.push(measure_rep(cell, extra, smm, opts, &config, cell_label, rep)?);
     }
     Ok(Measured { mean: acc.mean(), std: acc.stddev(), reps: opts.reps })
 }
@@ -172,14 +168,27 @@ pub fn measure_cell_adaptive(
     cell_label: &str,
     design: &SampleDesign,
 ) -> Result<(Measured, AdaptiveRun), SimError> {
+    let cell = CellJob::new(bench, class, spec, network)?;
+    measure_cell_job_adaptive(&cell, extra, smm, opts, cell_label, design)
+}
+
+/// [`measure_cell_adaptive`] on a cell job the caller built.
+pub(crate) fn measure_cell_job_adaptive(
+    cell: &CellJob,
+    extra: f64,
+    smm: SmiClass,
+    opts: &RunOptions,
+    cell_label: &str,
+    design: &SampleDesign,
+) -> Result<(Measured, AdaptiveRun), SimError> {
     let config = opts.engine_config();
     // The bootstrap stream is labelled off the same cell identity as the
     // repetition seeds, so the interval is reproducible wherever the
     // cell executes (any worker thread, any `--isolate` subprocess).
     let mut boot_rng =
-        SimRng::from_path(opts.seed, &[bench.name(), cell_label, smm.label(), "bootstrap"]);
+        SimRng::from_path(opts.seed, &[cell.bench().name(), cell_label, smm.label(), "bootstrap"]);
     let run = run_adaptive(design, &mut boot_rng, |rep| {
-        measure_rep(bench, class, spec, extra, smm, opts, network, &config, cell_label, rep)
+        measure_rep(cell, extra, smm, opts, &config, cell_label, rep)
     })?;
     let mut acc = Accumulator::new();
     for &x in &run.samples {

@@ -39,18 +39,24 @@ pub enum Throughput {
     Bytes(u64),
 }
 
+/// A monotonic clock: time elapsed since an arbitrary fixed origin.
+/// [`measure`] reads the real one; [`measure_with`] takes any, so tests
+/// can drive the harness with scripted readings.
+pub(crate) type Clock<'a> = &'a mut dyn FnMut() -> Duration;
+
 /// Times one invocation of the routine body. The routine closure passed
 /// to [`Criterion::bench_function`] receives `&mut Bencher` and calls
 /// [`Bencher::iter`] exactly as with criterion.
-pub struct Bencher {
+pub struct Bencher<'a> {
+    clock: Clock<'a>,
     elapsed: Duration,
 }
 
-impl Bencher {
+impl Bencher<'_> {
     pub fn iter<T>(&mut self, mut f: impl FnMut() -> T) {
-        let start = Instant::now();
+        let start = (self.clock)();
         let out = f();
-        self.elapsed = start.elapsed();
+        self.elapsed = (self.clock)().saturating_sub(start);
         std::hint::black_box(&out);
     }
 }
@@ -186,12 +192,23 @@ impl Summary {
 /// untimed warmup pass) and return every sample. This is
 /// the primitive both [`Criterion::bench_function`] and the
 /// [`suite`] runner sit on.
-pub fn measure(name: &str, samples: usize, mut routine: impl FnMut(&mut Bencher)) -> Summary {
+pub fn measure(name: &str, samples: usize, routine: impl FnMut(&mut Bencher)) -> Summary {
+    let origin = Instant::now();
+    measure_with(&mut || origin.elapsed(), name, samples, routine)
+}
+
+/// [`measure`] reading time from `clock`.
+pub(crate) fn measure_with(
+    clock: Clock<'_>,
+    name: &str,
+    samples: usize,
+    mut routine: impl FnMut(&mut Bencher),
+) -> Summary {
     let samples = samples.max(1);
-    routine(&mut Bencher { elapsed: Duration::ZERO });
+    routine(&mut Bencher { clock: &mut *clock, elapsed: Duration::ZERO });
     let mut samples_ns = Vec::with_capacity(samples);
     for _ in 0..samples {
-        let mut b = Bencher { elapsed: Duration::ZERO };
+        let mut b = Bencher { clock: &mut *clock, elapsed: Duration::ZERO };
         routine(&mut b);
         samples_ns.push(b.elapsed.as_nanos() as u64);
     }
@@ -450,28 +467,46 @@ mod tests {
         assert!(msg.contains("needs 20"), "{msg}");
     }
 
+    /// A clock whose consecutive `iter` calls see the given sample
+    /// lengths: each sample reads the clock twice, at `t` and `t + len`.
+    fn scripted(lengths: &[u64]) -> impl FnMut() -> Duration + '_ {
+        let mut reads = 0usize;
+        let mut now = 0u64;
+        move || {
+            // Even reads start a sample, odd reads end it.
+            if reads % 2 == 1 {
+                now += lengths.get(reads / 2).copied().unwrap_or(0);
+            }
+            reads += 1;
+            Duration::from_nanos(now)
+        }
+    }
+
     #[test]
     fn constant_work_yields_p95_near_median() {
-        // A fixed busy-work closure: every sample does identical work, so
-        // the spread between p95 and median is scheduler noise only. The
-        // bound is deliberately loose (2x) to stay robust on loaded CI
-        // machines while still catching a harness that fabricates
-        // dispersion (the old `iter` discarded it entirely).
-        let s = measure("constant_work", 15, |b| {
-            b.iter(|| {
-                let mut acc = 0u64;
-                for i in 0..2_000_000u64 {
-                    acc = acc.wrapping_add(i ^ (acc >> 3));
-                }
-                std::hint::black_box(acc)
-            })
-        });
-        let median = s.median_ns().max(1);
-        let p95 = s.p95_ns();
-        assert!(p95 >= median, "p95 {p95} below median {median}");
-        assert!(
-            p95 < median.saturating_mul(2),
-            "constant work spread too wide: median {median} p95 {p95}"
-        );
+        // The harness keeps every sample's length: with a scripted clock
+        // the summary's order statistics are exactly the nearest-rank
+        // ones of the scripted samples, spread included (the old `iter`
+        // discarded dispersion entirely). The first length is the
+        // untimed warmup pass.
+        let warmup = 1_000_000;
+        let mut lengths = vec![warmup];
+        lengths.extend((1..=20u64).rev().map(|i| 100 + i)); // 120 down to 101
+        let mut clock = scripted(&lengths);
+        let s = measure_with(&mut clock, "constant_work", 20, |b| b.iter(|| 7u64));
+        assert_eq!(s.samples_ns, (101..=120).collect::<Vec<u64>>(), "sorted, warmup dropped");
+        assert_eq!(s.median_ns(), 110);
+        assert_eq!(s.p95_ns(), 119);
+        assert_eq!(s.min_ns(), 101);
+        assert_eq!(s.max_ns(), 120);
+
+        // One slow outlier moves the tail, not the median.
+        let mut lengths = vec![warmup];
+        lengths.extend([500, 500, 500, 500, 500, 500, 500, 500, 500, 4_000]);
+        let mut clock = scripted(&lengths);
+        let s = measure_with(&mut clock, "outlier", 10, |b| b.iter(|| ()));
+        assert_eq!(s.median_ns(), 500);
+        assert_eq!(s.p95_ns(), 4_000);
+        assert_eq!(s.mean_ns(), 850);
     }
 }

@@ -72,7 +72,7 @@ fn long_schedule(seed: u64) -> FreezeSchedule {
 
 /// Event-queue churn in the engine's shape: a fixed population of
 /// in-flight events, each pop re-arming a slightly later event — the
-/// near-monotone pattern a calendar queue is tuned for.
+/// near-monotone pattern of the engine's event loop.
 pub fn event_queue_near_monotone() -> u64 {
     let mut q: EventQueue<u32> = EventQueue::new();
     let mut rng = SimRng::new(7);

@@ -24,8 +24,8 @@
 //!
 //! # Validity
 //!
-//! The engine never panics on bad input. [`run`] (and the configurable
-//! [`run_with`]) return `Result<RunOutcome, SimError>`:
+//! The engine never panics on bad input. [`run`], the configurable
+//! [`run_with`], [`Job::new`] and [`Job::run`] return `Result`s:
 //!
 //! * malformed jobs — wrong lengths, out-of-range peers, self-messaging,
 //!   out-of-domain intensities — are rejected up front as
@@ -39,8 +39,8 @@
 //!   routing) report [`SimError::InvariantViolation`]. The always-on
 //!   checks are O(1) per event; [`RunConfig::validate`] adds end-of-run
 //!   message conservation, byte-tally, and freeze-schedule coverage
-//!   audits that cost one extra pass over the lowered programs and the
-//!   freeze windows.
+//!   audits that cost one pass over the freeze windows (the byte tally's
+//!   expected counts are taken once, when the job is lowered).
 
 use crate::cluster::{ClusterSpec, NodeState};
 use crate::network::{NetworkParams, NicState};
@@ -128,65 +128,14 @@ pub fn run(
     run_with(spec, nodes, programs, network, &RunConfig::default())
 }
 
-/// Reject structurally malformed jobs before any event executes.
-fn validate_inputs(
-    spec: &ClusterSpec,
-    nodes: &[NodeState],
-    programs: &[RankProgram],
-    config: &RunConfig,
-) -> Result<(), SimError> {
-    spec.validate()?;
-    if nodes.len() != spec.nodes as usize {
-        return Err(SimError::invalid(
-            "job",
-            format!("{} node state(s) for a {}-node cluster", nodes.len(), spec.nodes),
-        ));
-    }
-    let n_ranks = spec.total_ranks() as usize;
-    if programs.len() != n_ranks {
-        return Err(SimError::invalid(
-            "job",
-            format!("{} rank program(s) for {} rank(s)", programs.len(), n_ranks),
-        ));
-    }
-    if n_ranks == 0 {
-        return Err(SimError::invalid("job", "zero ranks"));
-    }
-    for (i, node) in nodes.iter().enumerate() {
-        node.validate().map_err(|e| match e {
-            SimError::InvalidSpec { context, problem } => {
-                SimError::invalid(format!("node {i} {context}"), problem)
-            }
-            other => other,
-        })?;
-        if config.validate && node.online_cpus != spec.online_cpus() {
-            return Err(SimError::invalid(
-                format!("node {i} state"),
-                format!(
-                    "{} online CPUs disagrees with the cluster spec's {}",
-                    node.online_cpus,
-                    spec.online_cpus()
-                ),
-            ));
-        }
-    }
-    for (r, program) in programs.iter().enumerate() {
-        program.validate(r as u32, n_ranks as u32)?;
-    }
-    Ok(())
-}
-
 /// Reusable per-thread scratch state for the event loop: the rank-indexed
-/// buffers (lowered programs, node indices, program counters, outstanding
-/// blocking parts, availability clocks, finish times, per-rank match
-/// queues) and the event queue survive across runs (a campaign executes
+/// buffers (node indices, program counters, outstanding blocking parts,
+/// availability clocks, finish times, per-rank match queues) and the
+/// event queue survive across runs (a campaign executes
 /// thousands of cells per worker thread, and these were the allocation
 /// churn), while anything borrowing run inputs is rebuilt per run.
 #[derive(Debug, Default)]
 struct SimArena {
-    /// One lowered program per rank. Kept at the largest rank count seen
-    /// so every buffer keeps its capacity; a run uses the first `n_ranks`.
-    lowered: Vec<Vec<LowOp>>,
     node: Vec<usize>,
     pc: Vec<usize>,
     parts: Vec<u32>,
@@ -197,17 +146,10 @@ struct SimArena {
 }
 
 impl SimArena {
-    /// Make every buffer hold exactly `n_ranks` zeroed entries (the first
-    /// `n_ranks` lowered programs empty), empty every match queue, and
-    /// empty the event queue (also resetting its counters), keeping
-    /// capacity.
+    /// Make every buffer hold exactly `n_ranks` zeroed entries, empty
+    /// every match queue, and empty the event queue (also resetting its
+    /// counters), keeping capacity.
     fn reset(&mut self, n_ranks: usize) {
-        if self.lowered.len() < n_ranks {
-            self.lowered.resize_with(n_ranks, Vec::new);
-        }
-        for prog in &mut self.lowered[..n_ranks] {
-            prog.clear();
-        }
         for q in &mut self.inbox {
             q.posted.clear();
             q.unexpected.clear();
@@ -238,7 +180,11 @@ fn put_arena(arena: Box<SimArena>) {
     ARENA.with(|a| a.set(Some(arena)));
 }
 
-/// Run an MPI job with explicit engine configuration.
+/// Run an MPI job with explicit engine configuration: [`Job::new`] and
+/// [`Job::run`] with the programs' own compute durations. Malformed input
+/// is checked in one fixed order — the spec, the node count, the program
+/// count, each node, each program — so a job with several faults reports
+/// the first in that order.
 pub fn run_with(
     spec: &ClusterSpec,
     nodes: &[NodeState],
@@ -246,35 +192,222 @@ pub fn run_with(
     network: &NetworkParams,
     config: &RunConfig,
 ) -> Result<RunOutcome, SimError> {
-    validate_inputs(spec, nodes, programs, config)?;
-    // The arena is taken (not borrowed) so an early `?` cannot leave a
-    // thread-local in a half-used state; it is returned on every path.
-    let mut arena = take_arena();
-    let result = run_core(&mut arena, spec, nodes, programs, network, config);
-    if result.is_ok() {
-        sim_core::perf::record_run(arena.queue.stats());
-    }
-    put_arena(arena);
-    result
+    spec.validate()?;
+    check_node_count(spec, nodes)?;
+    check_program_count(spec, programs)?;
+    check_nodes(spec, nodes, config)?;
+    check_programs(programs)?;
+    let job = Job::lower(spec, programs, network);
+    job.execute(nodes, &job.durations, config)
 }
 
-fn run_core(
-    arena: &mut SimArena,
+fn check_node_count(spec: &ClusterSpec, nodes: &[NodeState]) -> Result<(), SimError> {
+    if nodes.len() != spec.nodes as usize {
+        return Err(SimError::invalid(
+            "job",
+            format!("{} node state(s) for a {}-node cluster", nodes.len(), spec.nodes),
+        ));
+    }
+    Ok(())
+}
+
+fn check_program_count(spec: &ClusterSpec, programs: &[RankProgram]) -> Result<(), SimError> {
+    let n_ranks = spec.total_ranks() as usize;
+    if programs.len() != n_ranks {
+        return Err(SimError::invalid(
+            "job",
+            format!("{} rank program(s) for {} rank(s)", programs.len(), n_ranks),
+        ));
+    }
+    if n_ranks == 0 {
+        return Err(SimError::invalid("job", "zero ranks"));
+    }
+    Ok(())
+}
+
+/// Each node's own checks, plus `--validate`'s cross-check of its online
+/// CPUs against the spec.
+fn check_nodes(
     spec: &ClusterSpec,
     nodes: &[NodeState],
-    programs: &[RankProgram],
-    network: &NetworkParams,
+    config: &RunConfig,
+) -> Result<(), SimError> {
+    for (i, node) in nodes.iter().enumerate() {
+        node.validate().map_err(|e| match e {
+            SimError::InvalidSpec { context, problem } => {
+                SimError::invalid(format!("node {i} {context}"), problem)
+            }
+            other => other,
+        })?;
+        if config.validate && node.online_cpus != spec.online_cpus() {
+            return Err(SimError::invalid(
+                format!("node {i} state"),
+                format!(
+                    "{} online CPUs disagrees with the cluster spec's {}",
+                    node.online_cpus,
+                    spec.online_cpus()
+                ),
+            ));
+        }
+    }
+    Ok(())
+}
+
+fn check_programs(programs: &[RankProgram]) -> Result<(), SimError> {
+    let n_ranks = programs.len() as u32;
+    for (r, program) in programs.iter().enumerate() {
+        program.validate(r as u32, n_ranks)?;
+    }
+    Ok(())
+}
+
+/// A lowered op as a [`Job`] stores it: each of the programs' own compute
+/// segments is an index into the run's duration slice; everything else,
+/// including the combining work of reductions, stays a [`LowOp`].
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    Work(u32),
+    Low(LowOp),
+}
+
+impl From<LowOp> for Step {
+    fn from(op: LowOp) -> Self {
+        Step::Low(op)
+    }
+}
+
+/// An MPI job validated and lowered once, to run many times.
+///
+/// A job holds what every repetition of a campaign cell shares: the
+/// cluster shape, the network, every rank's lowered program, and each
+/// rank's memory and communication intensity. What varies per repetition
+/// is passed to [`run`](Job::run): the node states (freeze schedules) and
+/// the compute durations. Each rank has a table of the distinct durations
+/// its program's `Op::Compute`s carry, in first-use order;
+/// [`durations`](Job::durations) is every rank's table concatenated in
+/// rank order, and `run` takes a slice of the same layout. A run with
+/// other durations gives exactly what [`run_with`] gives on the programs
+/// with those durations written into their `Compute` ops.
+#[derive(Clone, Debug)]
+pub struct Job {
+    spec: ClusterSpec,
+    network: NetworkParams,
+    /// One lowered program per rank.
+    steps: Vec<Vec<Step>>,
+    /// The programs' own compute durations, every rank's table in turn.
+    durations: Vec<SimDuration>,
+    /// Per-rank `(memory, comm)` intensity.
+    intensities: Vec<(f64, f64)>,
+    /// Messages and payload bytes the lowered programs call for.
+    planned: (u64, u64),
+}
+
+impl Job {
+    /// Validate `spec` and `programs` (one per rank) and lower every rank
+    /// once.
+    pub fn new(
+        spec: &ClusterSpec,
+        programs: &[RankProgram],
+        network: &NetworkParams,
+    ) -> Result<Job, SimError> {
+        spec.validate()?;
+        check_program_count(spec, programs)?;
+        check_programs(programs)?;
+        Ok(Job::lower(spec, programs, network))
+    }
+
+    /// Lower programs that have passed `check_programs`.
+    fn lower(spec: &ClusterSpec, programs: &[RankProgram], network: &NetworkParams) -> Job {
+        let size = programs.len() as u32;
+        let mut steps = Vec::with_capacity(programs.len());
+        let mut durations: Vec<SimDuration> = Vec::new();
+        let mut planned = (0u64, 0u64);
+        for (r, p) in programs.iter().enumerate() {
+            let first = durations.len();
+            let mut out = Vec::with_capacity(p.ops.len() * 2);
+            let reduce_cost = |b| network.reduce_cost(b);
+            lower_into(&mut out, p, r as u32, size, reduce_cost, |w| {
+                let i = match durations[first..].iter().position(|&d| d == w) {
+                    Some(i) => first + i,
+                    None => {
+                        durations.push(w);
+                        durations.len() - 1
+                    }
+                };
+                Step::Work(i as u32)
+            });
+            for step in &out {
+                if let Step::Low(LowOp::Send { bytes, .. } | LowOp::SendRecv { bytes, .. }) = step {
+                    planned.0 += 1;
+                    planned.1 += bytes;
+                }
+            }
+            steps.push(out);
+        }
+        let intensities = programs.iter().map(|p| (p.memory_intensity, p.comm_intensity)).collect();
+        Job { spec: *spec, network: *network, steps, durations, intensities, planned }
+    }
+
+    /// The programs' own compute durations: each rank's table of distinct
+    /// values in first-use order, concatenated in rank order.
+    pub fn durations(&self) -> &[SimDuration] {
+        &self.durations
+    }
+
+    /// Run the job over `nodes` with `durations` in place of the programs'
+    /// own (same layout as [`durations`](Job::durations)).
+    pub fn run(
+        &self,
+        nodes: &[NodeState],
+        durations: &[SimDuration],
+        config: &RunConfig,
+    ) -> Result<RunOutcome, SimError> {
+        check_node_count(&self.spec, nodes)?;
+        check_nodes(&self.spec, nodes, config)?;
+        if durations.len() != self.durations.len() {
+            return Err(SimError::invalid(
+                "job",
+                format!(
+                    "{} compute duration(s) for a job whose tables hold {}",
+                    durations.len(),
+                    self.durations.len()
+                ),
+            ));
+        }
+        self.execute(nodes, durations, config)
+    }
+
+    /// The event loop, on checked nodes and a full duration slice.
+    fn execute(
+        &self,
+        nodes: &[NodeState],
+        durations: &[SimDuration],
+        config: &RunConfig,
+    ) -> Result<RunOutcome, SimError> {
+        // The arena is taken (not borrowed) so an early `?` cannot leave a
+        // thread-local in a half-used state; it is returned on every path.
+        let mut arena = take_arena();
+        let result = run_core(self, &mut arena, nodes, durations, config);
+        if result.is_ok() {
+            sim_core::perf::record_run(arena.queue.stats());
+        }
+        put_arena(arena);
+        result
+    }
+}
+
+/// The event loop of [`Job::run`].
+fn run_core(
+    job: &Job,
+    arena: &mut SimArena,
+    nodes: &[NodeState],
+    durations: &[SimDuration],
     config: &RunConfig,
 ) -> Result<RunOutcome, SimError> {
-    let n_ranks = spec.total_ranks() as usize;
+    let Job { spec, network, steps, intensities, planned, .. } = job;
+    let n_ranks = steps.len();
     arena.reset(n_ranks);
-    let SimArena { lowered, node, pc, parts, avail, done, inbox, queue } = arena;
-    let lowered = &mut lowered[..n_ranks];
-
-    // Lower every rank's program (`validate_inputs` has checked them).
-    for (r, (out, p)) in lowered.iter_mut().zip(programs).enumerate() {
-        lower_into(out, p, r as u32, n_ranks as u32, |b| network.reduce_cost(b));
-    }
+    let SimArena { node, pc, parts, avail, done, inbox, queue } = arena;
 
     // Per-rank executors (borrow the schedule of the core hosting the
     // rank: a per-core override when the noise model is core-local, the
@@ -285,16 +418,16 @@ fn run_core(
     let executors: Vec<NodeExecutor<'_>> = (0..n_ranks)
         .map(|r| {
             let state = &nodes[node[r]];
+            let (mi, ci) = intensities[r];
             NodeExecutor::try_new(
                 state.schedule_for_core(r as u32 % rpn),
                 state.effects,
                 state.online_cpus,
-                programs[r].memory_intensity,
-                programs[r].comm_intensity,
+                mi,
+                ci,
             )
         })
         .collect::<Result<_, _>>()?;
-    let lowered = &*lowered;
     let node = &*node;
 
     let mut nic = NicState::new(spec.nodes as usize);
@@ -355,7 +488,7 @@ fn run_core(
     // A well-formed job pops each rank's events a small constant number
     // of times per lowered op; anything far beyond that bound means the
     // loop is spinning without making virtual-time progress.
-    let total_ops: usize = lowered.iter().map(Vec::len).sum();
+    let total_ops: usize = steps.iter().map(Vec::len).sum();
     let stall_bound = 8 * total_ops as u64 + 16 * n_ranks as u64 + 256;
     let mut pops = 0u64;
     let mut last_pop = SimTime::ZERO;
@@ -380,9 +513,13 @@ fn run_core(
             continue;
         }
         let t = t.max(avail[r]);
-        let Some(&op) = lowered[r].get(pc[r]) else {
-            done[r] = Some(t);
-            continue;
+        let op = match steps[r].get(pc[r]) {
+            Some(&Step::Work(i)) => LowOp::Compute(durations[i as usize]),
+            Some(&Step::Low(op)) => op,
+            None => {
+                done[r] = Some(t);
+                continue;
+            }
         };
         match op {
             LowOp::Compute(w) => {
@@ -513,7 +650,7 @@ fn run_core(
     };
 
     if config.validate {
-        audit_run(lowered, inbox, messages, bytes_total, nodes, end)?;
+        audit_run(inbox, (messages, bytes_total), *planned, nodes, end)?;
     }
 
     let mut total_frozen = SimDuration::ZERO;
@@ -547,10 +684,9 @@ fn run_core(
 /// The `--validate` end-of-run audits: message conservation, byte
 /// tallies, and freeze-schedule coverage.
 fn audit_run(
-    lowered: &[Vec<LowOp>],
     inbox: &[MatchQueues],
-    messages: u64,
-    bytes_total: u64,
+    (messages, bytes_total): (u64, u64),
+    (expect_messages, expect_bytes): (u64, u64),
     nodes: &[NodeState],
     end: SimTime,
 ) -> Result<(), SimError> {
@@ -569,15 +705,6 @@ fn audit_run(
         ));
     }
     // Byte tally: every lowered Send/SendRecv moves exactly one message.
-    let (mut expect_messages, mut expect_bytes) = (0u64, 0u64);
-    for prog in lowered {
-        for op in prog {
-            if let LowOp::Send { bytes, .. } | LowOp::SendRecv { bytes, .. } = op {
-                expect_messages += 1;
-                expect_bytes += bytes;
-            }
-        }
-    }
     if messages != expect_messages || bytes_total != expect_bytes {
         return Err(SimError::invariant(
             "byte tally",

@@ -18,7 +18,9 @@
 //! `Result<RunOutcome, SimError>`, rejecting malformed jobs as
 //! [`SimError::InvalidSpec`] and diagnosing unmatched messages as
 //! [`SimError::Deadlock`] with the stuck ranks named. [`run_with`] adds
-//! opt-in end-of-run audits via [`RunConfig`].
+//! opt-in end-of-run audits via [`RunConfig`]. A [`Job`] validates and
+//! lowers the programs once, so the repetitions of a campaign cell, which
+//! differ only in node states and compute durations, pay for neither.
 //!
 //! ```
 //! use mpi_sim::*;
@@ -51,7 +53,7 @@ pub mod network;
 pub mod program;
 
 pub use cluster::{ClusterSpec, NodeState};
-pub use engine::{run, run_with, RunConfig, RunOutcome};
+pub use engine::{run, run_with, Job, RunConfig, RunOutcome};
 pub use network::{NetworkParams, NicState};
 pub use program::{lower, LowOp, Op, RankProgram};
 pub use sim_core::{BlockedOp, BlockedOpKind, SimError};

@@ -222,26 +222,31 @@ pub fn lower(
 ) -> Result<Vec<LowOp>, SimError> {
     program.validate(rank, size)?;
     let mut out = Vec::with_capacity(program.ops.len() * 2);
-    lower_into(&mut out, program, rank, size, reduce_cost);
+    lower_into(&mut out, program, rank, size, reduce_cost, LowOp::Compute);
     Ok(out)
 }
 
 /// [`lower`] without the validation, appending to `out`: for callers that
-/// have already validated `program` for this `rank` and `size`, and reuse
-/// one buffer across runs.
-pub(crate) fn lower_into(
-    out: &mut Vec<LowOp>,
+/// have already validated `program` for this `rank` and `size`. Each of
+/// the program's own `Op::Compute`s becomes `user_compute(duration)`;
+/// every other op, including the combining work of reductions, becomes
+/// its [`LowOp`]s.
+pub(crate) fn lower_into<O: From<LowOp>>(
+    out: &mut Vec<O>,
     program: &RankProgram,
     rank: u32,
     size: u32,
     reduce_cost: impl Fn(u64) -> SimDuration,
+    mut user_compute: impl FnMut(SimDuration) -> O,
 ) {
     let mut collective_idx = 0u64;
     for op in &program.ops {
         match *op {
-            Op::Compute(w) => out.push(LowOp::Compute(w)),
-            Op::Send { dst, bytes, tag } => out.push(LowOp::Send { dst, bytes, tag: tag as u64 }),
-            Op::Recv { src, tag } => out.push(LowOp::Recv { src, tag: tag as u64 }),
+            Op::Compute(w) => out.push(user_compute(w)),
+            Op::Send { dst, bytes, tag } => {
+                out.push(LowOp::Send { dst, bytes, tag: tag as u64 }.into())
+            }
+            Op::Recv { src, tag } => out.push(LowOp::Recv { src, tag: tag as u64 }.into()),
             Op::Barrier => {
                 lower_barrier(out, rank, size, base_tag(&mut collective_idx));
             }
@@ -271,9 +276,9 @@ pub(crate) fn lower_into(
             Op::Alltoall { bytes_per_pair } => {
                 lower_alltoall(out, rank, size, bytes_per_pair, base_tag(&mut collective_idx));
             }
-            Op::Exchange { send_to, recv_from, bytes, tag } => {
-                out.push(LowOp::SendRecv { dst: send_to, src: recv_from, bytes, tag: tag as u64 });
-            }
+            Op::Exchange { send_to, recv_from, bytes, tag } => out.push(
+                LowOp::SendRecv { dst: send_to, src: recv_from, bytes, tag: tag as u64 }.into(),
+            ),
         }
     }
 }
@@ -286,7 +291,7 @@ fn base_tag(collective_idx: &mut u64) -> u64 {
 
 /// Dissemination barrier: ceil(log2 n) rounds of 0-byte exchanges with
 /// partners at distance 2^k.
-fn lower_barrier(out: &mut Vec<LowOp>, rank: u32, size: u32, tag: u64) {
+fn lower_barrier<O: From<LowOp>>(out: &mut Vec<O>, rank: u32, size: u32, tag: u64) {
     if size <= 1 {
         return;
     }
@@ -295,14 +300,21 @@ fn lower_barrier(out: &mut Vec<LowOp>, rank: u32, size: u32, tag: u64) {
     while dist < size {
         let dst = (rank + dist) % size;
         let src = (rank + size - dist) % size;
-        out.push(LowOp::SendRecv { dst, src, bytes: 0, tag: tag + k });
+        out.push(LowOp::SendRecv { dst, src, bytes: 0, tag: tag + k }.into());
         dist *= 2;
         k += 1;
     }
 }
 
 /// Binomial-tree broadcast rooted at `root` (range-checked by `lower`).
-fn lower_bcast(out: &mut Vec<LowOp>, rank: u32, size: u32, root: u32, bytes: u64, tag: u64) {
+fn lower_bcast<O: From<LowOp>>(
+    out: &mut Vec<O>,
+    rank: u32,
+    size: u32,
+    root: u32,
+    bytes: u64,
+    tag: u64,
+) {
     if size <= 1 {
         return;
     }
@@ -313,7 +325,7 @@ fn lower_bcast(out: &mut Vec<LowOp>, rank: u32, size: u32, root: u32, bytes: u64
     while mask < size {
         if vr & mask != 0 {
             let parent = (vr - mask + root) % size;
-            out.push(LowOp::Recv { src: parent, tag });
+            out.push(LowOp::Recv { src: parent, tag }.into());
             break;
         }
         mask <<= 1;
@@ -323,7 +335,7 @@ fn lower_bcast(out: &mut Vec<LowOp>, rank: u32, size: u32, root: u32, bytes: u64
     while m >= 1 {
         if vr + m < size {
             let child = (vr + m + root) % size;
-            out.push(LowOp::Send { dst: child, bytes, tag });
+            out.push(LowOp::Send { dst: child, bytes, tag }.into());
         }
         if m == 1 {
             break;
@@ -333,8 +345,8 @@ fn lower_bcast(out: &mut Vec<LowOp>, rank: u32, size: u32, root: u32, bytes: u64
 }
 
 /// Binomial-tree reduce to `root` (mirror of bcast; data flows up).
-fn lower_reduce(
-    out: &mut Vec<LowOp>,
+fn lower_reduce<O: From<LowOp>>(
+    out: &mut Vec<O>,
     rank: u32,
     size: u32,
     root: u32,
@@ -350,14 +362,14 @@ fn lower_reduce(
     while mask < size {
         if vr & mask != 0 {
             let parent = (vr - mask + root) % size;
-            out.push(LowOp::Send { dst: parent, bytes, tag });
+            out.push(LowOp::Send { dst: parent, bytes, tag }.into());
             break;
         } else if vr + mask < size {
             let child = (vr + mask + root) % size;
-            out.push(LowOp::Recv { src: child, tag });
+            out.push(LowOp::Recv { src: child, tag }.into());
             let cost = reduce_cost(bytes);
             if !cost.is_zero() {
-                out.push(LowOp::Compute(cost));
+                out.push(LowOp::Compute(cost).into());
             }
         }
         mask <<= 1;
@@ -365,8 +377,8 @@ fn lower_reduce(
 }
 
 /// Recursive-doubling allreduce (requires power-of-two size).
-fn lower_allreduce_rd(
-    out: &mut Vec<LowOp>,
+fn lower_allreduce_rd<O: From<LowOp>>(
+    out: &mut Vec<O>,
     rank: u32,
     size: u32,
     bytes: u64,
@@ -381,10 +393,10 @@ fn lower_allreduce_rd(
     let mut k = 0u64;
     while mask < size {
         let partner = rank ^ mask;
-        out.push(LowOp::SendRecv { dst: partner, src: partner, bytes, tag: tag + k });
+        out.push(LowOp::SendRecv { dst: partner, src: partner, bytes, tag: tag + k }.into());
         let cost = reduce_cost(bytes);
         if !cost.is_zero() {
-            out.push(LowOp::Compute(cost));
+            out.push(LowOp::Compute(cost).into());
         }
         mask <<= 1;
         k += 1;
@@ -393,14 +405,14 @@ fn lower_allreduce_rd(
 
 /// Pairwise-exchange all-to-all: `size - 1` rounds; in round `s` each rank
 /// sends to `(r+s) mod n` and receives from `(r-s) mod n`.
-fn lower_alltoall(out: &mut Vec<LowOp>, rank: u32, size: u32, bytes: u64, tag: u64) {
+fn lower_alltoall<O: From<LowOp>>(out: &mut Vec<O>, rank: u32, size: u32, bytes: u64, tag: u64) {
     if size <= 1 {
         return;
     }
     for s in 1..size {
         let dst = (rank + s) % size;
         let src = (rank + size - s) % size;
-        out.push(LowOp::SendRecv { dst, src, bytes, tag: tag + s as u64 });
+        out.push(LowOp::SendRecv { dst, src, bytes, tag: tag + s as u64 }.into());
     }
 }
 

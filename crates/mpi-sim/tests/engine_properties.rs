@@ -536,3 +536,214 @@ fn shared_peer_exchange_lists_recv_before_send() {
         other => panic!("expected Deadlock, got {other:?}"),
     }
 }
+
+// ---------------------------------------------------------------------------
+// Job equivalence: a job lowered once and run with per-rank duration
+// tables must be `run_with` on the programs with those durations written
+// into their `Compute` ops.
+// ---------------------------------------------------------------------------
+
+/// Each rank's distinct `Compute` durations in first-use order — the
+/// table layout `Job` documents, derived here from the programs alone.
+fn own_tables(programs: &[RankProgram]) -> Vec<Vec<SimDuration>> {
+    programs
+        .iter()
+        .map(|p| {
+            let mut table: Vec<SimDuration> = Vec::new();
+            for op in &p.ops {
+                if let Op::Compute(w) = *op {
+                    if !table.contains(&w) {
+                        table.push(w);
+                    }
+                }
+            }
+            table
+        })
+        .collect()
+}
+
+/// Random replacement tables of the same shape (zero durations and
+/// repeated values included).
+fn random_tables(g: &mut Gen, tables: &[Vec<SimDuration>]) -> Vec<Vec<SimDuration>> {
+    tables
+        .iter()
+        .map(|t| t.iter().map(|_| SimDuration::from_micros(g.u64(0..40_000))).collect())
+        .collect()
+}
+
+/// The programs with every `Compute` of rank `r` that carried
+/// `own[r][i]` now carrying `new[r][i]`.
+fn substitute(
+    programs: &[RankProgram],
+    own: &[Vec<SimDuration>],
+    new: &[Vec<SimDuration>],
+) -> Vec<RankProgram> {
+    programs
+        .iter()
+        .enumerate()
+        .map(|(r, p)| {
+            let mut p = p.clone();
+            for op in &mut p.ops {
+                if let Op::Compute(w) = op {
+                    let i = own[r].iter().position(|d| d == w).expect("every duration is tabled");
+                    *w = new[r][i];
+                }
+            }
+            p
+        })
+        .collect()
+}
+
+/// Everything a run reports, errors included, as one comparable string.
+fn result_text(result: &Result<mpi_sim::RunOutcome, SimError>) -> String {
+    format!("{result:?}")
+}
+
+/// Node states for `spec` under one of: no noise, short periodic SMIs
+/// on a 7 ms period, the MPI study's long SMIs, or a fixed-budget
+/// `noise` scenario (per-core models fill `per_core`).
+fn noisy_nodes(g: &mut Gen, spec: &ClusterSpec) -> Vec<NodeState> {
+    let periodic = |period: SimDuration, model: DurationModel, seed: u64| -> Vec<NodeState> {
+        let mut rng = SimRng::new(seed);
+        (0..spec.nodes)
+            .map(|_| NodeState {
+                schedule: FreezeSchedule::periodic(PeriodicFreeze::with_random_phase(
+                    period,
+                    model.clone(),
+                    &mut rng,
+                )),
+                effects: SmiSideEffects::none(),
+                online_cpus: spec.online_cpus(),
+                per_core: Vec::new(),
+            })
+            .collect()
+    };
+    let seed = g.any_u64();
+    match g.u32(0..4) {
+        0 => quiet_nodes(spec.nodes),
+        1 => periodic(SimDuration::from_millis(7), DurationModel::short_smi(), seed),
+        2 => periodic(SimDuration::from_millis(300), DurationModel::long_smi(), seed),
+        _ => {
+            let text = g.pick(&noise::FIXED_BUDGET_SPECS);
+            noise::NoiseSpec::parse(text)
+                .expect("fixed-budget specs parse")
+                .node_states(spec, SimDuration::from_secs(60), seed)
+                .expect("fixed-budget specs build")
+        }
+    }
+}
+
+/// A random SPMD collective job whose ranks share one op list, over one
+/// or two ranks per node.
+fn collective_job(g: &mut Gen) -> (ClusterSpec, Vec<RankProgram>) {
+    let nodes = g.pick(&[1u32, 2, 3, 4, 8]);
+    let rpn = g.pick(&[1u32, 2]);
+    let spec = wyeast(nodes, rpn, false);
+    let ops = clamped_ops(g, 1..8, spec.total_ranks());
+    (spec, (0..spec.total_ranks()).map(|_| RankProgram::new(ops.clone())).collect())
+}
+
+fn any_job(g: &mut Gen) -> (ClusterSpec, Vec<NodeState>, Vec<RankProgram>) {
+    if g.bool() {
+        let (spec, _, programs) = p2p_job(g);
+        (spec, noisy_nodes(g, &spec), programs)
+    } else {
+        let (spec, programs) = collective_job(g);
+        (spec, noisy_nodes(g, &spec), programs)
+    }
+}
+
+#[test]
+fn job_runs_equal_run_with_on_substituted_programs() {
+    check("job_runs_equal_run_with_on_substituted_programs", 96, |g| {
+        let (spec, nodes, programs) = any_job(g);
+        let net = NetworkParams::gigabit_cluster();
+        let config = if g.bool() { RunConfig::validating() } else { RunConfig::default() };
+        let job = mpi_sim::Job::new(&spec, &programs, &net).expect("generated programs are valid");
+        let own = own_tables(&programs);
+        assert_eq!(job.durations(), own.concat().as_slice(), "table layout");
+        let new = random_tables(g, &own);
+        let expect =
+            mpi_sim::run_with(&spec, &nodes, &substitute(&programs, &own, &new), &net, &config);
+        let got = job.run(&nodes, &new.concat(), &config);
+        assert_eq!(result_text(&got), result_text(&expect));
+        // The programs' own durations reproduce plain `run_with`.
+        let plain = mpi_sim::run_with(&spec, &nodes, &programs, &net, &config);
+        assert_eq!(result_text(&job.run(&nodes, job.durations(), &config)), result_text(&plain));
+    });
+}
+
+#[test]
+fn one_job_reused_across_nodes_matches_fresh_jobs() {
+    check("one_job_reused_across_nodes_matches_fresh_jobs", 48, |g| {
+        let (spec, _, programs) = any_job(g);
+        let net = NetworkParams::gigabit_cluster();
+        let shared = mpi_sim::Job::new(&spec, &programs, &net).expect("valid programs");
+        let own = own_tables(&programs);
+        for _ in 0..3 {
+            let nodes = noisy_nodes(g, &spec);
+            let durations = random_tables(g, &own).concat();
+            let config = if g.bool() { RunConfig::validating() } else { RunConfig::default() };
+            let fresh = mpi_sim::Job::new(&spec, &programs, &net).expect("valid programs");
+            let want = fresh.run(&nodes, &durations, &config);
+            // Another job in between leaves the thread's arena dirty.
+            let (other_spec, other_nodes, other) = any_job(g);
+            let other_job = mpi_sim::Job::new(&other_spec, &other, &net).expect("valid programs");
+            let _ = other_job.run(&other_nodes, other_job.durations(), &config);
+            assert_eq!(result_text(&shared.run(&nodes, &durations, &config)), result_text(&want));
+        }
+    });
+}
+
+#[test]
+fn job_and_run_with_reject_malformed_input_alike() {
+    check("job_and_run_with_reject_malformed_input_alike", 48, |g| {
+        let (spec, nodes, mut programs) = any_job(g);
+        let net = NetworkParams::gigabit_cluster();
+        let n = spec.total_ranks();
+        let victim = g.usize(0..programs.len());
+        match g.u32(0..4) {
+            0 => programs[victim].ops.push(Op::Send { dst: victim as u32, bytes: 8, tag: 1 }),
+            1 => programs[victim].ops.push(Op::Recv { src: n + g.u32(0..4), tag: 1 }),
+            2 => programs[victim].ops.push(Op::Bcast { root: n, bytes: 8 }),
+            _ => programs[victim].memory_intensity = 1.5,
+        }
+        let config = RunConfig::default();
+        let expect = mpi_sim::run_with(&spec, &nodes, &programs, &net, &config);
+        assert!(matches!(expect, Err(SimError::InvalidSpec { .. })), "{expect:?}");
+        let got = mpi_sim::Job::new(&spec, &programs, &net).map(|_| ());
+        assert_eq!(got, expect.map(|_| ()));
+    });
+}
+
+#[test]
+fn job_runs_check_nodes_and_durations() {
+    let spec = wyeast(2, 1, false);
+    let programs: Vec<RankProgram> = (0..2)
+        .map(|_| RankProgram::new(vec![Op::Compute(SimDuration::from_millis(1)), Op::Barrier]))
+        .collect();
+    let net = NetworkParams::gigabit_cluster();
+    let job = mpi_sim::Job::new(&spec, &programs, &net).expect("valid programs");
+    assert_eq!(job.durations(), &[SimDuration::from_millis(1); 2]);
+    // The node checks are run_with's, in run_with's words.
+    for (nodes, config) in [
+        (quiet_nodes(1), RunConfig::default()),
+        (
+            {
+                let mut n = quiet_nodes(2);
+                n[1].online_cpus = 2;
+                n
+            },
+            RunConfig::validating(),
+        ),
+    ] {
+        let got = job.run(&nodes, job.durations(), &config).map(|o| o.makespan);
+        let want = mpi_sim::run_with(&spec, &nodes, &programs, &net, &config).map(|o| o.makespan);
+        assert!(matches!(got, Err(SimError::InvalidSpec { .. })), "{got:?}");
+        assert_eq!(got, want);
+    }
+    // A duration slice of the wrong length is rejected, not read past.
+    let short = [SimDuration::from_millis(1)];
+    let r = job.run(&quiet_nodes(2), &short, &RunConfig::default());
+    assert!(matches!(r, Err(SimError::InvalidSpec { .. })), "{r:?}");
+}

@@ -28,6 +28,6 @@ pub mod paper;
 pub mod randlc;
 
 pub use classes::Class;
-pub use model::{calibrate_extra, programs, quiet_nodes};
+pub use model::{calibrate_extra, compute_durations, programs, quiet_nodes, CellJob};
 pub use mops::{mops, total_ops};
 pub use paper::{htt_cell, serial_seconds, table_cell, Bench, HttCell, PaperCell};

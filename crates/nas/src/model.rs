@@ -14,10 +14,16 @@
 //!    knowable);
 //! 3. the SMM 1 / SMM 2 / HTT columns are then *predictions* — nothing
 //!    in the noise path is fitted to them.
+//!
+//! Only the compute durations depend on the calibration adjustment and
+//! the per-rank jitter; every rank's `Op::Compute`s carry one duration,
+//! [`compute_durations`]. So a [`CellJob`] lowers a cell's programs once
+//! and runs calibration and every repetition on that one
+//! [`mpi_sim::Job`], passing each run its durations.
 
 use crate::classes::Class;
 use crate::paper::{serial_seconds, Bench};
-use mpi_sim::{ClusterSpec, NetworkParams, NodeState, Op, RankProgram};
+use mpi_sim::{ClusterSpec, Job, NetworkParams, NodeState, Op, RankProgram, RunConfig, RunOutcome};
 use sim_core::{SimDuration, SimError};
 
 /// Per-benchmark workload character (drives the SMI side-effect scaling).
@@ -58,38 +64,52 @@ pub fn programs(
     jitters: &[f64],
 ) -> Vec<RankProgram> {
     let p = spec.total_ranks();
-    assert_eq!(jitters.len(), p as usize, "one jitter per rank");
-    let serial = serial_seconds(bench, class);
+    let work = compute_durations(bench, class, spec, extra_per_rank, jitters);
     let (mi, ci) = intensities(bench, p);
     match bench {
-        Bench::Ep => ep_programs(class, serial, p, extra_per_rank, jitters, mi, ci),
-        Bench::Bt => bt_programs(class, serial, p, extra_per_rank, jitters, mi, ci),
-        Bench::Ft => ft_programs(class, serial, p, extra_per_rank, jitters, mi, ci),
+        Bench::Ep => ep_programs(p, &work, mi, ci),
+        Bench::Bt => bt_programs(class, p, &work, mi, ci),
+        Bench::Ft => ft_programs(class, p, &work, mi, ci),
     }
+}
+
+/// Each rank's compute segment for one cell: EP's single chunk, BT's
+/// third of an iteration (`iters * 3` segments), FT's `1 / (iters + 1)`
+/// share. Every `Op::Compute` of rank `r` in [`programs`] carries entry
+/// `r`, so this is also the duration slice a [`CellJob`]'s runs take.
+/// `extra_per_rank` and `jitters` are as in [`programs`].
+pub fn compute_durations(
+    bench: Bench,
+    class: Class,
+    spec: &ClusterSpec,
+    extra_per_rank: f64,
+    jitters: &[f64],
+) -> Vec<SimDuration> {
+    let p = spec.total_ranks();
+    assert_eq!(jitters.len(), p as usize, "one jitter per rank");
+    let base = serial_seconds(bench, class) / p as f64;
+    let chunks = match bench {
+        Bench::Ep => 1,
+        Bench::Bt => class.bt_grid().1 * 3,
+        Bench::Ft => class.ft_grid().1 + 1,
+    };
+    let per_rank = apply_floor(base, extra_per_rank);
+    jitters.iter().map(|&j| chunk(per_rank * j, chunks)).collect()
 }
 
 fn apply_floor(base: f64, extra: f64) -> f64 {
     (base + extra).max(base * 0.1)
 }
 
-fn ep_programs(
-    _class: Class,
-    serial: f64,
-    p: u32,
-    extra: f64,
-    jitters: &[f64],
-    mi: f64,
-    ci: f64,
-) -> Vec<RankProgram> {
+fn ep_programs(p: u32, work: &[SimDuration], mi: f64, ci: f64) -> Vec<RankProgram> {
     (0..p)
         .map(|r| {
-            let compute = apply_floor(serial / p as f64, extra) * jitters[r as usize];
             let mut ops = Vec::new();
             if p > 1 {
                 // Parameter broadcast at start-up.
                 ops.push(Op::Bcast { root: 0, bytes: 64 });
             }
-            ops.push(Op::Compute(SimDuration::from_secs_f64(compute)));
+            ops.push(Op::Compute(work[r as usize]));
             if p > 1 {
                 // sx, sy and the ten annulus counts.
                 ops.push(Op::Allreduce { bytes: 16 });
@@ -100,15 +120,7 @@ fn ep_programs(
         .collect()
 }
 
-fn bt_programs(
-    class: Class,
-    serial: f64,
-    p: u32,
-    extra: f64,
-    jitters: &[f64],
-    mi: f64,
-    ci: f64,
-) -> Vec<RankProgram> {
+fn bt_programs(class: Class, p: u32, work: &[SimDuration], mi: f64, ci: f64) -> Vec<RankProgram> {
     let q = (p as f64).sqrt() as u32;
     assert_eq!(q * q, p, "BT requires a square rank count, got {p}");
     let (n, iters) = class.bt_grid();
@@ -119,8 +131,7 @@ fn bt_programs(
         .map(|r| {
             let row = r / q;
             let col = r % q;
-            let per_rank = apply_floor(serial / p as f64, extra) * jitters[r as usize];
-            let w3 = chunk(per_rank, iters * 3);
+            let w3 = work[r as usize];
             let mut ops = Vec::new();
             ops.push(Op::Bcast { root: 0, bytes: 1024 });
             for it in 0..iters {
@@ -186,25 +197,16 @@ fn bt_programs(
         .collect()
 }
 
-fn ft_programs(
-    class: Class,
-    serial: f64,
-    p: u32,
-    extra: f64,
-    jitters: &[f64],
-    mi: f64,
-    ci: f64,
-) -> Vec<RankProgram> {
+fn ft_programs(class: Class, p: u32, work: &[SimDuration], mi: f64, ci: f64) -> Vec<RankProgram> {
     assert!(p.is_power_of_two(), "FT requires a power-of-two rank count, got {p}");
     let (_, iters) = class.ft_grid();
     let total_bytes = class.ft_points() * 16; // complex double per point
     let bytes_per_pair = if p > 1 { total_bytes / (p as u64 * p as u64) } else { 0 };
     (0..p)
         .map(|r| {
-            let per_rank = apply_floor(serial / p as f64, extra) * jitters[r as usize];
             // One initial forward transform plus `iters` evolve+inverse
             // steps: iters + 1 equal compute chunks.
-            let w = chunk(per_rank, iters + 1);
+            let w = work[r as usize];
             let mut ops = Vec::new();
             ops.push(Op::Bcast { root: 0, bytes: 256 });
             ops.push(Op::Compute(w));
@@ -241,7 +243,8 @@ pub fn quiet_nodes(spec: &ClusterSpec) -> Vec<NodeState> {
 /// cell). Returns the adjustment in seconds; converges in a few
 /// fixed-point iterations because the makespan responds nearly linearly
 /// to uniform compute changes. A non-positive target or a cell the
-/// engine rejects surfaces as a typed [`SimError`].
+/// engine rejects surfaces as a typed [`SimError`]. This is
+/// [`CellJob::calibrate`] on a job built for the call.
 pub fn calibrate_extra(
     bench: Bench,
     class: Class,
@@ -249,24 +252,85 @@ pub fn calibrate_extra(
     network: &NetworkParams,
     target_secs: f64,
 ) -> Result<f64, SimError> {
+    check_target(target_secs)?;
+    CellJob::new(bench, class, spec, network)?.calibrate(target_secs)
+}
+
+fn check_target(target_secs: f64) -> Result<(), SimError> {
     if target_secs.is_nan() || target_secs <= 0.0 {
         return Err(SimError::invalid(
             "calibration",
             format!("non-positive target {target_secs} s"),
         ));
     }
-    let ones = vec![1.0; spec.total_ranks() as usize];
-    let mut extra = 0.0f64;
-    for _ in 0..6 {
-        let progs = programs(bench, class, spec, extra, &ones);
-        let t = mpi_sim::run(spec, &quiet_nodes(spec), &progs, network)?.seconds();
-        let diff = target_secs - t;
-        if diff.abs() < 0.005 * target_secs {
-            break;
-        }
-        extra += diff;
+    Ok(())
+}
+
+/// One cell's programs lowered once into an [`mpi_sim::Job`], shared by
+/// calibration and every repetition: a run differs from another only in
+/// its node states and in the durations [`compute_durations`] gives for
+/// its `extra_per_rank` and jitters.
+#[derive(Clone, Debug)]
+pub struct CellJob {
+    bench: Bench,
+    class: Class,
+    spec: ClusterSpec,
+    job: Job,
+}
+
+impl CellJob {
+    /// Build and lower the cell's programs (their durations are replaced
+    /// on every run).
+    pub fn new(
+        bench: Bench,
+        class: Class,
+        spec: &ClusterSpec,
+        network: &NetworkParams,
+    ) -> Result<Self, SimError> {
+        let ones = vec![1.0; spec.total_ranks() as usize];
+        let job = Job::new(spec, &programs(bench, class, spec, 0.0, &ones), network)?;
+        Ok(CellJob { bench, class, spec: *spec, job })
     }
-    Ok(extra)
+
+    /// The cell's benchmark.
+    pub fn bench(&self) -> Bench {
+        self.bench
+    }
+
+    /// The cluster shape the job runs on.
+    pub fn spec(&self) -> &ClusterSpec {
+        &self.spec
+    }
+
+    /// One run over `nodes`: exactly [`mpi_sim::run_with`] on
+    /// `programs(bench, class, spec, extra_per_rank, jitters)`.
+    pub fn simulate(
+        &self,
+        nodes: &[NodeState],
+        extra_per_rank: f64,
+        jitters: &[f64],
+        config: &RunConfig,
+    ) -> Result<RunOutcome, SimError> {
+        let work = compute_durations(self.bench, self.class, &self.spec, extra_per_rank, jitters);
+        self.job.run(nodes, &work, config)
+    }
+
+    /// [`calibrate_extra`]'s fixed-point loop, on this job.
+    pub fn calibrate(&self, target_secs: f64) -> Result<f64, SimError> {
+        check_target(target_secs)?;
+        let ones = vec![1.0; self.spec.total_ranks() as usize];
+        let quiet = quiet_nodes(&self.spec);
+        let mut extra = 0.0f64;
+        for _ in 0..6 {
+            let t = self.simulate(&quiet, extra, &ones, &RunConfig::default())?.seconds();
+            let diff = target_secs - t;
+            if diff.abs() < 0.005 * target_secs {
+                break;
+            }
+            extra += diff;
+        }
+        Ok(extra)
+    }
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Fault-path equivalence for the optimized engine hot path.
 //!
-//! The calendar event queue, the freeze-schedule cursor cache, and the
+//! The radix-heap event queue, the freeze-schedule cursor cache, and the
 //! per-worker `SimArena` all carry state across runs on the same worker
 //! thread; a retried (previously panicked) attempt therefore reuses
 //! scratch a failed attempt touched. This gate drives *real* simulation
@@ -18,7 +18,7 @@ use sim_core::{
 };
 
 /// One real engine cell: a 4-rank EP-shaped job with SMIs on half the
-/// nodes, so the calendar queue, the unfreeze cursor cache, and the
+/// nodes, so the event queue, the unfreeze cursor cache, and the
 /// arena are all on the executed path. Deterministic given `i`.
 fn engine_cell(i: u64) -> Cell {
     Cell::fallible(

@@ -5,27 +5,31 @@
 //! pending event. Ties are broken by insertion order (FIFO), which keeps
 //! simulations deterministic under equal timestamps.
 //!
-//! Internally this is a bucketed calendar queue tuned for the engine's
-//! near-monotone event pattern: one *page* of [`NUM_BUCKETS`] buckets
-//! spans a window of simulated time, events land in the bucket covering
-//! their timestamp, and only the bucket currently being drained is kept
-//! sorted (descending, so the earliest entry pops off the back in O(1)).
-//! Events beyond the page accumulate in an overflow list; when the page
-//! drains, the overflow is redistributed into a fresh page sized to its
-//! actual time span. Every path orders by the unique `(time, seq)` pair,
-//! so the pop stream is identical to the original binary-heap
-//! implementation — `tests/queue_equivalence.rs` locks that equivalence
-//! against a frozen copy of the old queue.
+//! Internally this is a radix heap over the `u64` nanosecond time. Every
+//! pending event sits in the bucket named by the highest bit in which
+//! its time differs from the last popped time (`last`); events at
+//! exactly `last` wait in a FIFO of their own. A pop serves that FIFO
+//! or, once it is empty, takes the lowest occupied bucket, makes its
+//! earliest time (kept per bucket as events arrive) the new `last` and
+//! redistributes the bucket's events into lower buckets; a bucket's
+//! lone event is simply returned. Each event moves down at most 64
+//! times over its life, and nothing is ever sorted.
+//!
+//! Equal times stay FIFO by construction: all events at one time share
+//! a bucket (the index depends only on the time and `last`), pushes
+//! append, and a redistribution moves a bucket's events in order into
+//! buckets that are empty (every lower bucket is, or it would have been
+//! taken first). A push earlier than `last` re-buckets every pending
+//! event around the earlier time, so the pop stream stays the
+//! `(time, push order)` order of the original binary heap —
+//! `tests/queue_equivalence.rs` locks that equivalence against a frozen
+//! copy of the old queue.
 //!
 //! [`mpi-sim`]: ../../mpi_sim/index.html
 //! [`machine`]: ../../machine/index.html
 
 use crate::time::SimTime;
-
-/// Buckets per calendar page. A power of two keeps the page small enough
-/// to scan cheaply while giving near-monotone workloads ~one bucket per
-/// few events.
-const NUM_BUCKETS: usize = 256;
+use std::collections::VecDeque;
 
 /// Lifetime counters for one queue, reported into the run manifest.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -39,45 +43,28 @@ pub struct QueueStats {
 /// A time-ordered queue of payloads with FIFO tie-breaking.
 #[derive(Debug)]
 pub struct EventQueue<T> {
-    /// The current page. Buckets before `cur` are empty; bucket `cur` is
-    /// sorted descending by `(time, seq)`; buckets after `cur` are
-    /// unsorted until the drain reaches them.
-    buckets: Vec<Vec<Entry<T>>>,
-    /// Events at or beyond the page end, unsorted.
-    overflow: Vec<Entry<T>>,
-    /// Index of the bucket currently being drained.
-    cur: usize,
-    /// Simulated time at the start of the page, in nanoseconds.
-    page_start: u64,
-    /// Width of one bucket in nanoseconds; `0` means no page is seeded
-    /// yet (every push goes to `overflow` until the first pop).
-    bucket_ns: u64,
-    /// Events currently stored in `buckets`.
-    in_page: usize,
-    /// Next insertion sequence number (the FIFO tie-break).
-    seq: u64,
+    /// Events at exactly `last`, in push order.
+    now: VecDeque<Entry<T>>,
+    /// `buckets[k]` holds the events whose time differs from `last`
+    /// first (from the top) at bit `k`, in push order per time.
+    buckets: [Vec<Entry<T>>; 64],
+    /// `mins[k]` is the earliest time in `buckets[k]` (`u64::MAX` when
+    /// it is empty).
+    mins: [u64; 64],
+    /// Bit `k` is set iff `buckets[k]` is non-empty.
+    occupied: u64,
+    /// The last popped time in nanoseconds (or an earlier push's time);
+    /// every pending event is at or after it.
+    last: u64,
+    len: usize,
     pops: u64,
     peak_len: usize,
 }
 
 #[derive(Debug)]
 struct Entry<T> {
-    time: SimTime,
-    seq: u64,
+    time: u64,
     payload: T,
-}
-
-impl<T> Entry<T> {
-    /// The unique total-order key: time first, insertion order second.
-    fn key(&self) -> (SimTime, u64) {
-        (self.time, self.seq)
-    }
-}
-
-/// Sort a bucket descending by `(time, seq)` so the earliest entry is at
-/// the back. Keys are unique, so unstable sorting is deterministic.
-fn sort_descending<T>(bucket: &mut [Entry<T>]) {
-    bucket.sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
 }
 
 impl<T> Default for EventQueue<T> {
@@ -90,155 +77,125 @@ impl<T> EventQueue<T> {
     /// An empty queue.
     pub fn new() -> Self {
         EventQueue {
-            buckets: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
-            overflow: Vec::new(),
-            cur: 0,
-            page_start: 0,
-            bucket_ns: 0,
-            in_page: 0,
-            seq: 0,
+            now: VecDeque::new(),
+            buckets: std::array::from_fn(|_| Vec::new()),
+            mins: [u64::MAX; 64],
+            occupied: 0,
+            last: 0,
+            len: 0,
             pops: 0,
             peak_len: 0,
         }
     }
 
-    /// First nanosecond no longer covered by the current page.
-    fn page_end(&self) -> u64 {
-        self.page_start.saturating_add(self.bucket_ns.saturating_mul(NUM_BUCKETS as u64))
+    /// Append `entry` to the bucket its time selects relative to `last`.
+    fn place(&mut self, entry: Entry<T>) {
+        let diff = entry.time ^ self.last;
+        if diff == 0 {
+            self.now.push_back(entry);
+        } else {
+            // `diff` is non-zero, so `k` is in 0..64; the mask tells the
+            // compiler so.
+            let k = (63 - diff.leading_zeros() as usize) & 63;
+            self.occupied |= 1 << k;
+            self.mins[k] = self.mins[k].min(entry.time);
+            self.buckets[k].push(entry);
+        }
     }
 
     /// Schedule `payload` at `time`.
     pub fn push(&mut self, time: SimTime, payload: T) {
-        let seq = self.seq;
-        self.seq += 1;
-        let entry = Entry { time, seq, payload };
         let t = time.as_nanos();
-        if self.bucket_ns == 0 || t >= self.page_end() {
-            self.overflow.push(entry);
-        } else {
-            // Bucket covering `t`; times before the page clamp to 0. A
-            // landing spot at or behind the drain point goes into the
-            // sorted current bucket so it still pops in key order.
-            let idx = ((t.saturating_sub(self.page_start)) / self.bucket_ns) as usize;
-            let idx = idx.min(NUM_BUCKETS - 1);
-            if idx <= self.cur {
-                if let Some(bucket) = self.buckets.get_mut(self.cur) {
-                    let pos = bucket.partition_point(|e| e.key() > entry.key());
-                    bucket.insert(pos, entry);
-                }
-            } else if let Some(bucket) = self.buckets.get_mut(idx) {
-                bucket.push(entry);
-            }
-            self.in_page += 1;
+        if t < self.last {
+            self.rebase(t);
         }
-        self.peak_len = self.peak_len.max(self.len());
+        self.place(Entry { time: t, payload });
+        self.len += 1;
+        self.peak_len = self.peak_len.max(self.len);
     }
 
-    /// Rebuild the page from the overflow list: the new page starts at
-    /// the earliest overflow time and its bucket width is sized so the
-    /// whole overflow span fits in one page.
-    fn reseed(&mut self) {
-        let mut min = u64::MAX;
-        let mut max = 0u64;
-        for e in &self.overflow {
-            let t = e.time.as_nanos();
-            min = min.min(t);
-            max = max.max(t);
+    /// Make `t` (earlier than `last`) the new origin and re-bucket every
+    /// pending event around it. Events at one time come out of one
+    /// bucket in order, so their FIFO order survives.
+    fn rebase(&mut self, t: u64) {
+        let mut pending: Vec<Entry<T>> = self.now.drain(..).collect();
+        for bucket in &mut self.buckets {
+            pending.append(bucket);
         }
-        self.page_start = min;
-        self.bucket_ns = ((max - min) / NUM_BUCKETS as u64) + 1;
-        self.cur = 0;
-        for e in self.overflow.drain(..) {
-            let idx = ((e.time.as_nanos() - min) / self.bucket_ns) as usize;
-            let idx = idx.min(NUM_BUCKETS - 1);
-            if let Some(bucket) = self.buckets.get_mut(idx) {
-                bucket.push(e);
-                self.in_page += 1;
-            }
-        }
-        if let Some(bucket) = self.buckets.get_mut(0) {
-            sort_descending(bucket);
+        self.occupied = 0;
+        self.mins = [u64::MAX; 64];
+        self.last = t;
+        for entry in pending {
+            self.place(entry);
         }
     }
 
     /// Remove and return the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        loop {
-            if let Some(e) = self.buckets.get_mut(self.cur).and_then(Vec::pop) {
-                self.in_page -= 1;
-                self.pops += 1;
-                return Some((e.time, e.payload));
-            }
-            if self.in_page == 0 {
-                if self.overflow.is_empty() {
+        let e = match self.now.pop_front() {
+            Some(e) => e,
+            None => {
+                // The lowest occupied bucket holds the earliest events; its
+                // minimum becomes `last`, and its events all agree with
+                // that minimum above bit `k`, so each moves to a lower
+                // bucket (or the FIFO). A lone event is the minimum, and
+                // the other buckets' indices hold for it as `last`.
+                if self.occupied == 0 {
                     return None;
                 }
-                self.reseed();
-                continue;
-            }
-            // Advance the drain point to the next occupied bucket and
-            // sort it; `in_page > 0` guarantees one exists.
-            let mut next = self.cur + 1;
-            while next < NUM_BUCKETS {
-                match self.buckets.get_mut(next) {
-                    Some(bucket) if !bucket.is_empty() => {
-                        sort_descending(bucket);
-                        self.cur = next;
-                        break;
+                let k = self.occupied.trailing_zeros() as usize & 63;
+                self.occupied &= !(1 << k);
+                self.last = std::mem::replace(&mut self.mins[k], u64::MAX);
+                let mut bucket = std::mem::take(&mut self.buckets[k]);
+                let e = if bucket.len() == 1 {
+                    bucket.pop()?
+                } else {
+                    for entry in bucket.drain(..) {
+                        self.place(entry);
                     }
-                    _ => next += 1,
-                }
+                    self.now.pop_front()?
+                };
+                // Hand the emptied vector back so the bucket keeps its
+                // capacity.
+                self.buckets[k] = bucket;
+                e
             }
-            if next >= NUM_BUCKETS {
-                // Bookkeeping can only reach here if `in_page` drifted
-                // from the buckets' true contents; resynchronize rather
-                // than loop (total: no panic on the strict path).
-                self.in_page = 0;
-            }
-        }
+        };
+        self.len -= 1;
+        self.pops += 1;
+        Some((SimTime::from_nanos(e.time), e.payload))
     }
 
     /// The timestamp of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        // The sorted current bucket ends with the page's earliest entry;
-        // every other occupied bucket (and the overflow) is later.
-        if let Some(e) = self.buckets.get(self.cur).and_then(|b| b.last()) {
-            return Some(e.time);
+        if !self.now.is_empty() {
+            return Some(SimTime::from_nanos(self.last));
         }
-        if self.in_page > 0 {
-            return self
-                .buckets
-                .iter()
-                .skip(self.cur)
-                .flatten()
-                .min_by_key(|e| e.key())
-                .map(|e| e.time);
-        }
-        self.overflow.iter().min_by_key(|e| e.key()).map(|e| e.time)
+        let k = self.occupied.trailing_zeros() as usize;
+        self.mins.get(k).map(|&t| SimTime::from_nanos(t))
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.in_page + self.overflow.len()
+        self.len
     }
 
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
     /// Drop all pending events and reset the lifetime counters, keeping
     /// allocated bucket capacity (arenas reuse queues across runs).
     pub fn clear(&mut self) {
+        self.now.clear();
         for bucket in &mut self.buckets {
             bucket.clear();
         }
-        self.overflow.clear();
-        self.cur = 0;
-        self.page_start = 0;
-        self.bucket_ns = 0;
-        self.in_page = 0;
-        self.seq = 0;
+        self.mins = [u64::MAX; 64];
+        self.occupied = 0;
+        self.last = 0;
+        self.len = 0;
         self.pops = 0;
         self.peak_len = 0;
     }
