@@ -13,7 +13,8 @@ cargo test -q --workspace --offline
 # Chaos gate: the seeded fault-injection suite (runner::chaos) proving
 # panic isolation, retry/quarantine, cache-corruption recovery, orphan
 # sweeping, and crash-safe resume — plus fault-path equivalence of the
-# optimized engine hot path (calendar queue / cursor cache / arena):
+# optimized engine hot path (radix-heap event queue / per-cell job
+# lowering / freeze-window cursor / arena):
 # real simulation cells retried under injected faults must reproduce
 # the fault-free bytes (tests/chaos_engine_equivalence.rs), and the
 # process-isolation gate (tests/isolate.rs): campaigns against a real
@@ -24,11 +25,41 @@ cargo test -q -p runner --features chaos --offline
 cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo clippy -p runner --features chaos --all-targets --offline -- -D warnings
 cargo fmt --check
-# Determinism & hermeticity lint (crates/smi-lint): fails on any finding,
-# including the whole-workspace passes (SMI007 taint reachability,
-# SMI008 lock-order cycles, SMI009 panic paths). See DESIGN.md "Static
-# analysis" and §12. The JSON report (call chains included) must
-# survive a jsonio round-trip.
+# Lint-config canary (DESIGN.md §7): the line checks live in clippy.toml,
+# [workspace.lints] and the record crates' root attributes, where a
+# dropped entry fails nothing. Each fixture below is compiled as a
+# throwaway record crate under the committed settings, and clippy must
+# reject it naming the lint that replaced the retired smi-lint rule.
+CANARY_DIR="$(mktemp -d)"
+canary() { # fixture lint
+    mkdir -p "$CANARY_DIR/$1/src"
+    cp clippy.toml "$CANARY_DIR/$1/"
+    {
+        printf '[package]\nname = "canary"\nversion = "0.0.0"\nedition = "2021"\n\n[workspace]\n\n'
+        sed -n '/^\[workspace\.lints/,/^$/p' Cargo.toml
+        printf '[lints]\nworkspace = true\n'
+    } > "$CANARY_DIR/$1/Cargo.toml"
+    {
+        grep '^#!\[deny(clippy::' crates/sim-core/src/lib.rs
+        cat "crates/smi-lint/tests/fixtures/$1.rs"
+    } > "$CANARY_DIR/$1/src/lib.rs"
+    rc=0
+    cargo clippy --offline --manifest-path "$CANARY_DIR/$1/Cargo.toml" \
+        --target-dir "$CANARY_DIR/target" -- -D warnings > "$CANARY_DIR/$1.log" 2>&1 || rc=$?
+    test "$rc" -ne 0
+    grep -Eq "$2" "$CANARY_DIR/$1.log"
+}
+canary smi001_hash_iter 'disallowed[-_]types'
+canary smi002_wall_clock 'disallowed[-_]methods'
+canary smi003_hermeticity 'disallowed[-_]methods'
+canary smi004_no_panic 'unwrap[-_]used'
+canary smi005_float_reduce 'disallowed[-_]types'
+canary smi006_unsafe 'unsafe[-_]code'
+rm -rf "$CANARY_DIR"
+# Call-graph determinism lint (crates/smi-lint): fails on any finding of
+# the whole-workspace passes (SMI007 taint reachability, SMI008
+# lock-order cycles, SMI009 panic paths). See DESIGN.md §7 and §12. The
+# JSON report (call chains included) must survive a jsonio round-trip.
 LINT_SCRATCH="$(mktemp -d)"
 cargo run -q --release -p smi-lint --offline -- --format json > "$LINT_SCRATCH/lint.json"
 cargo run -q --release -p smi-lint --offline -- --verify-report "$LINT_SCRATCH/lint.json"

@@ -67,7 +67,7 @@ pub fn probe(
     offset: SimTime,
 ) -> AbsorptionPoint {
     assert!(ranks >= 2, "need at least two ranks for a barrier to matter");
-    // smi-lint: allow(no-panic): shape is valid by construction (ranks >= 2, rpn 1).
+    #[expect(clippy::expect_used, reason = "shape is valid by construction (ranks >= 2, rpn 1)")]
     let spec = ClusterSpec::wyeast(ranks, 1, false).expect("valid shape");
     let network = NetworkParams::gigabit_cluster();
     let progs = bsp_programs(ranks, iters, compute_ms, -(victim_slack_ms as i64));
@@ -80,7 +80,7 @@ pub fn probe(
             per_core: Vec::new(),
         })
         .collect();
-    // smi-lint: allow(no-panic): the BSP job is matched by construction.
+    #[expect(clippy::expect_used, reason = "the BSP job is matched by construction")]
     let base = mpi_sim::run(&spec, &quiet, &progs, &network).expect("valid job").seconds();
 
     let one_shot = FreezeSchedule::periodic(PeriodicFreeze {
@@ -101,7 +101,7 @@ pub fn probe(
             per_core: Vec::new(),
         });
     }
-    // smi-lint: allow(no-panic): the BSP job is matched by construction.
+    #[expect(clippy::expect_used, reason = "the BSP job is matched by construction")]
     let perturbed = mpi_sim::run(&spec, &noisy, &progs, &network).expect("valid job").seconds();
     let extra_ms = (perturbed - base) * 1e3;
     AbsorptionPoint {

@@ -69,14 +69,14 @@ fn measured_from(json: &Json) -> Option<Measured> {
 // maps it to an absent measurement so a degraded campaign still renders,
 // with the hole visibly marked, instead of aborting.
 fn point_from(json: &Json) -> FigPoint {
-    FigPoint {
-        // Serialized non-finite x (the quiet baseline point) becomes null.
-        x: json.get("x").and_then(Json::as_f64).unwrap_or(f64::INFINITY),
-        // smi-lint: allow(no-panic): payload shape fixed by the paired producer.
-        mean: json.get("mean").and_then(Json::as_f64).expect("point mean"),
-        // smi-lint: allow(no-panic): payload shape fixed by the paired producer.
-        std: json.get("std").and_then(Json::as_f64).expect("point std"),
-    }
+    // Serialized non-finite x (the quiet baseline point) becomes null.
+    let x = json.get("x").and_then(Json::as_f64).unwrap_or(f64::INFINITY);
+    #[expect(clippy::expect_used, reason = "payload shape fixed by the paired producer")]
+    let (mean, std) = (
+        json.get("mean").and_then(Json::as_f64).expect("point mean"),
+        json.get("std").and_then(Json::as_f64).expect("point std"),
+    );
+    FigPoint { x, mean, std }
 }
 
 /// Label a failed series carries in rendered figures.
@@ -88,18 +88,12 @@ fn series_from(json: &Json) -> FigSeries {
         // renderer prints `-` for its missing points.
         return FigSeries { label: FAILED_SERIES_LABEL.to_string(), points: Vec::new() };
     }
-    FigSeries {
-        // smi-lint: allow(no-panic): payload shape fixed by the paired producer.
-        label: json.get("label").and_then(Json::as_str).expect("series label").to_string(),
-        points: json
-            .get("points")
-            .and_then(Json::as_array)
-            // smi-lint: allow(no-panic): payload shape fixed by the paired producer.
-            .expect("series points")
-            .iter()
-            .map(point_from)
-            .collect(),
-    }
+    #[expect(clippy::expect_used, reason = "payload shape fixed by the paired producer")]
+    let (label, points) = (
+        json.get("label").and_then(Json::as_str).expect("series label").to_string(),
+        json.get("points").and_then(Json::as_array).expect("series points"),
+    );
+    FigSeries { label, points: points.iter().map(point_from).collect() }
 }
 
 /// The (class, nodes, ranks-per-node) grid of Table 1/2/3 in row order.
@@ -235,10 +229,13 @@ pub fn assemble_table(bench: Bench, payloads: &[Json]) -> TableResult {
                 table_cell(bench, class, nodes, rpn).map(|c| c.smm).unwrap_or([None, None, None]);
             let mut measured = [None, None, None];
             if !matches!(payload, Json::Null) {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "payload shape fixed by the paired producer"
+                )]
                 let measured_json = payload
                     .get("measured")
                     .and_then(Json::as_array)
-                    // smi-lint: allow(no-panic): payload shape fixed by the paired producer.
                     .expect("table payload measured array");
                 assert_eq!(measured_json.len(), 3, "one entry per SMM class");
                 for (k, m) in measured_json.iter().enumerate() {
@@ -319,14 +316,20 @@ pub fn assemble_htt_table(bench: Bench, payloads: &[Json]) -> HttTableResult {
             let paper = htt_cell(bench, class, nodes).map(|c| c.smm_ht);
             let mut measured = [[None, None]; 3];
             if !matches!(payload, Json::Null) {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "payload shape fixed by the paired producer"
+                )]
                 let rows = payload
                     .get("measured")
                     .and_then(Json::as_array)
-                    // smi-lint: allow(no-panic): payload shape fixed by the paired producer.
                     .expect("htt payload measured array");
                 assert_eq!(rows.len(), 3, "one row per SMM class");
                 for (k, row) in rows.iter().enumerate() {
-                    // smi-lint: allow(no-panic): payload shape fixed by the paired producer.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "payload shape fixed by the paired producer"
+                    )]
                     let cols = row.as_array().expect("htt payload row");
                     assert_eq!(cols.len(), 2, "one column per HTT setting");
                     for (h, m) in cols.iter().enumerate() {
@@ -456,22 +459,18 @@ pub fn assemble_figure2(payloads: &[Json]) -> Figure2Result {
     let long_series = payloads[..per].iter().map(series_from).collect();
     let short_series = payloads[per..2 * per].iter().map(series_from).collect();
     // Quarantined baseline cell: no baseline rows to print.
+    #[expect(clippy::expect_used, reason = "payload shape fixed by the paired producer")]
     let baseline_rows: &[Json] = if matches!(payloads[2 * per], Json::Null) {
         &[]
     } else {
-        payloads[2 * per]
-            .get("baselines")
-            .and_then(Json::as_array)
-            // smi-lint: allow(no-panic): payload shape fixed by the paired producer.
-            .expect("figure-2 baselines")
+        payloads[2 * per].get("baselines").and_then(Json::as_array).expect("figure-2 baselines")
     };
+    #[expect(clippy::expect_used, reason = "payload shape fixed by the paired producer")]
     let baselines = baseline_rows
         .iter()
         .map(|pair| {
             (
-                // smi-lint: allow(no-panic): payload shape fixed by the paired producer.
                 pair.idx(0).and_then(Json::as_u64).expect("baseline cpus") as u32,
-                // smi-lint: allow(no-panic): payload shape fixed by the paired producer.
                 pair.idx(1).and_then(Json::as_f64).expect("baseline index"),
             )
         })
@@ -499,11 +498,11 @@ pub const FAILED_TEXT_PAYLOAD: &str =
 /// Extract the text payload of a [`text_cell`] result. A quarantined
 /// cell's `Json::Null` hole renders as [`FAILED_TEXT_PAYLOAD`].
 pub fn text_payload(payload: &Json) -> &str {
-    if matches!(payload, Json::Null) {
-        return FAILED_TEXT_PAYLOAD;
+    match payload {
+        Json::Null => FAILED_TEXT_PAYLOAD,
+        #[expect(clippy::expect_used, reason = "payload shape fixed by the paired producer")]
+        _ => payload.as_str().expect("text cell payload"),
     }
-    // smi-lint: allow(no-panic): payload shape fixed by the paired producer.
-    payload.as_str().expect("text cell payload")
 }
 
 #[cfg(test)]

@@ -64,7 +64,7 @@ pub fn scale_projection(node_counts: &[u32], opts: &RunOptions) -> Vec<ScalePoin
     node_counts
         .iter()
         .map(|&nodes| {
-            // smi-lint: allow(no-panic): shape is valid by construction (rpn 1).
+            #[expect(clippy::expect_used, reason = "shape is valid by construction (rpn 1)")]
             let spec = ClusterSpec::wyeast(nodes, 1, false).expect("valid shape");
             let progs = bsp_app(nodes, 100);
             let quiet: Vec<NodeState> = (0..nodes)
@@ -75,7 +75,7 @@ pub fn scale_projection(node_counts: &[u32], opts: &RunOptions) -> Vec<ScalePoin
                     per_core: Vec::new(),
                 })
                 .collect();
-            // smi-lint: allow(no-panic): the BSP job is matched by construction.
+            #[expect(clippy::expect_used, reason = "the BSP job is matched by construction")]
             let base = mpi_sim::run(&spec, &quiet, &progs, &network).expect("valid job").seconds();
             let mut acc = Accumulator::new();
             for rep in 0..opts.reps {
@@ -90,7 +90,7 @@ pub fn scale_projection(node_counts: &[u32], opts: &RunOptions) -> Vec<ScalePoin
                         per_core: Vec::new(),
                     })
                     .collect();
-                // smi-lint: allow(no-panic): the BSP job is matched by construction.
+                #[expect(clippy::expect_used, reason = "the BSP job is matched by construction")]
                 let noised = mpi_sim::run(&spec, &noisy, &progs, &network).expect("valid job");
                 acc.push(noised.seconds());
             }

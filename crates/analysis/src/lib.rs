@@ -22,7 +22,7 @@
 //!   EXPERIMENTS.md report blocks.
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod absorption;
 pub mod cells;

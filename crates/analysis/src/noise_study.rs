@@ -80,7 +80,7 @@ pub fn noise_cell(opts: &RunOptions, spec_text: &str) -> Cell {
         model.validate().map_err(|e| e.reason_json())?;
 
         let shape = ClusterSpec::wyeast(NOISE_STUDY_NODES, NOISE_STUDY_RPN, false);
-        // smi-lint: allow(no-panic): shape is valid by construction.
+        #[expect(clippy::expect_used, reason = "shape is valid by construction")]
         let cluster = shape.expect("valid shape");
         let network = NetworkParams::gigabit_cluster();
         let progs = bsp_programs();
@@ -158,24 +158,20 @@ pub fn assemble_noise(spec_texts: &[&str], payloads: &[Json]) -> Vec<NoiseRow> {
                     slowdown: None,
                 };
             }
-            // smi-lint: allow(no-panic): payload shape fixed by the paired producer.
+            #[expect(clippy::expect_used, reason = "payload shape fixed by the paired producer")]
             let field = |k: &str| payload.get(k).expect("noise payload field");
-            NoiseRow {
-                // smi-lint: allow(no-panic): payload shape fixed by the paired producer.
-                spec: field("spec").as_str().expect("spec string").to_string(),
-                // smi-lint: allow(no-panic): payload shape fixed by the paired producer.
-                model: field("model").as_str().expect("model string").to_string(),
-                // smi-lint: allow(no-panic): payload shape fixed by the paired producer.
-                budget_pct: field("budget_pct").as_f64().expect("budget"),
-                slowdown: Some(Measured {
-                    // smi-lint: allow(no-panic): payload shape fixed by the paired producer.
+            #[expect(clippy::expect_used, reason = "payload shape fixed by the paired producer")]
+            let (spec, model, budget_pct, slowdown) = (
+                field("spec").as_str().expect("spec string").to_string(),
+                field("model").as_str().expect("model string").to_string(),
+                field("budget_pct").as_f64().expect("budget"),
+                Some(Measured {
                     mean: field("mean").as_f64().expect("mean"),
-                    // smi-lint: allow(no-panic): payload shape fixed by the paired producer.
                     std: field("std").as_f64().expect("std"),
-                    // smi-lint: allow(no-panic): payload shape fixed by the paired producer.
                     reps: field("reps").as_u64().expect("reps") as u32,
                 }),
-            }
+            );
+            NoiseRow { spec, model, budget_pct, slowdown }
         })
         .collect()
 }

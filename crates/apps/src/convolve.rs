@@ -170,10 +170,12 @@ pub fn convolve_blocked(img: &Image, ker: &Kernel, block: usize, max_threads: us
             let rl = (r0 + block).min(rows);
             let cl = (c0 + block).min(cols);
             let mut it = tile.into_iter();
+            #[expect(
+                clippy::expect_used,
+                reason = "each tile is built with exactly (rl-r0)*(cl-c0) entries above"
+            )]
             for r in r0..rl {
                 for c in c0..cl {
-                    // smi-lint: allow(no-panic): each tile is built with
-                    // exactly (rl-r0)*(cl-c0) entries in the loop above.
                     out.data[r * cols + c] = it.next().expect("tile size");
                 }
             }

@@ -195,9 +195,12 @@ pub fn run_convolve(run: &ConvolveRun, rng: &mut SimRng) -> ConvolveOutcome {
         })
         .collect();
 
+    #[expect(
+        clippy::expect_used,
+        reason = "pure compute phases never block on pipes, so the scheduler cannot \
+                  report a deadlock for this program"
+    )]
     let sched = scheduler::run(&topo, &SchedParams::default(), &threads)
-        // smi-lint: allow(no-panic): pure compute phases never block on pipes,
-        // so the scheduler cannot report a deadlock for this program.
         .expect("convolve threads cannot deadlock");
     let executor = NodeExecutor::new(
         &run.schedule,

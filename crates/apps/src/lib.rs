@@ -9,7 +9,7 @@
 //! machine for Figure 2.
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod convolve;
 pub mod convolve_model;

@@ -58,9 +58,11 @@ impl UbCosts {
             for i in 0..iters / 10 {
                 acc = acc.wrapping_add(f(i));
             }
-            // smi-lint: allow(wall-clock): calibrate_real is an explicitly
-            // host-dependent utility (doc above); experiments never call it
-            // and always use UbCosts::default for reproducibility.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "calibrate_real is an explicitly host-dependent utility (doc above); \
+                          experiments never call it and always use UbCosts::default"
+            )]
             let start = Instant::now();
             for i in 0..iters {
                 acc = acc.wrapping_add(f(i));
@@ -149,11 +151,13 @@ pub fn work_rate(test: UbTest, copies: u32, topo: &Topology, costs: &UbCosts) ->
             })
             .collect(),
     };
-    let out = scheduler::run(topo, &params, &threads)
-        // smi-lint: allow(no-panic): the pipe programs built above strictly
-        // alternate write/read in matched pairs, so the scheduler cannot
-        // deadlock.
-        .expect("unixbench programs are deadlock-free");
+    #[expect(
+        clippy::expect_used,
+        reason = "the pipe programs built above strictly alternate write/read in matched \
+                  pairs, so the scheduler cannot deadlock"
+    )]
+    let out =
+        scheduler::run(topo, &params, &threads).expect("unixbench programs are deadlock-free");
     let total_units = units * copies as u64;
     total_units as f64 / out.makespan.as_secs_f64()
 }

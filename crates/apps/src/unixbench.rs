@@ -107,10 +107,12 @@ pub fn whetstone_unit() -> f64 {
 
 /// One syscall-overhead unit: a cheap real system call (clock read), the
 /// same family UnixBench's `getpid`-loop exercises.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the whole point of this unit is to make a real system call; the returned \
+              nanoseconds feed wrapping_add sinks and never influence a simulated result"
+)]
 pub fn syscall_unit() -> u64 {
-    // smi-lint: allow(wall-clock): the whole point of this unit is to make a
-    // real system call; the returned nanoseconds feed wrapping_add sinks and
-    // never influence a simulated result.
     std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.subsec_nanos() as u64)
@@ -164,7 +166,7 @@ mod tests {
 
     #[test]
     fn all_tests_have_distinct_names() {
-        let names: std::collections::HashSet<_> = UbTest::ALL.iter().map(|t| t.name()).collect();
+        let names: std::collections::BTreeSet<_> = UbTest::ALL.iter().map(|t| t.name()).collect();
         assert_eq!(names.len(), 5);
     }
 }

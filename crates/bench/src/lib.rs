@@ -20,7 +20,7 @@
 //! API so `smi-lab bench` can run them with fixed sample counts and
 //! write `BENCH_engine.json`.
 
-#![deny(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod suite;
 
@@ -193,6 +193,7 @@ impl Summary {
 /// the primitive both [`Criterion::bench_function`] and the
 /// [`suite`] runner sit on.
 pub fn measure(name: &str, samples: usize, routine: impl FnMut(&mut Bencher)) -> Summary {
+    #[expect(clippy::disallowed_methods, reason = "bench exists to time the host")]
     let origin = Instant::now();
     measure_with(&mut || origin.elapsed(), name, samples, routine)
 }

@@ -67,11 +67,13 @@ impl SetAssocCache {
             return true;
         }
         self.misses += 1;
+        #[expect(
+            clippy::expect_used,
+            reason = "the constructor rejects assoc == 0, so every set slice is non-empty"
+        )]
         let victim = set_ways
             .iter_mut()
             .min_by_key(|w| if w.valid { w.lru } else { 0 })
-            // smi-lint: allow(no-panic): the constructor rejects assoc == 0,
-            // so every set slice is non-empty.
             .expect("associativity >= 1");
         victim.tag = tag;
         victim.valid = true;

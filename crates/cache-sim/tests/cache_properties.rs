@@ -141,7 +141,7 @@ fn flush_restores_cold_state() {
         assert_eq!(c.occupancy(), 0);
         // Every distinct line misses again.
         c.reset_counters();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for &a in &addrs {
             let line = a / cfg.line_bytes;
             let hit = c.access(a);

@@ -108,8 +108,6 @@
 //! * `2` — failed: one or more cells panicked through their retry
 //!   budget (also used for usage errors).
 
-#![deny(unsafe_code)]
-
 mod benchcmd;
 mod fsckcmd;
 mod xcmds;

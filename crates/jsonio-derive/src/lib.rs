@@ -15,8 +15,6 @@
 //! Generic types and variant discriminants are rejected with a
 //! `compile_error!` rather than silently mis-serialized.
 
-#![deny(unsafe_code)]
-
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 /// Derive `jsonio::ToJson` for a struct or enum.

@@ -17,7 +17,7 @@
 //!   rendezvous and post-SMI cache-refill side effects.
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod energy;
 pub mod executor;

@@ -427,9 +427,9 @@ mod tests {
     /// Check that every Send/SendRecv has a matching Recv/SendRecv on the
     /// peer with the same tag, across all ranks of a lowered collective.
     fn check_matching(programs: &[Vec<LowOp>]) {
-        use std::collections::HashMap;
+        use std::collections::BTreeMap;
         // (src, dst, tag) -> count
-        let mut sends: HashMap<(u32, u32, u64), i64> = HashMap::new();
+        let mut sends: BTreeMap<(u32, u32, u64), i64> = BTreeMap::new();
         for (r, prog) in programs.iter().enumerate() {
             for op in prog {
                 match *op {

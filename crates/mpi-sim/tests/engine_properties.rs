@@ -6,7 +6,7 @@ use mpi_sim::{
 };
 use quickprop::{check, Gen};
 use sim_core::{DurationModel, FreezeSchedule, PeriodicFreeze, SimDuration, SimRng};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// One arbitrary SPMD collective op (every rank runs the same ops, so
 /// matching must hold by construction). Roots are drawn in `0..4` and
@@ -35,7 +35,7 @@ fn clamped_ops(g: &mut Gen, len: std::ops::Range<usize>, size: u32) -> Vec<Op> {
 
 /// Check send/recv matching across all lowered rank programs.
 fn assert_matched(programs: &[Vec<LowOp>]) {
-    let mut balance: HashMap<(u32, u32, u64), i64> = HashMap::new();
+    let mut balance: BTreeMap<(u32, u32, u64), i64> = BTreeMap::new();
     for (r, prog) in programs.iter().enumerate() {
         for op in prog {
             match *op {

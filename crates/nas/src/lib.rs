@@ -15,7 +15,7 @@
 //!    predictions, not fits.
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod bt;
 pub mod classes;

@@ -235,9 +235,11 @@ pub fn serial_seconds(bench: Bench, class: Class) -> f64 {
         (Bench::Ft, Class::A) => 7.64,
         (Bench::Ft, Class::B) => 95.48,
         (Bench::Ft, Class::C) => 418.0,
-        // smi-lint: allow(no-panic): only the published (bench, class) pairs
-        // above exist in the paper; asking for any other is a programming
-        // error, not a runtime condition.
+        #[expect(
+            clippy::panic,
+            reason = "only the published (bench, class) pairs above exist in the paper; \
+                      asking for any other is a programming error, not a runtime condition"
+        )]
         _ => panic!("no paper baseline for {bench:?} class {}", class.letter()),
     }
 }

@@ -140,7 +140,7 @@ mod tests {
         // The LCG mod 2^46 with an odd multiplier never hits zero from an
         // odd seed, and 10k consecutive values should all be distinct.
         let mut r = Randlc::ep();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..10_000 {
             r.next();
             assert!(seen.insert(r.state()), "cycle at state {}", r.state());

@@ -42,7 +42,7 @@
 //! the long-SMI budget at a 5 s period) so studies compare noise *shape*
 //! at fixed total stolen time.
 
-#![deny(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 
 use mpi_sim::{ClusterSpec, NodeState};

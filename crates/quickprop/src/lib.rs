@@ -29,7 +29,7 @@
 //! ```
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -61,9 +61,12 @@ pub fn check(name: &str, cases: u64, property: impl Fn(&mut Gen)) {
 }
 
 fn env_u64(var: &str) -> Option<u64> {
-    // smi-lint: allow(hermeticity): quickprop is test-harness infrastructure;
-    // QUICKPROP_SEED/QUICKPROP_CASES exist precisely so a developer can replay
-    // a failing case. Experiment code never links this crate.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "quickprop is test-harness infrastructure; QUICKPROP_SEED/QUICKPROP_CASES \
+                  exist so a developer can replay a failing case, and experiment code \
+                  never links this crate"
+    )]
     let raw = std::env::var(var).ok()?;
     let raw = raw.trim();
     let parsed = if let Some(hex) = raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
@@ -73,8 +76,10 @@ fn env_u64(var: &str) -> Option<u64> {
     };
     match parsed {
         Ok(v) => Some(v),
-        // smi-lint: allow(no-panic): aborting the test run loudly beats
-        // silently ignoring a typo in a replay seed.
+        #[expect(
+            clippy::panic,
+            reason = "aborting the test run loudly beats silently ignoring a typo in a replay seed"
+        )]
         Err(_) => panic!("quickprop: cannot parse {var}={raw:?} as u64"),
     }
 }

@@ -15,6 +15,8 @@
 //! chaos-worker --cells 8 --seed 3 --faults c3=abort;c5=panic1
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use runner::chaos::{self, ChaosPlan, Fault};
 use runner::testcells;
 

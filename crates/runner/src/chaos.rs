@@ -14,8 +14,6 @@
 //! a measurement binary. Injected panic messages all carry the
 //! `"chaos:"` marker so [`quiet_injected_panics`] can keep expected
 //! panics out of test output while letting real ones through.
-// smi-lint: allow(wall-clock): fault injection (stragglers) manipulates
-// real time by design; this file is also on the per-file whitelist.
 
 use crate::cache::{self, CacheKey};
 use crate::{Cell, CellSpec};
@@ -163,13 +161,13 @@ pub fn afflict(plan: &ChaosPlan, cells: Vec<Cell>) -> Vec<Cell> {
                     let attempt = attempts.fetch_add(1, Ordering::Relaxed);
                     match fault {
                         Fault::None => {}
+                        #[expect(clippy::panic, reason = "the injected fault is the panic")]
                         Fault::PanicFirst(n) if attempt < n => {
-                            // smi-lint: allow(no-panic): the injected fault *is* the panic
                             panic!("chaos: transient fault in {cell_label} (attempt {attempt})");
                         }
                         Fault::PanicFirst(_) => {}
+                        #[expect(clippy::panic, reason = "the injected fault is the panic")]
                         Fault::PanicAlways => {
-                            // smi-lint: allow(no-panic): the injected fault *is* the panic
                             panic!("chaos: permanent fault in {cell_label}");
                         }
                         Fault::Invalid => {

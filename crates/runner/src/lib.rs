@@ -63,7 +63,7 @@
 //! cells panicked through their retry budget).
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod cache;
 #[cfg(any(test, feature = "chaos"))]

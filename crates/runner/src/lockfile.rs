@@ -136,10 +136,13 @@ fn read_holder(path: &Path) -> Option<u64> {
 }
 
 /// Age of a lock file in whole seconds, from its mtime.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "lock age is operator-facing forensics in the manifest, never an input to \
+              any deterministic verdict"
+)]
 fn lock_age(path: &Path) -> Option<u64> {
     let mtime = std::fs::metadata(path).ok()?.modified().ok()?;
-    // smi-lint: allow(wall-clock): lock age is operator-facing forensics
-    // in the manifest, never an input to any deterministic verdict.
     std::time::SystemTime::now().duration_since(mtime).ok().map(|d| d.as_secs())
 }
 

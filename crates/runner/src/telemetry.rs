@@ -38,6 +38,10 @@ pub struct Progress {
 
 impl Progress {
     /// New progress tracker; `verbose` enables the stderr ticker.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "campaign wall time and the ticker throttle are telemetry, never records"
+    )]
     pub fn new(total: u64, verbose: bool) -> Self {
         Progress {
             total,
@@ -196,6 +200,7 @@ impl Progress {
 
     fn maybe_print(&self, done: u64, cell: &str) {
         let Some(print) = &self.print else { return };
+        #[expect(clippy::disallowed_methods, reason = "the ticker throttle reads the wall clock")]
         let now = Instant::now();
         {
             // Recover from a poisoned lock: losing one progress line is
@@ -334,9 +339,9 @@ impl Faults {
 const THROTTLE: std::time::Duration = std::time::Duration::from_millis(200);
 
 /// A wall-clock stopwatch for telemetry timings (cell latency, run wall
-/// time). This module is the workspace's only sanctioned clock reader
-/// outside `bench` (`smi-lint` rule SMI002): timings feed manifests and
-/// progress output, never canonical records.
+/// time). This module is the workspace's sanctioned clock reader outside
+/// `bench` (clippy `disallowed_methods`, DESIGN.md §7): timings feed
+/// manifests and progress output, never canonical records.
 #[derive(Clone, Copy, Debug)]
 pub struct Stopwatch {
     started: Instant,
@@ -344,6 +349,7 @@ pub struct Stopwatch {
 
 impl Stopwatch {
     /// Start timing now.
+    #[expect(clippy::disallowed_methods, reason = "telemetry timings never reach records")]
     pub fn start() -> Self {
         Stopwatch { started: Instant::now() }
     }

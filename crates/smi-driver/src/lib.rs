@@ -16,7 +16,7 @@
 //!   SMM time to the interrupted code (§II.A's tool-developer concern).
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod attribution;
 pub mod bits;

@@ -1,8 +1,8 @@
-//! A minimal Rust lexer: just enough tokenization for line-walking
-//! rules. It understands line/block comments (returned as tokens so the
-//! pragma layer can read them), string/char/raw-string literals (so
-//! nothing inside them is mistaken for code), lifetimes vs char
-//! literals, identifiers, numbers, and single-character punctuation.
+//! A minimal Rust lexer: just enough tokenization for the item parser
+//! ([`crate::parser`]). It understands line/block comments (returned as
+//! tokens so the pragma layer can read them), string/char/raw-string
+//! literals (so nothing inside them is mistaken for code), lifetimes vs
+//! char literals, identifiers, numbers, and single-character punctuation.
 //! It does not build an AST and never fails: unexpected bytes become
 //! punctuation tokens and the walk continues.
 
@@ -353,10 +353,10 @@ mod tests {
 
     #[test]
     fn comments_carry_text_and_lines() {
-        let toks = lex("a\n// smi-lint: allow(no-panic)\nb");
+        let toks = lex("a\n// smi-lint: allow(panic-path)\nb");
         let c = toks.iter().find(|t| t.kind == TokKind::LineComment).expect("comment");
         assert_eq!(c.line, 2);
-        assert!(c.text.contains("allow(no-panic)"));
+        assert!(c.text.contains("allow(panic-path)"));
         assert_eq!(toks.iter().find(|t| t.is_ident("b")).map(|t| t.line), Some(3));
     }
 

@@ -1,27 +1,25 @@
-//! # smi-lint — the in-tree determinism & hermeticity linter
+//! # smi-lint — the in-tree call-graph determinism linter
 //!
 //! The laboratory's headline guarantee is byte-reproducibility: every
 //! record is a pure function of the cell identity and seed, so serial
 //! and parallel runs agree byte for byte and the content-hash result
-//! cache is sound. That guarantee dies quietly — a `HashMap` iteration
-//! here, an `Instant::now` there — so this crate enforces it with a
-//! static pass over every workspace crate instead of reviewer
-//! vigilance. See `DESIGN.md` §"Static analysis & determinism policy".
+//! cache is sound. Line-level hazards — a `HashMap`, an `Instant::now`,
+//! `std::fs` in a record crate, an `unwrap` in library code, `unsafe` —
+//! are rustc and clippy lints configured by the workspace `clippy.toml`
+//! files and `[workspace.lints]`. This crate checks what no line lint
+//! can see: whether a hazard is *reachable* from a record-producing
+//! entry point. See `DESIGN.md` §7 and §12.
 //!
-//! The scanner is a small hand-rolled Rust lexer plus line-walking rules
-//! ([`rules`]) — no syn, no rustc internals, no external crates. Nine
-//! rules with stable IDs: `SMI001`..`SMI006` are per-line checks, and
-//! `SMI007`..`SMI009` are whole-workspace passes over a lightweight item
+//! A small hand-rolled Rust lexer ([`lexer`]) feeds a lightweight item
 //! parser ([`parser`]), a symbol table + conservative call graph
-//! ([`graph`]), and three reachability analyses ([`taint`]) — taint
-//! flow, lock-order cycles, and panic paths — each reporting the full
-//! call chain from a record-producing entry point to the flagged site.
-//! Per-line suppression pragmas (`// smi-lint: allow(<rule>): reason`)
-//! are the only way to keep a flagged line; every other finding fails.
+//! ([`graph`]), and three reachability analyses ([`taint`]): `SMI007`
+//! taint flow, `SMI008` lock-order cycles, and `SMI009` panic paths,
+//! each reporting the full call chain from an entry point to the flagged
+//! site. No syn, no rustc internals, no external crates. A pragma
+//! (`// smi-lint: allow(<rule>): reason`) at the flagged site is the only
+//! way to keep a finding; every other finding fails.
 //!
 //! Run it as `cargo run -p smi-lint`, or `smi-lab lint` from the CLI.
-
-#![deny(unsafe_code)]
 
 pub mod graph;
 pub mod lexer;
@@ -29,94 +27,10 @@ pub mod parser;
 pub mod rules;
 pub mod taint;
 
-pub use rules::{ChainStep, FilePolicy, Finding, Rule, ScanResult, ALL_RULES};
+pub use rules::{ChainStep, Finding, Rule, ALL_RULES};
 
 use jsonio::Json;
 use std::path::{Path, PathBuf};
-
-/// Crates whose output feeds canonical records (tables, figures,
-/// studies): SMI001/SMI005 apply — hash collections are banned outright.
-pub const RECORD_CRATES: [&str; 9] = [
-    "sim-core",
-    "machine",
-    "cache-sim",
-    "smi-driver",
-    "mpi-sim",
-    "nas",
-    "apps",
-    "analysis",
-    "noise",
-];
-
-/// Binary/tool crates: exempt from SMI004 (a CLI may panic on bad usage)
-/// and SMI003 (they exist to touch the outside world). `jsonio-derive`
-/// rides along: it is a compile-time code generator whose panics surface
-/// as build errors, never in a measurement run.
-pub const TOOL_CRATES: [&str; 3] = ["cli", "smi-lint", "jsonio-derive"];
-
-/// Crates allowed ambient authority (filesystem, environment): the CLI,
-/// the runner (result cache, manifests), and the linter itself.
-pub const HERMETIC_EXEMPT: [&str; 3] = ["cli", "runner", "smi-lint"];
-
-/// Crates allowed to read the wall clock everywhere (`bench` exists to
-/// time the host). `runner` gets a single whitelisted file instead.
-pub const WALL_CLOCK_EXEMPT_CRATES: [&str; 1] = ["bench"];
-
-/// Files on the simulation path proper — the code a measurement run
-/// executes between `mpi_sim::run` and its `Result`. SMI004 is *strict*
-/// here: the `assert!` family, `unreachable!`, `todo!`, and
-/// `unimplemented!` are banned alongside `.unwrap()`/`.expect(`/`panic!`,
-/// and `no-panic` pragmas do not apply — a validity failure must surface
-/// as a typed `SimError`, never an abort. (`debug_assert!` remains legal:
-/// release measurement builds compile it out.)
-pub const STRICT_NO_PANIC_FILES: [&str; 5] = [
-    "crates/machine/src/executor.rs",
-    "crates/sim-core/src/error.rs",
-    "crates/sim-core/src/event.rs",
-    "crates/sim-core/src/freeze.rs",
-    "crates/sim-core/src/time.rs",
-];
-
-/// Directories whose every file is on the strict simulation path.
-/// `crates/noise/src/` qualifies because every model's `schedule` runs
-/// inside campaign cells: a bad parameterization must quarantine as a
-/// typed `SimError::InvalidSpec`, never abort the campaign.
-pub const STRICT_NO_PANIC_DIRS: [&str; 2] = ["crates/mpi-sim/src/", "crates/noise/src/"];
-
-/// Is this file under the strict no-panic regime?
-pub fn strict_no_panic(rel_path: &str) -> bool {
-    STRICT_NO_PANIC_FILES.contains(&rel_path)
-        || STRICT_NO_PANIC_DIRS.iter().any(|d| rel_path.starts_with(d))
-}
-
-/// Files allowed to read the wall clock inside otherwise-checked crates:
-/// progress telemetry measures real elapsed time by design, and the
-/// fault-injection harness (test/`chaos`-feature gated, never in a
-/// measurement binary) manipulates real time to inject stragglers.
-pub const WALL_CLOCK_EXEMPT_FILES: [&str; 2] =
-    ["crates/runner/src/chaos.rs", "crates/runner/src/telemetry.rs"];
-
-/// The policy for one file, given its crate and workspace-relative path.
-pub fn policy_for(crate_name: &str, rel_path: &str) -> FilePolicy {
-    let wall_clock_exempt = WALL_CLOCK_EXEMPT_CRATES.contains(&crate_name)
-        || WALL_CLOCK_EXEMPT_FILES.contains(&rel_path);
-    let is_tool = TOOL_CRATES.contains(&crate_name);
-    let file = rel_path.rsplit('/').next().unwrap_or(rel_path);
-    FilePolicy {
-        record_producing: RECORD_CRATES.contains(&crate_name),
-        check_wall_clock: !wall_clock_exempt,
-        check_hermeticity: !HERMETIC_EXEMPT.contains(&crate_name),
-        check_panics: !is_tool,
-        strict_no_panic: !is_tool && strict_no_panic(rel_path),
-        is_crate_root: file == "lib.rs" || file == "main.rs",
-    }
-}
-
-/// Scan one file with the policy the workspace scan would apply —
-/// the entry point fixture tests drive directly.
-pub fn scan_with_policy(crate_name: &str, rel_path: &str, src: &str) -> ScanResult {
-    rules::scan_source(crate_name, rel_path, &policy_for(crate_name, rel_path), src)
-}
 
 /// Everything one workspace scan produced.
 #[derive(Clone, Debug, Default)]
@@ -132,22 +46,12 @@ pub struct WorkspaceScan {
 /// Scan every workspace crate under `root` (each `crates/*/src/**/*.rs`
 /// plus the facade crate's `src/`). Test directories (`tests/`,
 /// `benches/`, `examples/`) are dev code and out of scope by
-/// construction; `#[cfg(test)]` regions are excluded by the walker.
-/// Files are scanned and parsed in the (sorted) file order, then the
-/// graph passes run over the parsed workspace.
+/// construction; `#[cfg(test)]` regions are excluded by the parser.
+/// Files are parsed in the (sorted) file order, then the graph passes
+/// run over the parsed workspace.
 pub fn scan_workspace(root: &Path) -> Result<WorkspaceScan, String> {
-    let mut scan = WorkspaceScan::default();
-    let mut parsed: Vec<parser::ParsedFile> = Vec::new();
-    for (crate_name, rel, abs) in workspace_files(root)? {
-        let src = std::fs::read_to_string(&abs)
-            .map_err(|e| format!("cannot read {}: {e}", abs.display()))?;
-        let result = scan_with_policy(&crate_name, &rel, &src);
-        scan.findings.extend(result.findings);
-        scan.suppressed += result.suppressed;
-        scan.files_scanned += 1;
-        parsed.push(parser::parse_source(&crate_name, &rel, &src));
-    }
-
+    let parsed = parse_workspace(root)?;
+    let mut scan = WorkspaceScan { files_scanned: parsed.len() as u32, ..WorkspaceScan::default() };
     let deps = graph::workspace_deps(root)?;
     let g = graph::CallGraph::build(&parsed, &deps);
     let record_entries = taint::workspace_entries(&g, &parsed);
@@ -167,7 +71,7 @@ pub fn scan_workspace(root: &Path) -> Result<WorkspaceScan, String> {
 
 /// The deterministic workspace file list: `(crate name, relative path,
 /// absolute path)` in scan order.
-pub fn workspace_files(root: &Path) -> Result<Vec<(String, String, PathBuf)>, String> {
+fn workspace_files(root: &Path) -> Result<Vec<(String, String, PathBuf)>, String> {
     let mut units: Vec<(String, PathBuf)> = vec![("smi-lab".to_string(), root.join("src"))];
     let crates_dir = root.join("crates");
     let entries = std::fs::read_dir(&crates_dir)
@@ -203,17 +107,23 @@ pub fn workspace_files(root: &Path) -> Result<Vec<(String, String, PathBuf)>, St
     Ok(out)
 }
 
+/// Parse every workspace file (the facade's `src/`, then each
+/// `crates/*/src/`, sorted) in scan order.
+pub fn parse_workspace(root: &Path) -> Result<Vec<parser::ParsedFile>, String> {
+    let mut parsed = Vec::new();
+    for (crate_name, rel, abs) in workspace_files(root)? {
+        let src = std::fs::read_to_string(&abs)
+            .map_err(|e| format!("cannot read {}: {e}", abs.display()))?;
+        parsed.push(parser::parse_source(&crate_name, &rel, &src));
+    }
+    Ok(parsed)
+}
+
 /// Render the workspace call graph (`kind == "call"`, reachable slice
 /// from the record entry points) or the lock-order graph
 /// (`kind == "lock"`) as DOT.
 pub fn export_graph(root: &Path, kind: &str) -> Result<String, String> {
-    let units = workspace_files(root)?;
-    let mut parsed = Vec::with_capacity(units.len());
-    for (crate_name, rel, abs) in &units {
-        let src = std::fs::read_to_string(abs)
-            .map_err(|e| format!("cannot read {}: {e}", abs.display()))?;
-        parsed.push(parser::parse_source(crate_name, rel, &src));
-    }
+    let parsed = parse_workspace(root)?;
     let deps = graph::workspace_deps(root)?;
     let g = graph::CallGraph::build(&parsed, &deps);
     match kind {
@@ -366,10 +276,8 @@ pub fn verify_report(text: &str) -> Result<u32, String> {
                 ));
             }
         }
-        let is_chain_rule =
-            matches!(f.get("rule").and_then(|v| v.as_str()), Some("SMI007" | "SMI008" | "SMI009"));
-        if is_chain_rule && chain.is_empty() {
-            return Err(format!("finding {i}: call-chain rule with an empty chain"));
+        if chain.is_empty() {
+            return Err(format!("finding {i}: every rule reports a call chain, this one is empty"));
         }
     }
     // Round-trip: re-rendering the parsed document and parsing it back
@@ -392,7 +300,13 @@ pub fn verify_report(text: &str) -> Result<u32, String> {
 
 /// Usage text for `--help`.
 pub const USAGE: &str = "\
-smi-lint — determinism & hermeticity linter for the smi-lab workspace
+smi-lint — call-graph determinism linter for the smi-lab workspace
+
+Reports hazards reachable from a record entry point over the workspace
+call graph: SMI007 nd-taint, SMI008 lock-order, SMI009 panic-path. The
+line checks (hash collections, wall clock, ambient authority, panics in
+library code, unsafe) are clippy and rustc lints: run
+`cargo clippy --workspace --all-targets -- -D warnings`.
 
 usage: smi-lint [--root DIR] [--format text|json]
                 [--graph call|lock] [--verify-report FILE]
@@ -494,47 +408,4 @@ pub fn run_cli(args: &[String]) -> i32 {
 fn usage_error(msg: &str) -> i32 {
     eprintln!("smi-lint: {msg}\n{USAGE}");
     2
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn policy_table_matches_the_design() {
-        let p = policy_for("machine", "crates/machine/src/scheduler.rs");
-        assert!(p.record_producing && p.check_panics && p.check_hermeticity);
-        assert!(!p.is_crate_root);
-        // Off the simulation path: pragma-suppressed panics stay legal.
-        assert!(!p.strict_no_panic);
-        // On it: the whole of mpi-sim, the machine executor, and the
-        // sim-core files the event loop runs through.
-        assert!(policy_for("mpi-sim", "crates/mpi-sim/src/engine.rs").strict_no_panic);
-        assert!(policy_for("mpi-sim", "crates/mpi-sim/src/cluster.rs").strict_no_panic);
-        // The noise-model plugins generate schedules inside campaign
-        // cells: strict, and record-producing (SMI001/SMI005 apply).
-        assert!(policy_for("noise", "crates/noise/src/models.rs").strict_no_panic);
-        assert!(policy_for("noise", "crates/noise/src/lib.rs").record_producing);
-        assert!(policy_for("machine", "crates/machine/src/executor.rs").strict_no_panic);
-        assert!(policy_for("sim-core", "crates/sim-core/src/freeze.rs").strict_no_panic);
-        assert!(policy_for("sim-core", "crates/sim-core/src/time.rs").strict_no_panic);
-        // Utility modules (stats, rng) validate caller input with asserts
-        // and are not reachable mid-run: ordinary SMI004.
-        assert!(!policy_for("sim-core", "crates/sim-core/src/stats.rs").strict_no_panic);
-        assert!(!policy_for("sim-core", "crates/sim-core/src/rng.rs").strict_no_panic);
-        let p = policy_for("runner", "crates/runner/src/telemetry.rs");
-        assert!(!p.check_wall_clock && !p.check_hermeticity && p.check_panics);
-        let p = policy_for("runner", "crates/runner/src/lib.rs");
-        assert!(p.check_wall_clock && p.is_crate_root);
-        // The chaos harness: clock-exempt (stragglers) and hermeticity-
-        // exempt (runner crate), but its injected panics still need
-        // justified no-panic pragmas.
-        let p = policy_for("runner", "crates/runner/src/chaos.rs");
-        assert!(!p.check_wall_clock && !p.check_hermeticity && p.check_panics);
-        assert!(!p.is_crate_root);
-        let p = policy_for("cli", "crates/cli/src/main.rs");
-        assert!(!p.check_panics && !p.check_hermeticity && p.is_crate_root);
-        let p = policy_for("bench", "crates/bench/src/lib.rs");
-        assert!(!p.check_wall_clock && p.check_hermeticity);
-    }
 }

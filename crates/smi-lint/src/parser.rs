@@ -458,7 +458,7 @@ impl<'a> Parser<'a> {
 
     /// Hash-order heuristic: a fn whose body both names a hash collection
     /// and draws an iterator gets a `HashOrder` taint at the collection's
-    /// line. (Intraprocedural SMI001 already bans the collections in
+    /// line. (Clippy's `disallowed_types` already bans the collections in
     /// record crates; this catches them in crates the entry points reach.)
     fn finish_hash_order(&mut self) {
         for def in &mut self.fns {

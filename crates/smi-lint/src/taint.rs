@@ -1,31 +1,33 @@
 //! The whole-workspace determinism passes: SMI007 (nondeterminism taint
 //! reachability), SMI008 (lock-order cycles), SMI009 (panic-path
 //! reachability). All three report **full call chains** from a
-//! record-producing entry point to the flagged site, and all three are
-//! suppressible at the *site* with the usual pragma machinery — an
-//! existing justified `allow(no-panic)` / `allow(wall-clock)` /
-//! `allow(hermeticity)` / `allow(hash-iter)` pragma also covers the
-//! interprocedural finding, so one justification serves both views.
+//! record-producing entry point to the flagged site, and each is
+//! suppressible at the *site* only by a pragma naming its own rule
+//! (`nd-taint`, `lock-order`, `panic-path`). A clippy `#[expect]` that
+//! justifies a line lint at the same site does not cover reachability:
+//! being fine locally and being allowed on a record path are separate
+//! claims.
 
 use crate::graph::CallGraph;
-use crate::parser::{ParsedFile, TaintKind};
+use crate::parser::ParsedFile;
 use crate::rules::{pragma_allows, ChainStep, Finding, LOCK_ORDER, ND_TAINT, PANIC_PATH};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The record-producing entry points of the laboratory, as fixed by the
-/// reproducibility contract (DESIGN.md §12): the MPI engine's public
-/// `run`/`run_with`, every `NoiseModel::schedule` implementation, and
-/// the analysis cell builders (`*_cells`). SMI007 (record purity) flows
-/// from all of them.
+/// reproducibility contract (DESIGN.md §12): the strict entries below
+/// plus the analysis cell builders (`*_cells`). SMI007 (record purity)
+/// flows from all of them.
 pub fn workspace_entries(graph: &CallGraph, files: &[ParsedFile]) -> Vec<usize> {
     entry_ids(graph, files, true)
 }
 
-/// The strict simulation-path entry points: `mpi_sim::run`/`run_with`
-/// and every `NoiseModel::schedule`. SMI009 derives the no-panic regime
-/// from these — campaign *setup* (cell builders validating hard-coded
-/// specs with asserts) is ordinary SMI004 territory, but anything these
-/// entries reach executes mid-measurement, where an abort loses the run.
+/// The strict simulation-path entry points: the MPI engine's free
+/// `mpi_sim::run`/`run_with`, the prepared-job path campaigns take
+/// (`mpi_sim::Job::new` and `Job::run`, via `nas::CellJob`), and every
+/// `NoiseModel::schedule`. SMI009 derives the no-panic regime from
+/// these — campaign *setup* (cell builders validating hard-coded specs
+/// with asserts) may abort loudly, but anything these entries reach
+/// executes mid-measurement, where an abort loses the run.
 pub fn strict_entries(graph: &CallGraph, files: &[ParsedFile]) -> Vec<usize> {
     entry_ids(graph, files, false)
 }
@@ -38,7 +40,11 @@ fn entry_ids(graph: &CallGraph, files: &[ParsedFile], include_cells: bool) -> Ve
         }
         let def = &files[node.file].fns[node.def];
         let is_entry = match node.crate_name.as_str() {
-            "mpi-sim" => def.owner.is_none() && (def.name == "run" || def.name == "run_with"),
+            "mpi-sim" => match def.owner.as_deref() {
+                None => def.name == "run" || def.name == "run_with",
+                Some("Job") => def.name == "new" || def.name == "run",
+                Some(_) => false,
+            },
             "noise" => def.owner.is_some() && def.name == "schedule",
             "analysis" => include_cells && def.owner.is_none() && def.name.ends_with("_cells"),
             _ => false,
@@ -86,15 +92,7 @@ pub fn smi007(files: &[ParsedFile], graph: &CallGraph, entries: &[usize]) -> Pas
         }
         let def = &files[node.file].fns[node.def];
         for site in &def.taints {
-            // The intra-rule pragma that justifies the source locally
-            // also justifies its reachability.
-            let local = match site.kind {
-                TaintKind::WallClock => "wall-clock",
-                TaintKind::Ambient => "hermeticity",
-                TaintKind::HashOrder => "hash-iter",
-                TaintKind::ThreadId => "nd-taint",
-            };
-            if suppressed_at(files, node.file, site.line, &["nd-taint", local]) {
+            if suppressed_at(files, node.file, site.line, &[ND_TAINT.name]) {
                 out.suppressed += 1;
                 continue;
             }
@@ -259,7 +257,7 @@ pub fn smi008(files: &[ParsedFile], graph: &CallGraph) -> PassResult {
             }
             let Some((anchor_fn, anchor_line)) = anchor else { continue };
             let holder = &graph.fns[anchor_fn];
-            if suppressed_at(files, holder.file, anchor_line, &["lock-order"]) {
+            if suppressed_at(files, holder.file, anchor_line, &[LOCK_ORDER.name]) {
                 out.suppressed += 1;
                 continue;
             }
@@ -327,10 +325,14 @@ fn find_cycle(order: &BTreeMap<(String, String), LockEdge>, start: &str) -> Opti
     }
 }
 
-/// SMI009: panic sites reachable from a record-producing entry point —
-/// the derived form of the strict no-panic regime. An existing justified
-/// `allow(no-panic)` pragma at the site also covers the reachability
-/// finding. Tool crates are exempt exactly as they are for SMI004.
+/// Binary/tool crates: a panic there is a usage error or (for the
+/// `jsonio-derive` code generator) a build error, never an aborted
+/// measurement, so SMI009 skips them, and their crate roots need not
+/// deny the no-panic lints (DESIGN.md §7).
+pub const TOOL_CRATES: [&str; 3] = ["cli", "smi-lint", "jsonio-derive"];
+
+/// SMI009: panic sites reachable from a strict simulation entry point —
+/// the derived no-panic regime.
 pub fn smi009(files: &[ParsedFile], graph: &CallGraph, entries: &[usize]) -> PassResult {
     let parent = graph.reach(entries);
     let mut out = PassResult::default();
@@ -338,7 +340,7 @@ pub fn smi009(files: &[ParsedFile], graph: &CallGraph, entries: &[usize]) -> Pas
         if parent[id].is_none() || node.in_test {
             continue;
         }
-        if crate::TOOL_CRATES.contains(&node.crate_name.as_str()) {
+        if TOOL_CRATES.contains(&node.crate_name.as_str()) {
             continue;
         }
         let def = &files[node.file].fns[node.def];
@@ -346,7 +348,7 @@ pub fn smi009(files: &[ParsedFile], graph: &CallGraph, entries: &[usize]) -> Pas
             if site.what == "debug_assert!" {
                 continue;
             }
-            if suppressed_at(files, node.file, site.line, &["panic-path", "no-panic"]) {
+            if suppressed_at(files, node.file, site.line, &[PANIC_PATH.name]) {
                 out.suppressed += 1;
                 continue;
             }
@@ -373,9 +375,8 @@ pub fn smi009(files: &[ParsedFile], graph: &CallGraph, entries: &[usize]) -> Pas
 }
 
 /// The files the derived no-panic regime covers: every file defining at
-/// least one function reachable from the record entry points. The
-/// hand-maintained `STRICT_NO_PANIC_FILES`/`_DIRS` lists are cross-
-/// checked against this set (tests/golden.rs).
+/// least one function reachable from the given entry points
+/// (tests/golden.rs pins the strict files it must keep covering).
 pub fn panic_reachable_files(graph: &CallGraph, entries: &[usize]) -> BTreeSet<String> {
     let parent = graph.reach(entries);
     graph
@@ -561,17 +562,24 @@ mod tests {
     }
 
     #[test]
-    fn smi009_honors_no_panic_pragmas() {
-        let (files, g) = setup(
-            "pub fn entry(x: Option<u32>) { deep(x); }\n\
-             fn deep(x: Option<u32>) {\n\
-                 // smi-lint: allow(no-panic): x is Some by construction\n\
-                 x.unwrap();\n\
-             }\n",
-        );
+    fn smi009_honors_only_its_own_pragma() {
+        let src = |rule: &str| {
+            format!(
+                "pub fn entry(x: Option<u32>) {{ deep(x); }}\n\
+                 fn deep(x: Option<u32>) {{\n\
+                     // smi-lint: allow({rule}): x is Some by construction\n\
+                     x.unwrap();\n\
+                 }}\n"
+            )
+        };
+        let (files, g) = setup(&src("panic-path"));
         let r = smi009(&files, &g, &entries_named(&g, "::entry"));
         assert!(r.findings.is_empty(), "{:?}", r.findings);
         assert_eq!(r.suppressed, 1);
+        // `no-panic` named a retired line rule: it justifies nothing.
+        let (files, g) = setup(&src("no-panic"));
+        let r = smi009(&files, &g, &entries_named(&g, "::entry"));
+        assert_eq!((r.findings.len(), r.suppressed), (1, 0), "{:?}", r.findings);
     }
 
     #[test]

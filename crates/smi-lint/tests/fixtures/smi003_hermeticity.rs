@@ -1,6 +1,7 @@
-//! Golden fixture for SMI003 (hermeticity): ambient authority via
-//! `std::env` outside the cli/runner/smi-lint whitelist.
+//! Canary fixture for the ambient-authority ban (formerly SMI003):
+//! `std::env` outside cli/runner/smi-lint. Compiled by ci.sh; clippy
+//! must fail with `disallowed_methods`.
 
 pub fn knob() -> Option<String> {
-    std::env::var("SMI_LAB_KNOB").ok() // line 5: finding
+    std::env::var("SMI_LAB_KNOB").ok() // finding
 }

@@ -1,8 +1,10 @@
-//! Golden fixture for SMI004 (no-panic): unwrap/expect/panic! in library
-//! (non-test) code.
+//! Canary fixture for the library no-panic rule (formerly SMI004):
+//! `unwrap` in non-test library code. Compiled by ci.sh under a record
+//! crate's root attributes; clippy must fail with `unwrap_used`, and the
+//! `#[cfg(test)]` unwrap must not count.
 
 pub fn first(xs: &[u32]) -> u32 {
-    *xs.first().unwrap() // line 5: finding
+    *xs.first().unwrap() // finding
 }
 
 #[cfg(test)]

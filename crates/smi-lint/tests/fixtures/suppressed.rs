@@ -1,20 +1,24 @@
-//! Golden fixture for the suppression pragma: every construct here is
-//! justified, so a scan must return zero findings and count each
-//! suppression.
+//! Golden fixture for the suppression pragma: every panic site the
+//! entry point reaches is justified with a `panic-path` pragma, so an
+//! SMI009 pass must return zero findings and count each suppression.
 
-pub fn first(xs: &[u32]) -> u32 {
-    // smi-lint: allow(no-panic): callers guarantee a non-empty slice.
+pub fn run(xs: &[u32]) -> u32 {
+    first(xs) + second(xs) + third(xs)
+}
+
+fn first(xs: &[u32]) -> u32 {
+    // smi-lint: allow(panic-path): callers guarantee a non-empty slice.
     *xs.first().unwrap()
 }
 
-pub fn second(xs: &[u32]) -> u32 {
-    xs[1] // indexing is not flagged; only unwrap/expect/panic! are
+fn second(xs: &[u32]) -> u32 {
+    xs[1] // indexing is not flagged; only unwrap/expect and panicking macros are
 }
 
-pub fn third(xs: &[u32]) -> u32 {
+fn third(xs: &[u32]) -> u32 {
     // A multi-line justification: the pragma may sit anywhere in the
     // comment block directly above the finding.
-    // smi-lint: allow(no-panic): bounds are checked by the caller's
+    // smi-lint: allow(panic-path): bounds are checked by the caller's
     // contract, documented on the trait.
     *xs.get(2).unwrap()
 }

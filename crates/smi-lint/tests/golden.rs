@@ -1,131 +1,95 @@
-//! Golden-fixture tests: each rule fires on its fixture at the expected
-//! line, pragmas suppress, the CLI's exit codes hold, and — the keystone
-//! — the real workspace is lint-clean.
+//! Golden-fixture tests: each whole-workspace pass fires on its fixture
+//! at the expected line with the expected call chain, pragmas suppress
+//! only for their own rule, the CLI's exit codes hold, and — the
+//! keystone — the real workspace is lint-clean. The line checks that
+//! clippy and rustc now perform are exercised by the ci.sh canary.
 
 use smi_lint::graph::{flat_closure, CallGraph};
 use smi_lint::parser::{parse_source, ParsedFile};
-use smi_lint::rules::{scan_source, FilePolicy};
-use smi_lint::taint;
-use smi_lint::{policy_for, run_cli, scan_workspace};
+use smi_lint::{run_cli, scan_workspace, taint, ALL_RULES};
 use std::path::{Path, PathBuf};
-
-/// The strictest policy: what a record-producing library crate gets.
-fn record_policy() -> FilePolicy {
-    FilePolicy {
-        record_producing: true,
-        check_wall_clock: true,
-        check_hermeticity: true,
-        check_panics: true,
-        strict_no_panic: false,
-        is_crate_root: false,
-    }
-}
-
-/// The simulation-path policy: strict SMI004 on top of the record policy.
-fn strict_policy() -> FilePolicy {
-    FilePolicy { strict_no_panic: true, ..record_policy() }
-}
 
 fn fixture(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name);
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
 }
 
-/// Scan a fixture under `policy` and return `(rule id, line)` pairs.
-fn scan_fixture(name: &str, policy: &FilePolicy) -> Vec<(String, u32)> {
-    let src = fixture(name);
-    scan_source("fixture", name, policy, &src)
-        .findings
-        .iter()
-        .map(|f| (f.rule.id.to_string(), f.line))
-        .collect()
+/// Parse a fixture as the `mpi-sim` crate so the shipped entry-point
+/// selection (`mpi_sim::run`, `Job::new`, `Job::run`) applies, and build
+/// its call graph.
+fn fixture_graph(name: &str) -> (Vec<ParsedFile>, CallGraph) {
+    fixture_graph_of(name, &fixture(name))
 }
 
-#[test]
-fn smi001_fires_on_hashmap_in_record_crate() {
-    let got = scan_fixture("smi001_hash_iter.rs", &record_policy());
-    assert!(got.contains(&("SMI001".into(), 4)), "expected SMI001 at line 4, got {got:?}");
-    assert!(got.iter().all(|(id, _)| id == "SMI001"), "only SMI001 expected, got {got:?}");
+fn fixture_graph_of(name: &str, src: &str) -> (Vec<ParsedFile>, CallGraph) {
+    let pf = parse_source("mpi-sim", name, src);
+    let g = CallGraph::build(std::slice::from_ref(&pf), &flat_closure(&["mpi-sim"]));
+    (vec![pf], g)
 }
 
-#[test]
-fn smi002_fires_on_instant_now() {
-    let got = scan_fixture("smi002_wall_clock.rs", &record_policy());
-    assert_eq!(got, vec![("SMI002".to_string(), 7)], "got {got:?}");
+/// The real workspace, parsed, with its call graph.
+fn real_workspace() -> (Vec<ParsedFile>, CallGraph) {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let parsed = smi_lint::parse_workspace(&root).expect("parse workspace");
+    let deps = smi_lint::graph::workspace_deps(&root).expect("deps");
+    let g = CallGraph::build(&parsed, &deps);
+    (parsed, g)
 }
 
-#[test]
-fn smi003_fires_on_std_env() {
-    let got = scan_fixture("smi003_hermeticity.rs", &record_policy());
-    assert_eq!(got, vec![("SMI003".to_string(), 5)], "got {got:?}");
-}
-
-#[test]
-fn smi004_fires_on_unwrap_but_not_in_tests() {
-    let got = scan_fixture("smi004_no_panic.rs", &record_policy());
-    assert_eq!(
-        got,
-        vec![("SMI004".to_string(), 5)],
-        "the #[cfg(test)] unwrap must not fire: {got:?}"
-    );
-}
-
-#[test]
-fn smi004_strict_bans_asserts_and_ignores_pragmas() {
-    let got = scan_fixture("smi004_strict.rs", &strict_policy());
-    let want: Vec<(String, u32)> =
-        [5u32, 10, 15, 21].iter().map(|&l| ("SMI004".to_string(), l)).collect();
-    assert_eq!(got, want, "strict scan findings: {got:?}");
-    // The pragma'd unwrap must also count as a finding, not a suppression.
-    let src = fixture("smi004_strict.rs");
-    let result = scan_source("fixture", "smi004_strict.rs", &strict_policy(), &src);
-    assert_eq!(result.suppressed, 0, "no pragma escape on the strict path");
-}
-
-#[test]
-fn smi004_strict_fixture_is_tame_under_the_ordinary_policy() {
-    // The same file under a non-strict record policy: only the unwrap
-    // would fire, and its pragma suppresses it — asserts are legal.
-    let got = scan_fixture("smi004_strict.rs", &record_policy());
-    assert!(got.is_empty(), "non-strict scan must be clean: {got:?}");
-}
-
-#[test]
-fn smi005_fires_on_float_sum_over_hash_iter() {
-    let got = scan_fixture("smi005_float_reduce.rs", &record_policy());
-    let smi005: Vec<_> = got.iter().filter(|(id, _)| id == "SMI005").collect();
-    assert_eq!(smi005, vec![&("SMI005".to_string(), 9)], "got {got:?}");
-}
-
-#[test]
-fn smi006_fires_on_ungated_crate_root() {
-    let policy = FilePolicy { is_crate_root: true, ..record_policy() };
-    let got = scan_fixture("smi006_unsafe.rs", &policy);
-    assert_eq!(got, vec![("SMI006".to_string(), 1)], "got {got:?}");
+/// SMI009 `(line, suppressed)` accounting for a source parsed as `mpi-sim`.
+fn smi009_lines(name: &str, src: &str) -> (Vec<u32>, u32) {
+    let (files, g) = fixture_graph_of(name, src);
+    let r = taint::smi009(&files, &g, &taint::strict_entries(&g, &files));
+    (r.findings.iter().map(|f| f.line).collect(), r.suppressed)
 }
 
 #[test]
 fn pragmas_suppress_and_are_counted() {
-    let src = fixture("suppressed.rs");
-    let result = scan_source("fixture", "suppressed.rs", &record_policy(), &src);
-    assert!(result.findings.is_empty(), "pragmas must suppress: {:?}", result.findings);
-    assert_eq!(result.suppressed, 2, "both justified unwraps count as suppressed");
+    let (lines, suppressed) = smi009_lines("suppressed.rs", &fixture("suppressed.rs"));
+    assert!(lines.is_empty(), "pragmas must suppress: {lines:?}");
+    assert_eq!(suppressed, 2, "both justified unwraps count as suppressed");
 }
 
 /// Round-trip: the pragma'd source fires when the pragma is removed.
 #[test]
 fn removing_the_pragma_reinstates_the_finding() {
-    let src = fixture("suppressed.rs");
-    let stripped: String =
-        src.lines().filter(|l| !l.contains("smi-lint:")).fold(String::new(), |mut acc, l| {
+    let stripped: String = fixture("suppressed.rs")
+        .lines()
+        .filter(|l| !l.contains("smi-lint:"))
+        .fold(String::new(), |mut acc, l| {
             acc.push_str(l);
             acc.push('\n');
             acc
         });
-    let result = scan_source("fixture", "suppressed.rs", &record_policy(), &stripped);
-    assert_eq!(result.suppressed, 0);
-    assert_eq!(result.findings.len(), 2, "both unwraps fire once unjustified");
-    assert!(result.findings.iter().all(|f| f.rule.id == "SMI004"));
+    let (lines, suppressed) = smi009_lines("suppressed.rs", &stripped);
+    assert_eq!(suppressed, 0);
+    assert_eq!(lines.len(), 2, "both unwraps fire once unjustified: {lines:?}");
+}
+
+/// The strict regime through the prepared-job entry campaigns use: the
+/// assert family fires, a `no-panic` pragma (a retired rule's name)
+/// suppresses nothing, and `debug_assert!` and test code stay legal.
+#[test]
+fn smi009_strict_path_enters_through_job_new_and_run() {
+    let (files, g) = fixture_graph("smi009_strict.rs");
+    let entries = taint::strict_entries(&g, &files);
+    let names: Vec<&str> = entries.iter().map(|&e| g.fns[e].display.as_str()).collect();
+    assert_eq!(names, ["mpi_sim::Job::new", "mpi_sim::Job::run"]);
+    let r = taint::smi009(&files, &g, &entries);
+    let got: Vec<(u32, &str)> =
+        r.findings.iter().map(|f| (f.line, f.chain[0].what.as_str())).collect();
+    assert_eq!(
+        got,
+        [
+            (22, "mpi_sim::Job::new"),
+            (27, "mpi_sim::Job::run"),
+            (32, "mpi_sim::Job::run"),
+            (38, "mpi_sim::Job::run")
+        ],
+        "{:?}",
+        r.findings
+    );
+    assert_eq!(r.suppressed, 0, "no pragma escape for a retired rule name");
 }
 
 /// A minimal workspace root in a scratch directory: the facade crate's
@@ -136,11 +100,8 @@ fn scratch_root(tag: &str) -> PathBuf {
     std::fs::create_dir_all(root.join("src")).expect("mkdir src");
     std::fs::create_dir_all(root.join("crates")).expect("mkdir crates");
     std::fs::write(root.join("Cargo.toml"), "[package]\nname = \"smi-lab\"\n").expect("manifest");
-    std::fs::write(
-        root.join("src/lib.rs"),
-        "#![deny(unsafe_code)]\n\npub fn id(x: u64) -> u64 {\n    x\n}\n",
-    )
-    .expect("lib.rs");
+    std::fs::write(root.join("src/lib.rs"), "pub fn id(x: u64) -> u64 {\n    x\n}\n")
+        .expect("lib.rs");
     root
 }
 
@@ -162,11 +123,12 @@ fn cli_exits_0_on_a_clean_root() {
 #[test]
 fn cli_exits_1_on_any_finding() {
     let root = scratch_root("finding");
-    let planted = root.join("crates/nas");
+    let planted = root.join("crates/mpi-sim");
     std::fs::create_dir_all(planted.join("src")).expect("mkdir crate");
-    std::fs::write(planted.join("Cargo.toml"), "[package]\nname = \"nas\"\n").expect("manifest");
-    std::fs::write(planted.join("src/hash.rs"), fixture("smi001_hash_iter.rs")).expect("plant");
-    assert_eq!(lint_exit(&root, &[]), 1, "a planted SMI001 finding fails the gate");
+    std::fs::write(planted.join("Cargo.toml"), "[package]\nname = \"mpi-sim\"\n")
+        .expect("manifest");
+    std::fs::write(planted.join("src/lib.rs"), fixture("smi009_panic_path.rs")).expect("plant");
+    assert_eq!(lint_exit(&root, &[]), 1, "a planted SMI009 finding fails the gate");
     assert_eq!(lint_exit(&root, &["--format", "json"]), 1);
     let _ = std::fs::remove_dir_all(&root);
 }
@@ -181,8 +143,8 @@ fn cli_exits_2_on_retired_and_unknown_flags() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// The keystone self-test: the real workspace, scanned with the shipped
-/// policy tables, has zero findings (everything is either fixed or
+/// The keystone self-test: the real workspace, scanned from the shipped
+/// entry points, has zero findings (everything is either fixed or
 /// carries a justified pragma).
 #[test]
 fn real_workspace_is_lint_clean() {
@@ -209,14 +171,6 @@ fn fixtures_are_not_scanned_by_the_workspace_walk() {
 // ---------------------------------------------------------------------
 // SMI007..SMI009: the whole-workspace passes over fixture graphs.
 // ---------------------------------------------------------------------
-
-/// Parse a fixture as the `mpi-sim` crate so the shipped entry-point
-/// selection (`mpi_sim::run`) applies, and build its call graph.
-fn fixture_graph(name: &str) -> (Vec<ParsedFile>, CallGraph) {
-    let pf = parse_source("mpi-sim", name, &fixture(name));
-    let g = CallGraph::build(std::slice::from_ref(&pf), &flat_closure(&["mpi-sim"]));
-    (vec![pf], g)
-}
 
 #[test]
 fn smi007_chain_renders_entry_to_site() {
@@ -297,15 +251,8 @@ fn json_report_with_chains_round_trips() {
 /// the real workspace twice yields byte-identical findings and DOT.
 #[test]
 fn graph_passes_are_deterministic_and_self_clean() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let run_once = || {
-        let units = smi_lint::workspace_files(&root).expect("walk");
-        let parsed: Vec<ParsedFile> = units
-            .iter()
-            .map(|(c, rel, abs)| parse_source(c, rel, &std::fs::read_to_string(abs).expect("read")))
-            .collect();
-        let deps = smi_lint::graph::workspace_deps(&root).expect("deps");
-        let g = CallGraph::build(&parsed, &deps);
+        let (parsed, g) = real_workspace();
         let record = taint::workspace_entries(&g, &parsed);
         let strict = taint::strict_entries(&g, &parsed);
         let mut findings = taint::smi007(&parsed, &g, &record).findings;
@@ -324,58 +271,129 @@ fn graph_passes_are_deterministic_and_self_clean() {
     assert!(a.is_empty(), "graph passes must be clean on the workspace:\n{}", a.join("\n"));
 }
 
-/// The hand-maintained strict lists are a *subset* of what SMI009
-/// derives: every listed file (with at least one non-test function) is
-/// reachable from the strict entry points, so retiring the lists for
-/// the derived property loses no coverage.
+/// Campaigns enter the engine through `mpi_sim::Job` (`nas::CellJob`
+/// builds one per cell and runs it per repetition): both halves must
+/// be strict entries, or only the record-entry reach of SMI007 covers
+/// them.
 #[test]
-fn hand_strict_lists_are_within_the_derived_reachable_set() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let units = smi_lint::workspace_files(&root).expect("walk");
-    let parsed: Vec<ParsedFile> = units
-        .iter()
-        .map(|(c, rel, abs)| parse_source(c, rel, &std::fs::read_to_string(abs).expect("read")))
-        .collect();
-    let deps = smi_lint::graph::workspace_deps(&root).expect("deps");
-    let g = CallGraph::build(&parsed, &deps);
-    let entries = taint::strict_entries(&g, &parsed);
-    assert!(!entries.is_empty(), "run/run_with and schedule impls must be found");
-    let reachable = taint::panic_reachable_files(&g, &entries);
+fn campaign_engine_entries_are_strict() {
+    let (parsed, g) = real_workspace();
+    let strict: Vec<&str> =
+        taint::strict_entries(&g, &parsed).into_iter().map(|e| g.fns[e].display.as_str()).collect();
+    for want in ["mpi_sim::run", "mpi_sim::run_with", "mpi_sim::Job::new", "mpi_sim::Job::run"] {
+        assert!(strict.contains(&want), "{want} is not a strict entry: {strict:?}");
+    }
+}
 
-    let mut covered: Vec<&str> = Vec::new();
+/// The strict regime, derived by SMI009 from its entry points, covers
+/// every shipping file the hand-kept strict lists named before they
+/// were retired: the simulation-path files of sim-core and machine and
+/// the whole of mpi-sim and noise. The derived regime cannot shrink
+/// below them silently, and those files carry no pragma, so a
+/// `panic-path` justification cannot open an escape hatch there.
+#[test]
+fn strict_regime_covers_the_retired_hand_lists() {
+    const FILES: [&str; 5] = [
+        "crates/machine/src/executor.rs",
+        "crates/sim-core/src/error.rs",
+        "crates/sim-core/src/event.rs",
+        "crates/sim-core/src/freeze.rs",
+        "crates/sim-core/src/time.rs",
+    ];
+    const DIRS: [&str; 2] = ["crates/mpi-sim/src/", "crates/noise/src/"];
+    let (parsed, g) = real_workspace();
+    let reachable = taint::panic_reachable_files(&g, &taint::strict_entries(&g, &parsed));
+    let mut covered = 0;
     for pf in &parsed {
-        let in_hand_lists = smi_lint::strict_no_panic(&pf.path);
-        let has_shipping_fns = pf.fns.iter().any(|f| !f.in_test);
-        if in_hand_lists && has_shipping_fns {
-            covered.push(&pf.path);
+        let listed =
+            FILES.contains(&pf.path.as_str()) || DIRS.iter().any(|d| pf.path.starts_with(d));
+        if listed && pf.fns.iter().any(|f| !f.in_test) {
+            covered += 1;
+            assert!(reachable.contains(&pf.path), "{} left the derived strict regime", pf.path);
+        }
+        if listed {
             assert!(
-                reachable.contains(&pf.path),
-                "{} is in the hand-maintained strict lists but not in the \
-                 SMI009-derived reachable set",
-                pf.path
+                pf.pragmas.is_empty(),
+                "{}: pragma on the strict path: {:?}",
+                pf.path,
+                pf.pragmas
             );
         }
     }
-    assert!(covered.len() >= 8, "the cross-check must bite: {covered:?}");
+    assert!(covered >= 8, "the cross-check must bite: {covered} file(s)");
 }
 
-/// The policy table wiring: spot-check a few files against the shipped
-/// crate classification.
+/// Every `// smi-lint: allow(...)` in the walked workspace names a live
+/// rule. A pragma naming a retired line rule (`no-panic`, `wall-clock`,
+/// ...) is read by no tool, so it must not pose as a justification.
 #[test]
-fn policy_table_spot_checks() {
-    let p = policy_for("sim-core", "crates/sim-core/src/freeze.rs");
-    assert!(p.record_producing && p.check_panics && p.check_wall_clock);
-    assert!(p.strict_no_panic, "the freeze mapping is on the simulation path");
-    let p = policy_for("mpi-sim", "crates/mpi-sim/src/engine.rs");
-    assert!(p.strict_no_panic, "the engine is the simulation path");
-    let p = policy_for("analysis", "crates/analysis/src/absorption.rs");
-    assert!(p.check_panics && !p.strict_no_panic, "analysis keeps the pragma escape");
-    let p = policy_for("cli", "crates/cli/src/main.rs");
-    assert!(!p.check_panics && !p.check_hermeticity && p.is_crate_root);
-    let p = policy_for("runner", "crates/runner/src/telemetry.rs");
-    assert!(!p.check_wall_clock, "telemetry is the sanctioned clock reader");
-    let p = policy_for("bench", "crates/bench/src/lib.rs");
-    assert!(!p.check_wall_clock, "bench times real code by design");
-    let p = policy_for("runner", "crates/runner/src/pool.rs");
-    assert!(p.check_wall_clock && !p.check_hermeticity);
+fn pragmas_name_only_live_rules() {
+    let (parsed, _) = real_workspace();
+    let live: Vec<&str> = ALL_RULES.iter().map(|r| r.name).collect();
+    let mut stale = Vec::new();
+    for pf in &parsed {
+        for (line, names) in &pf.pragmas {
+            for name in names.iter().filter(|n| !live.contains(&n.as_str())) {
+                stale.push(format!("{}:{line}: allow({name})", pf.path));
+            }
+        }
+    }
+    assert!(stale.is_empty(), "pragmas naming no live rule:\n{}", stale.join("\n"));
+}
+
+/// The line checks reach a crate only through configuration, so every
+/// crate must opt in: each manifest (the facade's and every member's)
+/// inherits `[workspace.lints]` (`unsafe_code = "forbid"`), each crate
+/// root of a non-tool crate (library and binaries) denies the no-panic
+/// lints, and only the ambient-authority crates carry their own
+/// `clippy.toml`, holding nothing the root file does not. A new crate,
+/// or a manifest or root that drops its line, fails here.
+#[test]
+fn every_crate_is_under_the_lint_policy() {
+    const DENY: &str = "#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]";
+    const OWN_CLIPPY_TOML: [&str; 3] = ["cli", "runner", "smi-lint"];
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let read =
+        |p: &Path| std::fs::read_to_string(p).unwrap_or_else(|e| panic!("{}: {e}", p.display()));
+    let root_policy = read(&root.join("clippy.toml"));
+    let mut crates: Vec<(String, PathBuf)> = vec![("smi-lab".to_string(), root.clone())];
+    for entry in std::fs::read_dir(root.join("crates")).expect("read crates/").flatten() {
+        if entry.path().join("Cargo.toml").is_file() {
+            crates.push((entry.file_name().to_string_lossy().into_owned(), entry.path()));
+        }
+    }
+    assert!(crates.len() >= 16, "the walk must find the members: {}", crates.len());
+    let mut missing = Vec::new();
+    for (name, dir) in &crates {
+        let manifest = read(&dir.join("Cargo.toml"));
+        if !manifest.contains("\n[lints]\nworkspace = true\n") {
+            missing.push(format!("{name}/Cargo.toml: no `[lints] workspace = true`"));
+        }
+        if !taint::TOOL_CRATES.contains(&name.as_str()) {
+            let mut roots: Vec<PathBuf> = ["src/lib.rs", "src/main.rs"]
+                .iter()
+                .map(|r| dir.join(r))
+                .filter(|p| p.is_file())
+                .collect();
+            if let Ok(bins) = std::fs::read_dir(dir.join("src/bin")) {
+                roots.extend(bins.flatten().map(|e| e.path()));
+            }
+            for r in roots.iter().filter(|r| !read(r).lines().any(|l| l == DENY)) {
+                let rel = r.strip_prefix(&root).unwrap_or(r);
+                missing.push(format!("{}: no `{DENY}`", rel.display()));
+            }
+        }
+        let own = dir.join("clippy.toml");
+        if name != "smi-lab" && own.is_file() {
+            if !OWN_CLIPPY_TOML.contains(&name.as_str()) {
+                missing.push(format!("{name}/clippy.toml: only {OWN_CLIPPY_TOML:?} may own one"));
+            }
+            for line in read(&own).lines().filter(|l| !l.is_empty() && !l.starts_with('#')) {
+                if !root_policy.lines().any(|r| r == line) {
+                    missing.push(format!("{name}/clippy.toml: `{line}` is not in the root file"));
+                }
+            }
+        }
+    }
+    assert!(missing.is_empty(), "crates outside the lint policy:\n{}", missing.join("\n"));
 }

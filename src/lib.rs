@@ -45,7 +45,7 @@
 //! assert_eq!(report.count(), schedule.count_between(SimTime::ZERO, end));
 //! ```
 
-#![deny(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub use analysis;
 pub use apps;
