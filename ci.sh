@@ -187,8 +187,10 @@ rm -rf "$RESUME_DIR"
 # Bench smoke: the perf harness end-to-end at a tiny sample count,
 # writing to a scratch path so the committed BENCH_engine.json baseline
 # (recorded at the default 40 samples) is never clobbered by CI. A zero
-# exit certifies the report re-parsed via jsonio and every suite case
-# ran at the requested sample count (cli::benchcmd::verify_report).
+# exit certifies the report re-parsed via jsonio, every suite case ran
+# at the requested sample count, and each case's statistics sit in the
+# order min <= ci_lo <= median <= ci_hi <= max
+# (cli::benchcmd::verify_report).
 BENCH_SMOKE_OUT="$(mktemp -d)/BENCH_engine.json"
 ./target/release/smi-lab bench --samples 2 --out "$BENCH_SMOKE_OUT" >/dev/null
 rm -rf "$(dirname "$BENCH_SMOKE_OUT")"
@@ -203,13 +205,16 @@ STATS_DIR="$(mktemp -d)"
 grep -q '"schema": 6' "$STATS_DIR/cache/manifests/table2.json"
 grep -q '"designed"' "$STATS_DIR/cache/manifests/table2.json"
 grep -q '"power"' "$STATS_DIR/cache/manifests/table2.json"
-# A planted regression — one case whose baseline interval sits far below
-# anything the engine can do — must fail `bench --gate` with exit 1,
-# while gating against the committed baseline (wide margin to absorb
-# machine-to-machine noise at 2 samples) must pass with exit 0.
+# A planted regression — one case whose baseline median interval sits
+# far below anything the engine can do — must fail `bench --gate` with
+# exit 1; the same baseline at schema 2 (a bootstrap interval on the
+# mean, a different statistic) is refused as a usage error, exit 2,
+# before the suite runs; and gating against the committed baseline
+# (wide margin to absorb machine-to-machine noise at 2 samples) must
+# pass with exit 0.
 cat > "$STATS_DIR/planted.json" <<'EOF'
 {
-  "schema": 2,
+  "schema": 3,
   "benchmarks": [
     {"name": "event_queue_near_monotone", "ci_lo_ns": 1, "ci_hi_ns": 2}
   ]
@@ -219,6 +224,11 @@ rc=0
 ./target/release/smi-lab bench --samples 2 --out "$STATS_DIR/gated.json" \
     --gate "$STATS_DIR/planted.json" >/dev/null 2>&1 || rc=$?
 test "$rc" -eq 1
+sed 's/"schema": 3/"schema": 2/' "$STATS_DIR/planted.json" > "$STATS_DIR/schema2.json"
+rc=0
+./target/release/smi-lab bench --samples 2 --out "$STATS_DIR/gated.json" \
+    --gate "$STATS_DIR/schema2.json" >/dev/null 2>&1 || rc=$?
+test "$rc" -eq 2
 ./target/release/smi-lab bench --samples 2 --out "$STATS_DIR/gated.json" \
     --gate results/BENCH_engine.json --gate-margin 400 >/dev/null
 rm -rf "$STATS_DIR"

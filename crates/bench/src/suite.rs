@@ -7,11 +7,11 @@
 //! aggregation), the node executor's fixed-point iteration, and
 //! end-to-end engine jobs at the paper's largest configuration (16 nodes
 //! × 4 ranks, quiet and under long SMIs) and past it (256 and 1024
-//! ranks). `benches/micro.rs` wraps the same workloads in
-//! the criterion-shim targets; `smi-lab bench --json` runs them with a
-//! fixed sample count and writes `BENCH_engine.json` (min/median/p95 per
-//! case) — the repo's perf trajectory. Workload shapes are fixed: a
-//! number recorded today must mean the same thing next year.
+//! ranks). `smi-lab bench` runs them with a fixed sample count and
+//! writes `BENCH_engine.json` (min/median/p95/max and the median's
+//! confidence interval per case) — the repo's perf trajectory. Workload
+//! shapes are fixed: a number recorded today must mean the same thing
+//! next year.
 
 use crate::{measure, Summary};
 use jsonio::Json;
@@ -22,35 +22,15 @@ use sim_core::{
     TriggerPolicy,
 };
 use smi_driver::{SmiClass, SmiDriver, SmiDriverConfig};
-use std::hint::black_box;
 
-/// Schema version of `BENCH_engine.json`. Schema 2 adds the seeded-
-/// bootstrap 95 % confidence interval on the mean (`ci_lo_ns`,
-/// `ci_hi_ns`) per case; schema-1 documents remain readable by the
-/// `--gate` comparator via the `[min_ns, p95_ns]` fallback interval.
-pub const BENCH_SCHEMA: u64 = 2;
-
-/// Root seed of the per-case bootstrap streams: fixed, so a report's CI
-/// is a pure function of its samples.
-const BENCH_CI_SEED: u64 = 0x20160816;
-
-/// Seeded-bootstrap 95 % CI on the mean of a case's samples, in whole
-/// nanoseconds (lo floored, hi ceiled, so the printed interval always
-/// contains the real one). The resampling stream is derived from the
-/// case *name*, never from sample values or order of execution.
-pub fn case_ci_ns(s: &Summary) -> (u64, u64) {
-    let xs: Vec<f64> = s.samples_ns.iter().map(|&n| n as f64).collect();
-    let mut rng = SimRng::from_path(BENCH_CI_SEED, &["bench-ci", &s.name]);
-    let ci = sim_core::stats::bootstrap_ci_mean(&xs, 200, &mut rng);
-    if !(ci.lo.is_finite() && ci.hi.is_finite()) {
-        // Empty case: an impossible report, but never a panic.
-        return (0, 0);
-    }
-    (ci.lo.floor().max(0.0) as u64, ci.hi.ceil() as u64)
-}
+/// Schema version of `BENCH_engine.json`. Schema 3 replaces schema 2's
+/// bootstrap interval on the mean with the order-statistic interval on
+/// the median (`ci_lo_ns`, `ci_hi_ns`; see [`crate::median_ci_ranks`])
+/// and drops `mean_ns`. `bench --gate` reads only this schema.
+pub const BENCH_SCHEMA: u64 = 3;
 
 /// One named benchmark case: a self-contained routine returning a
-/// checksum (black-boxed by the harness so the work cannot be elided).
+/// checksum (black-boxed by [`measure`] so the work cannot be elided).
 pub struct SuiteCase {
     /// Stable case name (keys the perf trajectory across commits).
     pub name: &'static str,
@@ -292,63 +272,24 @@ pub fn engine_suite() -> Vec<SuiteCase> {
     // Pre-generate so the first sample is not a generation benchmark.
     let _ = between_sched.frozen_between(SimTime::ZERO, SimTime::from_secs(3600));
     let exec_sched = long_schedule(4);
+    fn case(name: &'static str, routine: impl FnMut() -> u64 + 'static) -> SuiteCase {
+        SuiteCase { name, routine: Box::new(routine) }
+    }
     vec![
-        SuiteCase {
-            name: "event_queue_near_monotone",
-            routine: Box::new(|| black_box(event_queue_near_monotone())),
-        },
-        SuiteCase {
-            name: "event_queue_same_time_bursts",
-            routine: Box::new(|| black_box(event_queue_same_time_bursts())),
-        },
-        SuiteCase {
-            name: "freeze_unfreeze_scan",
-            routine: Box::new(move || black_box(freeze_unfreeze_scan(&unfreeze_sched))),
-        },
-        SuiteCase {
-            name: "freeze_advance_segments",
-            routine: Box::new(move || black_box(freeze_advance_segments(&advance_sched))),
-        },
-        SuiteCase {
-            name: "freeze_frozen_between_1h",
-            routine: Box::new(move || black_box(freeze_frozen_between_1h(&between_sched))),
-        },
-        SuiteCase {
-            name: "executor_fixed_point_100s",
-            routine: Box::new(move || black_box(executor_fixed_point_100s(&exec_sched))),
-        },
-        SuiteCase {
-            name: "engine_alltoall_16rank",
-            routine: Box::new(|| black_box(engine_alltoall_16rank())),
-        },
-        SuiteCase {
-            name: "noise_model_schedule_sweep",
-            routine: Box::new(|| black_box(noise_model_schedule_sweep())),
-        },
-        SuiteCase {
-            name: "engine_bt_c_64rank",
-            routine: Box::new(|| black_box(engine_bt_c_64rank())),
-        },
-        SuiteCase {
-            name: "engine_ft_b_64rank",
-            routine: Box::new(|| black_box(engine_ft_b_64rank())),
-        },
-        SuiteCase {
-            name: "engine_bt_c_64rank_long_smi",
-            routine: Box::new(|| black_box(engine_bt_c_64rank_long_smi())),
-        },
-        SuiteCase {
-            name: "engine_ft_b_64rank_long_smi",
-            routine: Box::new(|| black_box(engine_ft_b_64rank_long_smi())),
-        },
-        SuiteCase {
-            name: "engine_bt_c_256rank",
-            routine: Box::new(|| black_box(engine_bt_c_256rank())),
-        },
-        SuiteCase {
-            name: "engine_bt_c_1024rank",
-            routine: Box::new(|| black_box(engine_bt_c_1024rank())),
-        },
+        case("event_queue_near_monotone", event_queue_near_monotone),
+        case("event_queue_same_time_bursts", event_queue_same_time_bursts),
+        case("freeze_unfreeze_scan", move || freeze_unfreeze_scan(&unfreeze_sched)),
+        case("freeze_advance_segments", move || freeze_advance_segments(&advance_sched)),
+        case("freeze_frozen_between_1h", move || freeze_frozen_between_1h(&between_sched)),
+        case("executor_fixed_point_100s", move || executor_fixed_point_100s(&exec_sched)),
+        case("engine_alltoall_16rank", engine_alltoall_16rank),
+        case("noise_model_schedule_sweep", noise_model_schedule_sweep),
+        case("engine_bt_c_64rank", engine_bt_c_64rank),
+        case("engine_ft_b_64rank", engine_ft_b_64rank),
+        case("engine_bt_c_64rank_long_smi", engine_bt_c_64rank_long_smi),
+        case("engine_ft_b_64rank_long_smi", engine_ft_b_64rank_long_smi),
+        case("engine_bt_c_256rank", engine_bt_c_256rank),
+        case("engine_bt_c_1024rank", engine_bt_c_1024rank),
     ]
 }
 
@@ -360,10 +301,7 @@ pub fn engine_suite_names() -> Vec<&'static str> {
 /// Run the whole engine suite at exactly `samples` timed passes per case
 /// (no quick-mode scaling — `smi-lab bench` owns the sample count).
 pub fn run_engine_suite(samples: usize) -> Vec<Summary> {
-    engine_suite()
-        .into_iter()
-        .map(|mut case| measure(case.name, samples, |b| b.iter(&mut case.routine)))
-        .collect()
+    engine_suite().into_iter().map(|case| measure(case.name, samples, case.routine)).collect()
 }
 
 /// Render suite results as the `BENCH_engine.json` document.
@@ -378,14 +316,13 @@ pub fn suite_json(samples: usize, results: &[Summary]) -> Json {
                 results
                     .iter()
                     .map(|s| {
-                        let (ci_lo, ci_hi) = case_ci_ns(s);
+                        let (ci_lo, ci_hi) = s.median_ci_ns();
                         Json::obj(vec![
                             ("name", Json::Str(s.name.clone())),
                             ("samples", Json::U64(s.samples_ns.len() as u64)),
                             ("min_ns", Json::U64(s.min_ns())),
                             ("median_ns", Json::U64(s.median_ns())),
                             ("p95_ns", Json::U64(s.p95_ns())),
-                            ("mean_ns", Json::U64(s.mean_ns())),
                             ("max_ns", Json::U64(s.max_ns())),
                             ("ci_lo_ns", Json::U64(ci_lo)),
                             ("ci_hi_ns", Json::U64(ci_hi)),
@@ -437,7 +374,7 @@ mod tests {
         let results: Vec<Summary> = engine_suite()
             .into_iter()
             .filter(|case| case.name != "engine_bt_c_1024rank")
-            .map(|mut case| measure(case.name, 2, |b| b.iter(&mut case.routine)))
+            .map(|case| measure(case.name, 2, case.routine))
             .collect();
         assert_eq!(results.len(), engine_suite_names().len() - 1);
         let doc = suite_json(2, &results);
@@ -450,25 +387,11 @@ mod tests {
             let med = b.get("median_ns").and_then(|v| v.as_u64()).expect("median");
             let p95 = b.get("p95_ns").and_then(|v| v.as_u64()).expect("p95");
             assert!(min <= med && med <= p95, "ordered quantiles");
-            let mean = b.get("mean_ns").and_then(|v| v.as_u64()).expect("mean");
+            let max = b.get("max_ns").and_then(|v| v.as_u64()).expect("max");
             let lo = b.get("ci_lo_ns").and_then(|v| v.as_u64()).expect("ci lo");
             let hi = b.get("ci_hi_ns").and_then(|v| v.as_u64()).expect("ci hi");
-            assert!(lo <= hi, "interval geometry");
-            assert!(lo <= mean + 1 && mean <= hi + 1, "CI brackets the mean");
+            assert!(min <= lo && lo <= med && med <= hi && hi <= max, "CI brackets the median");
         }
-    }
-
-    #[test]
-    fn case_ci_is_a_pure_function_of_the_samples() {
-        let a = Summary { name: "stable".into(), samples_ns: vec![100, 110, 105, 130, 95] };
-        let b = a.clone();
-        assert_eq!(case_ci_ns(&a), case_ci_ns(&b), "same samples, same interval");
-        let (lo, hi) = case_ci_ns(&a);
-        assert!(lo >= 95 && hi <= 130, "bootstrap means stay inside the sample range");
-        // Degenerate cases stay total.
-        assert_eq!(case_ci_ns(&Summary { name: "e".into(), samples_ns: vec![] }), (0, 0));
-        let one = Summary { name: "one".into(), samples_ns: vec![7] };
-        assert_eq!(case_ci_ns(&one), (7, 7));
     }
 
     #[test]

@@ -5,29 +5,32 @@
 //! arg parser:
 //!
 //! ```text
-//! smi-lab bench [--json] [--samples N] [--out PATH]
+//! smi-lab bench [--samples N] [--out PATH]
 //!               [--gate BASELINE.json] [--gate-margin PCT]
 //! ```
 //!
 //! The suite (see `bench::suite`) is run at exactly `--samples` timed
-//! passes per case; the report records min/median/p95/mean and the
-//! seeded-bootstrap 95 % CI on the mean over every sample. After
-//! writing, the file is read back and re-verified through `jsonio` — it
-//! must parse and contain every suite case at the requested sample
-//! count — so CI's `bench-smoke` stage can trust a zero exit.
+//! passes per case; the report records min/median/p95/max over every
+//! sample and the distribution-free confidence interval on the median
+//! (`bench::median_ci_ranks`). After writing, the file is read back and
+//! re-verified through `jsonio` — it must parse, contain every suite
+//! case at the requested sample count, and keep each case's statistics
+//! ordered `min ≤ ci_lo ≤ median ≤ ci_hi ≤ max` — so CI's bench-smoke
+//! stage can trust a zero exit.
 //!
-//! `--gate BASELINE.json` turns the run into a regression gate:
-//! each case's fresh CI is compared against the baseline's interval
-//! (its `[ci_lo_ns, ci_hi_ns]`; legacy schema-1 baselines fall back to
-//! `[min_ns, p95_ns]`) widened by `--gate-margin` percent (default 25).
-//! Disjoint-and-slower is a `regression`, disjoint-and-faster an
+//! `--gate BASELINE.json` turns the run into a regression gate: each
+//! case's median interval is compared against the baseline's
+//! `[ci_lo_ns, ci_hi_ns]` widened by `--gate-margin` percent (default
+//! 25). Disjoint-and-slower is a `regression`, disjoint-and-faster an
 //! `improvement`, overlapping `ok`, and a case absent from the baseline
 //! `new` — overlapping confidence intervals are *indistinguishable*, so
 //! median-ratio noise can no longer fail a build on its own. The
+//! baseline must be of the current schema: an older report holds a
+//! different statistic, so gating against it is a usage error. The
 //! verdicts are printed as one machine-readable JSON document on
 //! stdout. Exit codes: 0 report written/verified and no regression,
 //! 1 verification failed or any case regressed, 2 usage error
-//! (including an unreadable baseline).
+//! (including an unreadable or older-schema baseline).
 
 use bench::fmt_ns;
 use bench::suite::{engine_suite_names, run_engine_suite, suite_json, BENCH_SCHEMA};
@@ -44,7 +47,6 @@ const DEFAULT_OUT: &str = "results/BENCH_engine.json";
 const DEFAULT_GATE_MARGIN_PCT: f64 = 25.0;
 
 struct BenchArgs {
-    json: bool,
     samples: usize,
     out: String,
     gate: Option<String>,
@@ -53,7 +55,6 @@ struct BenchArgs {
 
 fn parse(argv: &[String]) -> Result<BenchArgs, String> {
     let mut args = BenchArgs {
-        json: false,
         samples: DEFAULT_SAMPLES,
         out: DEFAULT_OUT.to_string(),
         gate: None,
@@ -63,7 +64,6 @@ fn parse(argv: &[String]) -> Result<BenchArgs, String> {
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--json" => args.json = true,
             "--samples" => {
                 let v = it.next().ok_or("--samples needs a value")?;
                 args.samples = v.parse().map_err(|_| format!("bad --samples {v}"))?;
@@ -94,8 +94,10 @@ fn parse(argv: &[String]) -> Result<BenchArgs, String> {
     Ok(args)
 }
 
-/// Verify a written report: parses via jsonio, right schema/suite, and
-/// every expected case present with exactly `samples` samples.
+/// Verify a written report: parses via jsonio, right schema/suite,
+/// every expected case present with exactly `samples` samples, and each
+/// case's statistics ordered `min ≤ ci_lo ≤ median ≤ ci_hi ≤ max`, so a
+/// report cannot put a statistic outside its own interval.
 fn verify_report(text: &str, samples: usize) -> Result<(), String> {
     let doc = Json::parse(text).map_err(|e| format!("report does not parse: {e:?}"))?;
     if doc.get("schema").and_then(|s| s.as_u64()) != Some(BENCH_SCHEMA) {
@@ -114,24 +116,44 @@ fn verify_report(text: &str, samples: usize) -> Result<(), String> {
         if entry.get("samples").and_then(|s| s.as_u64()) != Some(samples as u64) {
             return Err(format!("benchmark {name:?} did not run {samples} samples"));
         }
-        for field in ["min_ns", "median_ns", "p95_ns", "mean_ns", "ci_lo_ns", "ci_hi_ns"] {
-            if entry.get(field).and_then(|v| v.as_u64()).is_none() {
-                return Err(format!("benchmark {name:?} missing {field}"));
-            }
+        let field = |f: &str| {
+            entry.get(f).and_then(|v| v.as_u64()).ok_or(format!("benchmark {name:?} missing {f}"))
+        };
+        field("p95_ns")?;
+        let chain = ["min_ns", "ci_lo_ns", "median_ns", "ci_hi_ns", "max_ns"];
+        let values = chain.iter().map(|f| field(f)).collect::<Result<Vec<u64>, String>>()?;
+        if let Some(k) = (1..chain.len()).find(|&k| values[k - 1] > values[k]) {
+            return Err(format!(
+                "benchmark {name:?}: {} {} exceeds {} {}",
+                chain[k - 1],
+                values[k - 1],
+                chain[k],
+                values[k]
+            ));
         }
     }
     Ok(())
 }
 
-/// A case's comparison interval: the schema-2 bootstrap CI when
-/// present, else the legacy schema-1 `[min_ns, p95_ns]` spread — so old
-/// committed baselines stay gateable.
+/// Read a `--gate` baseline: it must parse and be of the current schema.
+/// An older report carries a different statistic (schema 2 a bootstrap
+/// interval on the mean, schema 1 none at all), so it is refused.
+fn read_baseline(path: &str) -> Result<Json, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
+    let doc = Json::parse(&text).map_err(|e| format!("does not parse: {e:?}"))?;
+    match doc.get("schema").and_then(|s| s.as_u64()) {
+        Some(BENCH_SCHEMA) => Ok(doc),
+        other => Err(format!(
+            "schema {} is not {BENCH_SCHEMA}; regenerate the baseline with `smi-lab bench`",
+            other.map_or_else(|| "missing".to_string(), |v| v.to_string())
+        )),
+    }
+}
+
+/// A case's median confidence interval, `[ci_lo_ns, ci_hi_ns]`.
 fn case_interval(entry: &Json) -> Option<(f64, f64)> {
     let get = |k: &str| entry.get(k).and_then(|v| v.as_u64()).map(|v| v as f64);
-    if let (Some(lo), Some(hi)) = (get("ci_lo_ns"), get("ci_hi_ns")) {
-        return Some((lo, hi));
-    }
-    Some((get("min_ns")?, get("p95_ns")?))
+    Some((get("ci_lo_ns")?, get("ci_hi_ns")?))
 }
 
 /// One per-case gate verdict.
@@ -222,7 +244,7 @@ pub fn run_cli(argv: &[String]) -> i32 {
         Err(e) => {
             eprintln!("error: {e}");
             eprintln!(
-                "usage: smi-lab bench [--json] [--samples N] [--out PATH] \
+                "usage: smi-lab bench [--samples N] [--out PATH] \
                  [--gate BASELINE.json] [--gate-margin PCT]"
             );
             return 2;
@@ -232,10 +254,7 @@ pub fn run_cli(argv: &[String]) -> i32 {
     // input is a usage error, not a regression.
     let gate_baseline = match &args.gate {
         None => None,
-        Some(path) => match std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|text| Json::parse(&text).map_err(|e| format!("does not parse: {e:?}")))
-        {
+        Some(path) => match read_baseline(path) {
             Ok(doc) => Some((path.clone(), doc)),
             Err(e) => {
                 eprintln!("error: gate baseline {path}: {e}");
@@ -280,9 +299,6 @@ pub fn run_cli(argv: &[String]) -> i32 {
         eprintln!("error: report verification failed: {e}");
         return 1;
     }
-    if args.json {
-        println!("{text}");
-    }
     eprintln!("wrote {} ({} benchmarks, verified)", args.out, results.len());
     if let Some((path, baseline)) = gate_baseline {
         let verdicts = gate_verdicts(&doc, &baseline, args.gate_margin_pct);
@@ -318,35 +334,26 @@ pub fn run_cli(argv: &[String]) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bench::Summary;
 
     #[test]
     fn parse_defaults_and_flags() {
         let a = parse(&[]).expect("defaults");
-        assert!(!a.json);
         assert_eq!(a.samples, DEFAULT_SAMPLES);
         assert_eq!(a.out, DEFAULT_OUT);
         assert!(a.gate.is_none());
         assert_eq!(a.gate_margin_pct, DEFAULT_GATE_MARGIN_PCT);
-        let argv: Vec<String> = [
-            "--json",
-            "--samples",
-            "3",
-            "--out",
-            "x.json",
-            "--gate",
-            "b.json",
-            "--gate-margin",
-            "10",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        let argv: Vec<String> =
+            ["--samples", "3", "--out", "x.json", "--gate", "b.json", "--gate-margin", "10"]
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
         let a = parse(&argv).expect("flags");
-        assert!(a.json);
         assert_eq!(a.samples, 3);
         assert_eq!(a.out, "x.json");
         assert_eq!(a.gate.as_deref(), Some("b.json"));
         assert_eq!(a.gate_margin_pct, 10.0);
+        assert!(parse(&["--json".to_string()]).is_err(), "--json is gone");
         assert!(parse(&["--samples".to_string(), "0".to_string()]).is_err());
         assert!(parse(&["--wat".to_string()]).is_err());
         assert!(
@@ -362,7 +369,7 @@ mod tests {
         .is_err());
     }
 
-    /// A minimal schema-2 report with one case at the given interval.
+    /// A minimal current-schema report with one case at the given interval.
     fn report_with(name: &str, lo: u64, hi: u64) -> Json {
         Json::obj(vec![
             ("schema", Json::U64(BENCH_SCHEMA)),
@@ -371,8 +378,6 @@ mod tests {
                 "benchmarks",
                 Json::Arr(vec![Json::obj(vec![
                     ("name", Json::Str(name.to_string())),
-                    ("min_ns", Json::U64(lo)),
-                    ("p95_ns", Json::U64(hi)),
                     ("ci_lo_ns", Json::U64(lo)),
                     ("ci_hi_ns", Json::U64(hi)),
                 ])]),
@@ -410,44 +415,50 @@ mod tests {
         assert_eq!(verdicts[0].get("verdict").and_then(|v| v.as_str()), Some("regression"));
     }
 
-    /// The committed pre-optimization baseline is schema 1 (no CI
-    /// fields): the gate must keep reading it through the
-    /// `[min_ns, p95_ns]` fallback interval forever.
     #[test]
-    fn gate_reads_legacy_schema1_baselines() {
-        let legacy = Json::parse(include_str!("../../../results/BENCH_engine_pre.json"))
-            .expect("committed baseline parses");
-        assert_eq!(legacy.get("schema").and_then(|s| s.as_u64()), Some(1));
-        let results = run_engine_suite(2);
-        let current = suite_json(2, &results);
-        let verdicts = gate_verdicts(&current, &legacy, 25.0);
-        assert_eq!(verdicts.len(), results.len(), "every current case gets a verdict");
-        for v in &verdicts {
-            match v.verdict {
-                // Cases the old baseline lacks are new, not failures.
-                "new" => assert!(v.baseline.is_none(), "{} new but has baseline", v.name),
-                "ok" | "regression" | "improvement" => {
-                    let (blo, bhi) = v.baseline.expect("compared cases carry the interval");
-                    assert!(blo <= bhi, "{}: baseline interval inverted", v.name);
-                }
-                other => panic!("unknown verdict {other:?}"),
-            }
-        }
-        // The legacy file predates noise_model_schedule_sweep: it must
-        // surface as new.
-        let sweep = verdicts.iter().find(|v| v.name == "noise_model_schedule_sweep");
-        assert_eq!(sweep.expect("sweep case present").verdict, "new");
+    fn gate_reads_only_current_schema_baselines() {
+        let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_engine.json");
+        read_baseline(committed).expect("the committed baseline is gateable");
+        // The pre-optimization record is schema 1: kept, but not gateable.
+        let pre = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_engine_pre.json");
+        let err = read_baseline(pre).expect_err("schema 1 refused");
+        assert!(err.contains("schema 1 is not"), "{err}");
+        assert!(read_baseline("/nonexistent/baseline.json").is_err());
+    }
+
+    /// A report of every suite case with the scripted samples.
+    fn scripted_report(samples_ns: &[u64]) -> Json {
+        let results: Vec<Summary> = engine_suite_names()
+            .into_iter()
+            .map(|name| Summary { name: name.to_string(), samples_ns: samples_ns.to_vec() })
+            .collect();
+        suite_json(samples_ns.len(), &results)
     }
 
     #[test]
-    fn verify_report_catches_missing_cases() {
-        let results = run_engine_suite(2);
-        let good = suite_json(2, &results).to_string_pretty();
-        verify_report(&good, 2).expect("full report verifies");
+    fn verify_report_catches_missing_cases_and_misplaced_statistics() {
+        let samples: Vec<u64> = (1..=40).collect();
+        let good = scripted_report(&samples).to_string_pretty();
+        verify_report(&good, 40).expect("full report verifies");
         assert!(verify_report(&good, 3).is_err(), "wrong sample count");
-        let partial = suite_json(2, &results[..1]).to_string_pretty();
-        assert!(verify_report(&partial, 2).is_err(), "missing cases");
-        assert!(verify_report("{not json", 2).is_err());
-        assert!(verify_report("{\"schema\": 1}", 2).is_err());
+        let one = [Summary { name: "event_queue_near_monotone".into(), samples_ns: samples }];
+        let partial = suite_json(40, &one).to_string_pretty();
+        assert!(verify_report(&partial, 40).is_err(), "missing cases");
+        assert!(verify_report("{not json", 40).is_err());
+        assert!(verify_report("{\"schema\": 2}", 40).is_err());
+        // Ranks 13..28 of 1..=40: the interval is [13, 28] around 20. A
+        // median outside it, as a schema-2 mean interval allowed, or an
+        // interval end outside the sample range, fails.
+        for (from, to) in [
+            ("\"median_ns\": 20,", "\"median_ns\": 29,"),
+            ("\"median_ns\": 20,", "\"median_ns\": 12,"),
+            ("\"ci_hi_ns\": 28", "\"ci_hi_ns\": 41"),
+            ("\"min_ns\": 1,", "\"min_ns\": 14,"),
+        ] {
+            assert!(good.contains(from), "{from} in {good}");
+            let bad = good.replacen(from, to, 1);
+            let err = verify_report(&bad, 40).expect_err(to);
+            assert!(err.contains("exceeds"), "{err}");
+        }
     }
 }

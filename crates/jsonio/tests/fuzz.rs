@@ -1,11 +1,15 @@
-//! Fuzzing the trust boundary campaign start-up reads through: every
-//! store entry, index line and journal line on disk passes through
-//! `Json::parse` or `checked::unseal`. Neither may panic on any input,
-//! values must survive a serialize-parse round trip, and a sealed line
-//! with any single byte changed must fail verification.
+//! Fuzzing the trust boundaries: every store entry, index line and
+//! journal line on disk passes through `Json::parse` or
+//! `checked::unseal`, and every message from a worker subprocess passes
+//! through `framed::FrameReader`. None may panic on any input, values
+//! must survive a serialize-parse round trip, a sealed line with any
+//! single byte changed must fail verification, and a frame stream
+//! decodes to exactly the typed outcome each of its segments calls for.
 
+use jsonio::framed::{FrameError, FrameReader, MAX_FRAME_BYTES};
 use jsonio::{checked, Json};
 use quickprop::Gen;
+use std::io::Read;
 
 /// Characters that stress escaping and UTF-8 handling: quotes,
 /// backslashes, every short escape, other control bytes, multi-byte
@@ -123,5 +127,152 @@ fn any_single_byte_change_of_a_sealed_line_fails() {
             let Ok(text) = String::from_utf8(bytes) else { continue };
             assert!(checked::unseal(&text).is_err(), "byte {at} changed, still verifies: {text:?}");
         }
+    });
+}
+
+/// A byte stream that records how it is read: bytes handed out so far
+/// and the largest buffer any single `read` asked to fill.
+struct Recorder<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    largest_request: usize,
+}
+
+impl Read for Recorder<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.largest_request = self.largest_request.max(buf.len());
+        let n = buf.len().min(self.bytes.len() - self.pos);
+        buf[..n].copy_from_slice(&self.bytes[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(n)
+    }
+}
+
+/// What one `FrameReader::read` must return for a stream segment.
+#[derive(Debug)]
+enum Expect {
+    Frame(Json),
+    TooLarge(usize),
+    /// A declared-length body of arbitrary bytes: a value if they happen
+    /// to be JSON, a parse error otherwise.
+    FrameOrParse,
+    Torn {
+        got: usize,
+        expected: usize,
+    },
+}
+
+fn header(len: usize) -> [u8; 4] {
+    (len as u32).to_be_bytes()
+}
+
+/// One whole segment of a frame stream and its expected decode.
+fn random_segment(g: &mut Gen, out: &mut Vec<u8>) -> Expect {
+    match g.below(3) {
+        0 => {
+            let value = random_json(g, 3);
+            let body = value.to_string();
+            out.extend_from_slice(&header(body.len()));
+            out.extend_from_slice(body.as_bytes());
+            Expect::Frame(value)
+        }
+        1 => {
+            let declared = g.u64(MAX_FRAME_BYTES as u64 + 1..u32::MAX as u64 + 1) as usize;
+            out.extend_from_slice(&header(declared));
+            Expect::TooLarge(declared)
+        }
+        _ => {
+            let body = g.vec(0..24, |g| g.any_u64() as u8);
+            out.extend_from_slice(&header(body.len()));
+            out.extend_from_slice(&body);
+            Expect::FrameOrParse
+        }
+    }
+}
+
+#[test]
+fn frame_streams_decode_segment_by_segment() {
+    // Whole frames, oversize length prefixes and garbage bodies in any
+    // order, then possibly a torn tail: a truncated length prefix or a
+    // body shorter than its declared length.
+    quickprop::check("framed_random_streams", 1000, |g| {
+        let mut bytes = Vec::new();
+        let mut expected: Vec<Expect> =
+            (0..g.usize(0..6)).map(|_| random_segment(g, &mut bytes)).collect();
+        match g.below(3) {
+            0 => {
+                let got = g.usize(1..4);
+                bytes.extend_from_slice(&header(g.usize(0..1 << 20))[..got]);
+                expected.push(Expect::Torn { got, expected: 4 });
+            }
+            1 => {
+                let declared = g.usize(1..MAX_FRAME_BYTES + 1);
+                let got = g.usize(0..declared.min(64));
+                bytes.extend_from_slice(&header(declared));
+                bytes.extend(g.vec(got..got + 1, |g| g.any_u64() as u8));
+                expected.push(Expect::Torn { got, expected: declared });
+            }
+            _ => {}
+        }
+        let mut stream = Recorder { bytes: &bytes, pos: 0, largest_request: 0 };
+        let mut reader = FrameReader::new(&mut stream);
+        for want in &expected {
+            let got = reader.read();
+            match (want, &got) {
+                (Expect::Frame(v), Ok(Some(w))) => assert_eq!(v, w),
+                (Expect::TooLarge(d), Err(FrameError::TooLarge { declared })) => {
+                    assert_eq!(d, declared)
+                }
+                (Expect::FrameOrParse, Ok(Some(_)) | Err(FrameError::Parse(_))) => {}
+                (Expect::Torn { got: a, expected: b }, Err(FrameError::Torn { got, expected })) => {
+                    assert_eq!((a, b), (got, expected))
+                }
+                _ => panic!("expected {want:?}, decoded {got:?}"),
+            }
+        }
+        assert!(matches!(reader.read(), Ok(None)), "the stream ends clean");
+        assert_eq!(stream.pos, bytes.len(), "every byte consumed");
+    });
+}
+
+#[test]
+fn oversize_lengths_are_refused_from_the_header_alone() {
+    // A length prefix beyond the limit is rejected before any body
+    // byte is requested: the reader consumes the four header bytes and
+    // never asks the stream to fill a buffer of the claimed size.
+    quickprop::check("framed_oversize_lengths", 500, |g| {
+        let declared = g.u64(MAX_FRAME_BYTES as u64 + 1..u32::MAX as u64 + 1) as usize;
+        let mut bytes = header(declared).to_vec();
+        bytes.extend(g.vec(0..64, |g| g.any_u64() as u8));
+        let mut stream = Recorder { bytes: &bytes, pos: 0, largest_request: 0 };
+        let got = FrameReader::new(&mut stream).read();
+        assert!(
+            matches!(got, Err(FrameError::TooLarge { declared: d }) if d == declared),
+            "{got:?}"
+        );
+        assert_eq!((stream.pos, stream.largest_request), (4, 4), "read past the header");
+    });
+}
+
+#[test]
+fn frame_reader_never_panics_on_random_bytes() {
+    // Unstructured bytes, zero-heavy so that length prefixes often fall
+    // within the limit and bodies get read and parsed. Every read is
+    // one of the typed outcomes until the stream ends clean.
+    quickprop::check("framed_random_bytes", 2000, |g| {
+        let bytes = g.vec(0..96, |g| if g.bool() { 0 } else { g.any_u64() as u8 });
+        let mut stream = Recorder { bytes: &bytes, pos: 0, largest_request: 0 };
+        let mut reader = FrameReader::new(&mut stream);
+        for _ in 0..=bytes.len() {
+            match reader.read() {
+                Ok(None) => break,
+                Ok(Some(_)) | Err(FrameError::Parse(_)) => {}
+                Err(FrameError::TooLarge { declared }) => assert!(declared > MAX_FRAME_BYTES),
+                Err(FrameError::Torn { got, expected }) => assert!(got < expected),
+                Err(FrameError::Io(e)) => panic!("an in-memory stream cannot fail: {e}"),
+            }
+        }
+        assert!(matches!(reader.read(), Ok(None)), "every read consumed a byte or ended");
+        assert!(stream.largest_request <= MAX_FRAME_BYTES);
     });
 }

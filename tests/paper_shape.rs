@@ -181,3 +181,144 @@ fn claim_calibration_reproduces_every_available_baseline() {
         }
     }
 }
+
+// --- Mechanism ablations: each mechanism on vs off on one workload. ---
+
+/// 100 iterations of 50 ms of compute then a barrier, one rank per node.
+fn barrier_job(nodes: u32) -> (ClusterSpec, Vec<RankProgram>) {
+    let spec = ClusterSpec::wyeast(nodes, 1, false).expect("valid shape");
+    let ops: Vec<Op> =
+        (0..100).flat_map(|_| [Op::Compute(SimDuration::from_millis(50)), Op::Barrier]).collect();
+    (spec, (0..nodes).map(|_| RankProgram::new(ops.clone())).collect())
+}
+
+/// The barrier job's makespan on nodes with the given schedules and no
+/// SMI side effects, in seconds.
+fn barrier_makespan(schedules: Vec<FreezeSchedule>) -> f64 {
+    let (spec, progs) = barrier_job(schedules.len() as u32);
+    let nodes: Vec<NodeState> = schedules
+        .into_iter()
+        .map(|s| NodeState::uniform(s, SmiSideEffects::none(), spec.online_cpus()))
+        .collect();
+    smi_lab::mpi_sim::run(&spec, &nodes, &progs, &NetworkParams::gigabit_cluster())
+        .expect("valid job")
+        .seconds()
+}
+
+/// Long-SMI slowdowns (%) of the barrier job on `nodes` nodes for one
+/// seed: `(unsynchronized, synchronized)` per-node SMI phases.
+fn phase_slowdowns(nodes: u32, seed: u64) -> (f64, f64) {
+    let driver = SmiDriver::new(SmiDriverConfig::mpi_study(SmiClass::Long));
+    let quiet = barrier_makespan(vec![FreezeSchedule::none(); nodes as usize]);
+    let mut rng = SimRng::new(seed);
+    let unsync = barrier_makespan((0..nodes).map(|_| driver.schedule_for_node(&mut rng)).collect());
+    let mut rng = SimRng::new(seed);
+    let sync = barrier_makespan(driver.synchronized_schedules(nodes as usize, &mut rng));
+    let pct = |t: f64| (t - quiet) / quiet * 100.0;
+    (pct(unsync), pct(sync))
+}
+
+/// Node counts of the phase-alignment ablation.
+const PHASE_NODES: [u32; 5] = [1, 2, 4, 8, 16];
+/// Seeds of the phase-alignment ablation.
+const PHASE_SEEDS: std::ops::Range<u64> = 0..12;
+
+#[test]
+fn claim_unsynchronized_smis_never_cost_less_than_synchronized_ones() {
+    // A barrier cannot complete while any node is frozen: SMIs at
+    // independent phases stall it at least as long as at one phase.
+    for seed in PHASE_SEEDS {
+        for n in PHASE_NODES {
+            let (unsync, sync) = phase_slowdowns(n, seed);
+            assert!(unsync >= sync, "seed {seed}, {n} nodes: unsync {unsync}% < sync {sync}%");
+        }
+    }
+}
+
+#[test]
+fn claim_synchronized_smis_cost_the_same_at_every_node_count() {
+    // With one shared phase every node loses the same windows, so node
+    // count cannot amplify the slowdown. Tolerance, from the network and
+    // not from the slowdowns: the quiet job's barrier share at the
+    // largest node count. Node count acts only through the barriers, so
+    // it cannot move the slowdown by more than their share of the run.
+    let quiet = |n: u32| barrier_makespan(vec![FreezeSchedule::none(); n as usize]);
+    let barrier_pp = (quiet(16) - quiet(1)) / quiet(1) * 100.0;
+    assert!(barrier_pp > 0.0 && barrier_pp < 1.0, "barrier share {barrier_pp}%");
+    for seed in PHASE_SEEDS {
+        let syncs: Vec<f64> = PHASE_NODES.iter().map(|&n| phase_slowdowns(n, seed).1).collect();
+        let spread = syncs.iter().fold(f64::MIN, |a, &b| a.max(b))
+            - syncs.iter().fold(f64::MAX, |a, &b| a.min(b));
+        assert!(spread <= barrier_pp, "seed {seed}: {syncs:?} spread {spread} > {barrier_pp} pp");
+    }
+}
+
+#[test]
+fn claim_unsynchronized_smis_amplify_with_node_count() {
+    // The paper's MPI finding: at 16 nodes, SMIs at independent phases
+    // cost far more than the same SMIs at one phase.
+    for seed in PHASE_SEEDS {
+        let (unsync, sync) = phase_slowdowns(16, seed);
+        assert!(unsync > 3.0 * sync, "seed {seed}, 16 nodes: unsync {unsync}% vs sync {sync}%");
+    }
+}
+
+#[test]
+fn claim_smi_side_effects_cost_beyond_the_freeze() {
+    // Rendezvous, cache refill and post-exit scheduling make a long SMI
+    // cost more wall time than its residency alone.
+    let driver = SmiDriver::new(SmiDriverConfig::interval_ms(SmiClass::Long, 200));
+    let schedule = driver.schedule_for_node(&mut SimRng::new(6));
+    let wall = |effects: SmiSideEffects| {
+        smi_lab::machine::NodeExecutor::new(&schedule, effects, 8, 0.8, 0.5)
+            .execute(SimTime::ZERO, SimDuration::from_secs(30))
+            .wall
+            .as_secs_f64()
+    };
+    let (with, pure) = (wall(driver.side_effects(true)), wall(SmiSideEffects::none()));
+    assert!(with > pure, "side effects {with} s vs pure freeze {pure} s");
+}
+
+#[test]
+fn claim_smt_contention_slows_memory_bound_siblings() {
+    // Eight memory-bound threads on a Dell R410 share four cores' cache
+    // and memory bandwidth through their Hyper-Thread siblings: more
+    // contention, longer makespan.
+    use smi_lab::machine::{ExecProfile, Phase, SchedParams, SmtParams, ThreadProgram, ThreadSpec};
+    let makespan = |contention: f64| {
+        let mut topo = Topology::new(NodeSpec::dell_r410());
+        topo.set_online_count(8);
+        let params = SchedParams { smt: SmtParams { contention }, ..SchedParams::default() };
+        let threads: Vec<ThreadSpec> = (0..8)
+            .map(|_| {
+                ThreadSpec::new(ThreadProgram::new().then(Phase::Compute {
+                    work: SimDuration::from_millis(200),
+                    profile: ExecProfile::memory_bound(),
+                }))
+            })
+            .collect();
+        smi_lab::machine::run(&topo, &params, &threads).expect("no deadlock").makespan.as_secs_f64()
+    };
+    let spans: Vec<f64> = [0.0, 0.5, 1.0, 2.0].into_iter().map(makespan).collect();
+    assert!(spans.windows(2).all(|w| w[0] < w[1]), "makespans {spans:?}");
+}
+
+#[test]
+fn claim_the_residency_band_costs_its_midpoint() {
+    // The long class's uniform 100-110 ms residency freezes a node for
+    // as long, over minutes, as a fixed 105 ms one.
+    let frozen = |durations: DurationModel| {
+        FreezeSchedule::periodic(PeriodicFreeze {
+            first_trigger: SimTime::from_millis(100),
+            period: SimDuration::from_secs(1),
+            durations,
+            policy: TriggerPolicy::SkipWhileFrozen,
+            seed: 4,
+        })
+        .frozen_between(SimTime::ZERO, SimTime::from_secs(300))
+        .as_secs_f64()
+    };
+    let band = frozen(DurationModel::long_smi());
+    let fixed = frozen(DurationModel::Fixed(SimDuration::from_millis(105)));
+    assert!((band - fixed).abs() <= 0.01 * fixed, "band {band} s vs fixed {fixed} s");
+}
