@@ -183,6 +183,19 @@ grep -q '"cache_tmp": 1,' "$RESUME_DIR/cache/manifests/table2.json"
 grep -q '"journal_tmp": 1,' "$RESUME_DIR/cache/manifests/table2.json"
 grep -q '"manifest_tmp": 1$' "$RESUME_DIR/cache/manifests/table2.json"
 ./target/release/smi-lab fsck --cache-dir "$RESUME_DIR/cache"
+# A second fully cached --resume frees no disk block: it leaves the
+# intent log byte-identical, and writes its manifest into the inode the
+# previous write replaced (the spare), keeping the new one as the spare.
+cp "$RESUME_DIR/cache/intent/table2.log" "$RESUME_DIR/warm-intent.log"
+RESUME_SPARE_INO="$(stat -c %i "$RESUME_DIR/cache/manifests/table2.json.spare")"
+./target/release/smi-lab table2 --quick --resume --cache-dir "$RESUME_DIR/cache" \
+    --records "$RESUME_DIR/warm2.jsonl" >/dev/null
+cmp "$RESUME_DIR/cold.jsonl" "$RESUME_DIR/warm2.jsonl"
+cmp "$RESUME_DIR/warm-intent.log" "$RESUME_DIR/cache/intent/table2.log"
+cmp "$RESUME_DIR/cold-journal.jsonl" "$RESUME_DIR/cache/journal/table2.jsonl"
+test "$(ls "$RESUME_DIR/cache/manifests" | tr '\n' ' ')" = "table2.json table2.json.spare "
+test "$(stat -c %i "$RESUME_DIR/cache/manifests/table2.json")" = "$RESUME_SPARE_INO"
+./target/release/smi-lab fsck --cache-dir "$RESUME_DIR/cache"
 rm -rf "$RESUME_DIR"
 # Bench smoke: the perf harness end-to-end at a tiny sample count,
 # writing to a scratch path so the committed BENCH_engine.json baseline

@@ -119,11 +119,14 @@ impl<R: Read> FrameReader<R> {
         if len > MAX_FRAME_BYTES {
             return Err(FrameError::TooLarge { declared: len });
         }
-        let mut body = vec![0u8; len];
-        match read_exact_or_eof(&mut self.inner, &mut body)? {
-            Filled::Full => {}
-            Filled::Eof => return Err(FrameError::Torn { got: 0, expected: len }),
-            Filled::Partial(got) => return Err(FrameError::Torn { got, expected: len }),
+        // Grow the body with the bytes that arrive, not the declared
+        // length: a garbage header from a dying peer must not cost a
+        // `MAX_FRAME_BYTES` allocation. Ordinary frames (kilobytes) fit
+        // the first reservation.
+        let mut body = Vec::with_capacity(len.min(64 * 1024));
+        self.inner.by_ref().take(len as u64).read_to_end(&mut body)?;
+        if body.len() < len {
+            return Err(FrameError::Torn { got: body.len(), expected: len });
         }
         let text = String::from_utf8_lossy(&body);
         Json::parse(&text).map(Some).map_err(FrameError::Parse)
@@ -207,6 +210,16 @@ mod tests {
         bytes.extend_from_slice(b"abc");
         let mut r = FrameReader::new(bytes.as_slice());
         assert!(matches!(r.read(), Err(FrameError::Torn { got: 3, expected: 10 })));
+    }
+
+    #[test]
+    fn a_torn_body_costs_only_the_bytes_that_arrived() {
+        // A header at the limit, then a dead peer: the read must end in
+        // the same typed error without filling a 64 MiB buffer first.
+        let mut bytes = (MAX_FRAME_BYTES as u32).to_be_bytes().to_vec();
+        bytes.extend_from_slice(b"abc");
+        let mut r = FrameReader::new(bytes.as_slice());
+        assert!(matches!(r.read(), Err(FrameError::Torn { got: 3, expected: 67_108_864 })));
     }
 
     #[test]

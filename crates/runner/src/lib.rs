@@ -846,7 +846,9 @@ impl RunReport {
     /// `<cache_dir>/manifests/<label>.json`, atomically: the body goes
     /// to a unique `*.tmp.*` sibling first and is renamed into place, so
     /// a kill mid-write never leaves a torn manifest (the stranded temp
-    /// file is swept at the next runner startup).
+    /// file is swept at the next runner startup). The replaced manifest
+    /// is kept as `<label>.json.spare` and recycled as the next write's
+    /// temp ([`vfs::Vfs::replace`]), so rewriting it frees no disk block.
     pub fn write_manifest(&self, cache_dir: &std::path::Path) -> std::io::Result<PathBuf> {
         self.write_manifest_with(&vfs::Vfs::real(), cache_dir)
     }
@@ -862,7 +864,7 @@ impl RunReport {
         let path = dir.join(format!("{}.json", cache::label_stem(&self.label)));
         let mut body = self.manifest().to_string_pretty();
         body.push('\n');
-        vfs.write_atomic(&path, &body)?;
+        vfs.replace(&path, &body)?;
         Ok(path)
     }
 }

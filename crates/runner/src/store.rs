@@ -15,9 +15,11 @@
 //!   sealed `begin` line before every object publish and an `end` line
 //!   after it. A crash or injected fault between the two leaves an
 //!   unresolved intent; [`Store::open`] replays the log, verifies each
-//!   suspect object's checksum, removes the torn ones, and truncates the
+//!   suspect object's checksum, removes the torn ones, and removes the
 //!   log — so a store is *always* either consistent or one `open` (or
-//!   one `fsck --repair`) away from it.
+//!   one `fsck --repair`) away from it. A fully resolved log proves
+//!   nothing and is left in place (unlinking it would free its blocks
+//!   on every open); the campaign's first [`Store::put`] empties it.
 //! * **fsck** — [`fsck`] audits a whole store offline: orphaned temp
 //!   files, torn or mis-keyed entries, dangling or torn index lines,
 //!   unresolved intents, stale campaign locks, torn journal tails. Every
@@ -36,7 +38,7 @@ use crate::CellSpec;
 use jsonio::{checked, Json};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Path of a campaign's index file under a store root.
@@ -101,6 +103,9 @@ pub struct Store {
     index_file_path: PathBuf,
     intent_file: Mutex<Option<std::fs::File>>,
     intent_file_path: PathBuf,
+    /// The intent log still holds an earlier campaign's resolved lines:
+    /// the first append empties it.
+    intent_stale: AtomicBool,
     index_keys: Mutex<BTreeSet<CacheKey>>,
     hits: AtomicU64,
     dedup_hits: AtomicU64,
@@ -127,8 +132,9 @@ impl Store {
     /// appenders. Infallible by design — on an unwritable root the store
     /// degrades to counting bookkeeping errors while lookups still work.
     ///
-    /// Call only with the campaign lock held: open truncates this
-    /// label's intent log, which must not race a live writer.
+    /// Call only with the campaign lock held: open may remove this
+    /// label's intent log, and the first put empties a kept one, neither
+    /// of which may race a live writer.
     pub fn open(vfs: Vfs, root: &Path, label: &str, code_version: &str) -> (Store, OpenStats) {
         let mut stats = OpenStats { sweep: cache::sweep_stats(root), ..OpenStats::default() };
 
@@ -137,10 +143,15 @@ impl Store {
         // The object is either whole (the end line was the casualty) or
         // torn (the publish was) — its checksum says which.
         let intent = intent_path(root, label);
+        let mut intent_stale = false;
         if let Ok(text) = std::fs::read_to_string(&intent) {
             let mut pending: BTreeMap<String, bool> = BTreeMap::new();
+            let mut torn_lines = false;
             for line in text.lines() {
-                let Ok(record) = checked::unseal(line) else { continue };
+                let Ok(record) = checked::unseal(line) else {
+                    torn_lines = true;
+                    continue;
+                };
                 let (Some(op), Some(key)) = (
                     record.get("op").and_then(Json::as_str),
                     record.get("key").and_then(Json::as_str),
@@ -172,7 +183,15 @@ impl Store {
                     stats.torn_entries_removed += 1;
                 }
             }
-            let _ = std::fs::remove_file(&intent);
+            // A log with damage or an unresolved intent is spent: remove
+            // it, as fsck's repair would. A fully resolved one stays (an
+            // unlink frees its blocks, which costs a discard per open);
+            // the first put truncates it instead.
+            if torn_lines || stats.intents_resolved > 0 {
+                let _ = std::fs::remove_file(&intent);
+            } else {
+                intent_stale = !text.is_empty();
+            }
         }
 
         // Load this campaign's index: keys referenced by prior runs.
@@ -204,6 +223,7 @@ impl Store {
             index_file_path: index,
             intent_file: Mutex::new(append(&intent)),
             intent_file_path: intent,
+            intent_stale: AtomicBool::new(intent_stale),
             index_keys: Mutex::new(keys),
             hits: AtomicU64::new(0),
             dedup_hits: AtomicU64::new(0),
@@ -229,12 +249,14 @@ impl Store {
 
     /// Append one sealed bookkeeping line, counting (never propagating)
     /// failures: bookkeeping is an accounting layer over objects that
-    /// are already durable on their own.
+    /// are already durable on their own. When `stale` is set, the file
+    /// is emptied first, under the same lock as the append.
     fn append_sealed(
         &self,
         file: &Mutex<Option<std::fs::File>>,
         tag: &Path,
         record: &Json,
+        stale: Option<&AtomicBool>,
     ) -> bool {
         let mut line = checked::seal(record);
         line.push('\n');
@@ -243,6 +265,11 @@ impl Store {
             self.index_errors.fetch_add(1, Ordering::AcqRel);
             return false;
         };
+        if stale.is_some_and(|s| s.swap(false, Ordering::AcqRel)) {
+            // A failed truncate leaves resolved lines ahead of ours,
+            // which replay exactly as before.
+            let _ = handle.set_len(0);
+        }
         if self.vfs.append_line(handle, tag, &line).is_err() {
             self.index_errors.fetch_add(1, Ordering::AcqRel);
             return false;
@@ -257,13 +284,18 @@ impl Store {
             return;
         }
         let record = Json::obj(vec![("key", Json::Str(key.hex()))]);
-        self.append_sealed(&self.index_file, &self.index_file_path, &record);
+        self.append_sealed(&self.index_file, &self.index_file_path, &record, None);
     }
 
     fn intent(&self, op: &str, key: CacheKey) {
         let record =
             Json::obj(vec![("op", Json::Str(op.to_string())), ("key", Json::Str(key.hex()))]);
-        self.append_sealed(&self.intent_file, &self.intent_file_path, &record);
+        self.append_sealed(
+            &self.intent_file,
+            &self.intent_file_path,
+            &record,
+            Some(&self.intent_stale),
+        );
     }
 
     /// Look up a cell. Hits are classified: a key this campaign already
@@ -295,6 +327,8 @@ impl Store {
     /// intent `end`, index reference. An `Err` means the object did not
     /// (verifiably) land — the caller counts it as a store error; the
     /// unresolved intent makes the next open re-verify the suspect key.
+    /// The campaign's first `begin` empties a log that `open` kept, so
+    /// the log holds only this campaign's lines.
     pub fn put(&self, key: CacheKey, spec: &CellSpec, payload: &Json) -> std::io::Result<()> {
         self.intent("begin", key);
         cache::store_with(&self.vfs, &self.root, key, &self.code_version, spec, payload)?;

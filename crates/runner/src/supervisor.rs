@@ -109,6 +109,10 @@ pub struct WorkerStats {
     pub cells_deadline: u64,
     /// Whether the slot exhausted its respawn budget and gave up.
     pub gave_up: bool,
+    /// Every attempt lost with this slot's worker, in order: the cell in
+    /// flight and the death's cause (`worker-exit`, `watchdog-timeout`,
+    /// ...), whether the cell then retried or quarantined.
+    pub lost: Vec<(String, &'static str)>,
 }
 
 /// Whole-pool supervision accounting for one isolated run.
@@ -235,6 +239,7 @@ fn crash(
     cause: &'static str,
 ) {
     stats.crashes += 1;
+    stats.lost.push((d.spec(&lost).cell.clone(), cause));
     conn.stop();
     if let Settled::Quarantined(_) = d.settle(lost, Attempt::Lost(cause)) {
         stats.cells_crashed += 1;
@@ -408,6 +413,10 @@ mod tests {
         assert_eq!(q.reason.get("kind").and_then(Json::as_str), Some("worker-crash"));
         assert_eq!(q.attempts, 2, "the ordinary attempt budget bounds crash retries");
         assert_eq!(report.retries, 1, "the non-final deaths were retries");
+        let lost: Vec<_> = report.isolate.iter().flat_map(|i| &i.workers[0].lost).collect();
+        let cause = q.reason.get("cause").and_then(Json::as_str).expect("cause");
+        assert_eq!(lost.len(), 2, "both lost attempts are named: {lost:?}");
+        assert!(lost.iter().all(|(cell, c)| *cell == q.cell && *c == cause), "{lost:?}");
     }
 
     #[test]

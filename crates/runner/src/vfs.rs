@@ -16,10 +16,18 @@
 //! |--------------|-------------|
 //! | torn write   | half the bytes land, the operation reports failure — and for atomic writes the *torn file is renamed into place*, the nastiest crash shape |
 //! | short read   | the read silently returns a truncated prefix (checksums must catch it) |
-//! | ENOSPC       | half the bytes land in the temp file, which is removed; the op errors |
+//! | ENOSPC       | half the bytes land in the temp file, which is removed (a claimed spare goes back); the op errors |
 //! | EIO          | the op errors with nothing written |
 //! | rename fail  | the temp file is fully written, then the publish rename errors |
 //! | dropped fsync| the pre-rename fsync is silently skipped (the write "succeeds") |
+//!
+//! There are two publish paths, and each rolls once per publish against
+//! the same write lanes. [`Vfs::write_atomic`] writes a fresh temp and
+//! renames it over the target, which frees the replaced file's data
+//! blocks — on a filesystem mounted `discard` that is a synchronous
+//! discard of tens of milliseconds. [`Vfs::replace`], for a file that is
+//! rewritten in place run after run (the run manifest), recycles the
+//! replaced inode as the next publish's temp and so frees no block.
 //!
 //! Draws are a pure function of `(plan seed, operation counter)`, so a
 //! single-threaded campaign replays the identical fault sequence every
@@ -38,7 +46,8 @@ use std::sync::Arc;
 pub enum OpKind {
     /// Whole-file read (`read_to_string`).
     Read,
-    /// Atomic publish: temp write + fsync + rename.
+    /// Atomic publish: temp write + fsync + rename ([`Vfs::write_atomic`]
+    /// or [`Vfs::replace`]).
     Write,
     /// Append one line to an open log handle.
     Append,
@@ -395,6 +404,72 @@ impl Vfs {
         }
     }
 
+    /// Publish `contents` at `path` like [`Vfs::write_atomic`], but free
+    /// no data block doing it. The replaced inode is kept as
+    /// `<name>.spare` and becomes the next publish's temp:
+    ///
+    /// 1. claim the spare by renaming it to a unique `*.tmp.*` name (or
+    ///    create that temp when there is no spare);
+    /// 2. overwrite it in place (`write_all`, `set_len`, `sync_all`);
+    /// 3. hard-link the live file to a second unique `*.tmp.*` name;
+    /// 4. rename the temp over `path`;
+    /// 5. rename the kept link to `<name>.spare`.
+    ///
+    /// The spare is only ever claimed by that atomic rename, so two
+    /// concurrent publishers never write the same inode. A kill at any
+    /// step leaves only `.tmp.` names for the start-up sweep; unlinking a
+    /// second link frees nothing. A publish that fails before step 4
+    /// puts its claimed temp back as the spare, so the live file and the
+    /// spare's inode survive it. Faults roll once, as for `write_atomic`;
+    /// a torn write publishes the torn half.
+    pub fn replace(&self, path: &Path, contents: &str) -> std::io::Result<()> {
+        let parent =
+            path.parent().ok_or_else(|| std::io::Error::other("write path has no parent"))?;
+        std::fs::create_dir_all(parent)?;
+        let spare = spare_path(path);
+        let tmp = crate::cache::unique_tmp(path);
+        let fault = self.roll(OpKind::Write, path);
+        let bytes = contents.as_bytes();
+        let body = match fault {
+            Some(FaultKind::Eio) => return Err(FaultKind::Eio.error()),
+            Some(FaultKind::TornWrite | FaultKind::Enospc) => &bytes[..bytes.len() / 2],
+            _ => bytes,
+        };
+        let sync = matches!(fault, None | Some(FaultKind::ShortRead));
+        let written = claim(&spare, &tmp).and_then(|mut file| {
+            file.write_all(body)?;
+            file.set_len(body.len() as u64)?;
+            if sync {
+                file.sync_all()?;
+            }
+            Ok(())
+        });
+        let written = match fault {
+            Some(f @ (FaultKind::Enospc | FaultKind::RenameFail)) => Err(f.error()),
+            _ => written,
+        };
+        if let Err(e) = written {
+            retire(&tmp, &spare);
+            return Err(e);
+        }
+        let keep = crate::cache::unique_tmp(path);
+        let kept = std::fs::hard_link(path, &keep).is_ok();
+        if let Err(e) = std::fs::rename(&tmp, path) {
+            if kept {
+                let _ = std::fs::remove_file(&keep);
+            }
+            retire(&tmp, &spare);
+            return Err(e);
+        }
+        if kept && std::fs::rename(&keep, &spare).is_err() {
+            let _ = std::fs::remove_file(&keep);
+        }
+        match fault {
+            Some(FaultKind::TornWrite) => Err(FaultKind::TornWrite.error()),
+            _ => Ok(()),
+        }
+    }
+
     /// Append one line to an open log handle. `tag` is the log's path,
     /// used only for fault targeting. A torn-write or ENOSPC fault lands
     /// half the line (a real torn tail for the tolerant loaders and the
@@ -434,6 +509,33 @@ impl Vfs {
             Some(FaultKind::Eio) => Err(FaultKind::Eio.error()),
             _ => std::fs::remove_file(path),
         }
+    }
+}
+
+/// The recycled inode [`Vfs::replace`] keeps beside `path`:
+/// `<name>.spare`. It carries no `.tmp.` marker, so the start-up sweep
+/// leaves it alone.
+pub fn spare_path(path: &Path) -> std::path::PathBuf {
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(".spare");
+    path.with_file_name(name)
+}
+
+/// Step 1 of [`Vfs::replace`]: take the spare under the temp name, or
+/// create the temp when there is no spare.
+fn claim(spare: &Path, tmp: &Path) -> std::io::Result<std::fs::File> {
+    match std::fs::rename(spare, tmp) {
+        Ok(()) => std::fs::OpenOptions::new().write(true).open(tmp),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => std::fs::File::create(tmp),
+        Err(e) => Err(e),
+    }
+}
+
+/// Undo a claim after a failed publish: the temp goes back as the spare
+/// (its bytes are scratch), or is removed if even that fails.
+fn retire(tmp: &Path, spare: &Path) {
+    if std::fs::rename(tmp, spare).is_err() {
+        let _ = std::fs::remove_file(tmp);
     }
 }
 
@@ -519,6 +621,73 @@ mod tests {
                 .count();
             assert_eq!(leftovers, 0, "{fault:?} must not strand a temp file");
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn names(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .expect("dir")
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    fn ino(path: &Path) -> u64 {
+        use std::os::unix::fs::MetadataExt as _;
+        std::fs::metadata(path).expect("stat").ino()
+    }
+
+    #[test]
+    fn replace_recycles_the_replaced_inode_as_the_next_temp() {
+        let dir = tmp_dir("replace");
+        let vfs = Vfs::real();
+        let path = dir.join("m.json");
+        vfs.replace(&path, "first, the longest body\n").expect("create");
+        assert_eq!(names(&dir), ["m.json"], "nothing to keep on a first publish");
+        let first = ino(&path);
+        vfs.replace(&path, "second\n").expect("replace");
+        assert_eq!(names(&dir), ["m.json", "m.json.spare"]);
+        assert_eq!(ino(&spare_path(&path)), first, "the replaced inode is kept");
+        let second = ino(&path);
+        vfs.replace(&path, "third, longer again\n").expect("recycle");
+        assert_eq!(names(&dir), ["m.json", "m.json.spare"]);
+        assert_eq!(ino(&path), first, "the spare becomes the live file");
+        assert_eq!(ino(&spare_path(&path)), second);
+        assert_eq!(std::fs::read_to_string(&path).expect("read"), "third, longer again\n");
+        vfs.replace(&path, "4\n").expect("shorter body");
+        assert_eq!(std::fs::read_to_string(&path).expect("read"), "4\n", "no stale tail");
+        assert_eq!(vfs.ops(), 4, "one operation per publish");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn replace_faults_keep_one_roll_and_never_lose_the_live_file_or_spare() {
+        let dir = tmp_dir("replace-faults");
+        let path = dir.join("m.json");
+        Vfs::real().replace(&path, "prior\n").expect("seed");
+        Vfs::real().replace(&path, "prior\n").expect("seed a spare");
+        for fault in [FaultKind::Eio, FaultKind::Enospc, FaultKind::RenameFail] {
+            let spare = ino(&spare_path(&path));
+            let mut plan = FaultPlan::default();
+            plan.pin(OpKind::Write, "m.json", fault, 1);
+            let vfs = Vfs::faulty(plan);
+            assert!(vfs.replace(&path, "next\n").is_err(), "{fault:?} must fail");
+            assert_eq!(vfs.injected(), 1);
+            assert_eq!(std::fs::read_to_string(&path).expect("live"), "prior\n", "{fault:?}");
+            assert_eq!(ino(&spare_path(&path)), spare, "{fault:?} must keep the spare");
+            assert_eq!(names(&dir), ["m.json", "m.json.spare"], "{fault:?} left litter");
+        }
+        let mut plan = FaultPlan::default();
+        plan.pin(OpKind::Write, "m.json", FaultKind::TornWrite, 1);
+        plan.pin(OpKind::Write, "m.json", FaultKind::DropFsync, 1);
+        let vfs = Vfs::faulty(plan);
+        assert!(vfs.replace(&path, "0123456789").is_err());
+        assert_eq!(std::fs::read_to_string(&path).expect("torn"), "01234", "torn half published");
+        vfs.replace(&path, "0123456789").expect("a dropped fsync is silent");
+        assert_eq!(std::fs::read_to_string(&path).expect("whole"), "0123456789");
+        assert_eq!(names(&dir), ["m.json", "m.json.spare"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -10,6 +10,7 @@ use jsonio::Json;
 use runner::store;
 use runner::vfs::{FaultKind, FaultPlan, OpKind, Vfs};
 use runner::{Cell, CellSpec, RunStatus, Runner};
+use std::os::unix::fs::MetadataExt as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -157,23 +158,35 @@ fn manifest_rename_failure_leaves_prior_manifest_and_no_tmp_litter() {
     report.write_manifest(&dir).expect("fault-free manifest write");
     let manifest_path = dir.join("manifests").join("camp.json");
     let before = std::fs::read_to_string(&manifest_path).expect("manifest exists");
+    let spare = runner::vfs::spare_path(&manifest_path);
 
-    let mut plan = FaultPlan::default();
-    plan.pin(OpKind::Write, "manifests", FaultKind::RenameFail, 1);
-    let vfs = Vfs::faulty(plan);
-    let err = report.write_manifest_with(&vfs, &dir).expect_err("rename failure surfaces");
-    assert!(err.to_string().contains("vfs injected"), "typed injected error: {err}");
-    assert_eq!(
-        std::fs::read_to_string(&manifest_path).expect("manifest still present"),
-        before,
-        "a failed publish must never damage the previous manifest"
-    );
-    let litter: Vec<_> = std::fs::read_dir(dir.join("manifests"))
-        .expect("read manifests dir")
-        .flatten()
-        .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
-        .collect();
-    assert!(litter.is_empty(), "no temp litter after a failed rename: {litter:?}");
+    // Once without a spare, then again once a clean write has left one.
+    for round in ["no spare", "with spare"] {
+        if round == "with spare" {
+            report.write_manifest(&dir).expect("a clean write keeps the replaced inode");
+        }
+        let spare_ino = std::fs::metadata(&spare).ok().map(|m| m.ino());
+        assert_eq!(spare_ino.is_some(), round == "with spare");
+        let mut plan = FaultPlan::default();
+        plan.pin(OpKind::Write, "manifests", FaultKind::RenameFail, 1);
+        let vfs = Vfs::faulty(plan);
+        let err = report.write_manifest_with(&vfs, &dir).expect_err("rename failure surfaces");
+        assert!(err.to_string().contains("vfs injected"), "typed injected error: {err}");
+        assert_eq!(
+            std::fs::read_to_string(&manifest_path).expect("manifest still present"),
+            before,
+            "a failed publish must never damage the previous manifest ({round})"
+        );
+        if spare_ino.is_some() {
+            assert_eq!(std::fs::metadata(&spare).ok().map(|m| m.ino()), spare_ino, "spare kept");
+        }
+        let litter: Vec<_> = std::fs::read_dir(dir.join("manifests"))
+            .expect("read manifests dir")
+            .flatten()
+            .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
+            .collect();
+        assert!(litter.is_empty(), "no temp litter after a failed rename ({round}): {litter:?}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

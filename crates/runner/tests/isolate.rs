@@ -195,6 +195,22 @@ fn hung_worker_is_shot_by_the_watchdog() {
     assert_eq!(report_jsonl.lines().collect::<Vec<_>>(), surviving);
 }
 
+/// Each cell's attempts and each worker death's cell and cause, so a
+/// failed retry count names the cell that spent the extra attempt.
+fn attempt_account(report: &RunReport) -> String {
+    let mut out = String::from("attempts per cell:");
+    for o in &report.outcomes {
+        out.push_str(&format!(" {}={}", o.spec.cell, o.attempts()));
+    }
+    for (slot, w) in report.isolate.iter().flat_map(|iso| iso.workers.iter().enumerate()) {
+        out.push_str(&format!(
+            "; slot {slot}: {} spawns, {} crashes, lost {:?}",
+            w.spawns, w.crashes, w.lost
+        ));
+    }
+    out
+}
+
 #[test]
 fn worker_panics_cross_the_pipe_with_unchanged_retry_semantics() {
     // A panic *inside the worker* must behave exactly like an in-process
@@ -202,9 +218,9 @@ fn worker_panics_cross_the_pipe_with_unchanged_retry_semantics() {
     // ones quarantine as `failed` after the attempt budget.
     let reference = in_process(6);
     let transient = isolated_runner(6, "c3=panic1", 2).run("iso-panic", fixture_cells(6, SEED));
-    assert_eq!(transient.status(), RunStatus::Clean);
-    assert_eq!(transient.retries, 1);
-    assert_eq!(transient.outcomes[3].attempts(), 2);
+    assert_eq!(transient.status(), RunStatus::Clean, "{}", attempt_account(&transient));
+    assert_eq!(transient.retries, 1, "{}", attempt_account(&transient));
+    assert_eq!(transient.outcomes[3].attempts(), 2, "{}", attempt_account(&transient));
     assert_eq!(transient.records_jsonl(), reference.records_jsonl());
     let iso = transient.isolate.as_ref().expect("accounting");
     assert_eq!(iso.workers.iter().map(|w| w.crashes).sum::<u64>(), 0, "a panic is not a crash");
