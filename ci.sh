@@ -165,6 +165,9 @@ rm -rf "$DUR_DIR"
 # records byte-identical to the cold run, leave the journal exactly as
 # the cold run wrote it (the tail truncated, no line re-appended for a
 # cell already journaled ok), and leave a store fsck calls Clean (exit 0).
+# The lock file left by the cold run is stamped with pid 1, a live
+# process: the kernel lock ignores file contents, so the resume runs,
+# and neither it nor `fsck --repair` touches the file.
 RESUME_DIR="$(mktemp -d)"
 ./target/release/smi-lab table2 --quick --cache-dir "$RESUME_DIR/cache" \
     --records "$RESUME_DIR/cold.jsonl" >/dev/null
@@ -174,6 +177,7 @@ echo torn > "$RESUME_DIR/cache/journal/table2.jsonl.tmp.1.0"
 echo torn > "$RESUME_DIR/cache/manifests/table2.json.tmp.1.0"
 cp "$RESUME_DIR/cache/journal/table2.jsonl" "$RESUME_DIR/cold-journal.jsonl"
 printf '{"schema":1,"key":"00' >> "$RESUME_DIR/cache/journal/table2.jsonl"
+echo 1 > "$RESUME_DIR/cache/journal/table2.lock"
 ./target/release/smi-lab table2 --quick --resume --cache-dir "$RESUME_DIR/cache" \
     --records "$RESUME_DIR/warm.jsonl" >/dev/null
 cmp "$RESUME_DIR/cold.jsonl" "$RESUME_DIR/warm.jsonl"
@@ -182,6 +186,7 @@ grep -q '"journal_torn_bytes": [1-9]' "$RESUME_DIR/cache/manifests/table2.json"
 grep -q '"cache_tmp": 1,' "$RESUME_DIR/cache/manifests/table2.json"
 grep -q '"journal_tmp": 1,' "$RESUME_DIR/cache/manifests/table2.json"
 grep -q '"manifest_tmp": 1$' "$RESUME_DIR/cache/manifests/table2.json"
+test "$(cat "$RESUME_DIR/cache/journal/table2.lock")" = 1
 ./target/release/smi-lab fsck --cache-dir "$RESUME_DIR/cache"
 # A second fully cached --resume frees no disk block: it leaves the
 # intent log byte-identical, and writes its manifest into the inode the
@@ -195,6 +200,9 @@ cmp "$RESUME_DIR/warm-intent.log" "$RESUME_DIR/cache/intent/table2.log"
 cmp "$RESUME_DIR/cold-journal.jsonl" "$RESUME_DIR/cache/journal/table2.jsonl"
 test "$(ls "$RESUME_DIR/cache/manifests" | tr '\n' ' ')" = "table2.json table2.json.spare "
 test "$(stat -c %i "$RESUME_DIR/cache/manifests/table2.json")" = "$RESUME_SPARE_INO"
+./target/release/smi-lab fsck --cache-dir "$RESUME_DIR/cache"
+./target/release/smi-lab fsck --cache-dir "$RESUME_DIR/cache" --repair >/dev/null
+test "$(cat "$RESUME_DIR/cache/journal/table2.lock")" = 1
 ./target/release/smi-lab fsck --cache-dir "$RESUME_DIR/cache"
 rm -rf "$RESUME_DIR"
 # Bench smoke: the perf harness end-to-end at a tiny sample count,

@@ -1,7 +1,8 @@
 //! `smi-lab fsck` — audit (and optionally repair) the shared result
 //! store: orphaned temp files, torn or misfiled entries, dangling index
-//! references, unresolved write intents, stale campaign locks, and torn
-//! journal tails.
+//! references, unresolved write intents, and torn journal tails.
+//! Campaign lock files are never findings and are never removed: the
+//! kernel lock on one dies with its holder.
 //!
 //! ```text
 //! smi-lab fsck [--cache-dir DIR] [--repair] [--compact] [--format text|json]

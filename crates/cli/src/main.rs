@@ -65,10 +65,11 @@
 //! what any record contains. The hidden `worker` subcommand is the
 //! subprocess half of this mode; it is not meant to be run by hand.
 //!
-//! One campaign per (cache dir, experiment label) at a time: a lock file
-//! next to the journal makes a concurrent duplicate campaign fail fast
-//! (exit 2) instead of silently corrupting the resume journal. A lock
-//! left by a SIGKILLed run is detected as stale and broken automatically.
+//! One campaign per (cache dir, experiment label) at a time: a kernel
+//! advisory lock on a file next to the journal makes a concurrent
+//! duplicate campaign fail fast (exit 2) instead of silently corrupting
+//! the resume journal. The kernel drops the lock when its holder dies,
+//! so a SIGKILLed run leaves nothing to clean up before `--resume`.
 //!
 //! `--adaptive` (table1–3) replaces the fixed repetition count with the
 //! CI-targeted sampling design of DESIGN.md §15: every (cell, SMM
@@ -331,8 +332,11 @@ fn runner_for(args: &Args) -> Runner {
     r.cache_dir = args.cache_dir.clone().into();
     r.code_version = CODE_VERSION.to_string();
     // Bridge the engine's thread-local hot-path counters into the
-    // runner's manifest telemetry (the runner crate cannot see sim-core
-    // itself). Pure observability: payload bytes are probe-independent.
+    // runner's manifest telemetry. The runner depends on sim-core and
+    // could read them itself; the bridge stays while perfbench/tracer
+    // passes its own probe to `worker::serve_io` and builds a full
+    // `RunReport` (ROADMAP item 1). Pure observability: payload bytes
+    // are probe-independent.
     r.perf_probe = Some(std::sync::Arc::new(|| {
         let p = sim_core::perf::take();
         runner::EnginePerf {

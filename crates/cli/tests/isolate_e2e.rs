@@ -9,7 +9,9 @@
 //!   a `--resume` without the kill recomputes only that cell and ends
 //!   byte-identical to a fault-free run;
 //! * a held campaign lock makes a concurrent duplicate invocation fail
-//!   fast (exit 2) without touching the journal.
+//!   fast (exit 2) without touching the journal, and a SIGKILLed
+//!   campaign leaves no lock behind: its `--resume` runs and ends
+//!   byte-identical to an uninterrupted run.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -162,19 +164,73 @@ fn sigkilled_worker_degrades_then_resume_heals_byte_identically() {
 fn concurrent_duplicate_campaign_fails_fast_with_exit_2() {
     let dir = tmp_dir("locked");
     let cache = dir.join("cache");
-    // Plant a lock held by pid 1 (init: always alive where /proc
-    // exists, conservatively treated as live elsewhere) — the scenario
-    // where another smi-lab invocation owns this campaign right now.
+    // Hold the label's lock the way another smi-lab invocation that owns
+    // this campaign right now does: a kernel lock on the file.
     let lock = cache.join("journal/table2.lock");
     std::fs::create_dir_all(lock.parent().unwrap()).unwrap();
-    std::fs::write(&lock, "1\n").unwrap();
+    let holder = std::fs::File::create(&lock).unwrap();
+    holder.try_lock().unwrap();
     let out = smi_lab(&["table2", "--quick", "--cache-dir", cache.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(2), "contended campaign must fail fast");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("held by live process 1"), "stderr names the holder: {stderr}");
+    assert!(stderr.contains(&lock.display().to_string()), "stderr names the lock: {stderr}");
+    assert!(!stderr.contains("remove"), "a held lock is never removed by hand: {stderr}");
     assert!(
         !cache.join("journal/table2.jsonl").exists(),
         "the refused campaign must not touch the journal"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sigkilled_campaign_releases_its_lock_and_resume_is_byte_identical() {
+    let dir = tmp_dir("lock-kill");
+    let cache = dir.join("cache");
+    let cache_arg = cache.to_str().unwrap();
+    let records = |name: &str| dir.join(name).display().to_string();
+    let campaign = ["table1", "--reps", "30", "--jobs", "1", "--cache-dir", cache_arg];
+
+    // A long cached campaign, running until its first journal line lands.
+    let mut running = Command::new(env!("CARGO_BIN_EXE_smi-lab"))
+        .args(campaign)
+        .args(["--records", &records("killed.jsonl")])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn campaign");
+    let journal = cache.join("journal/table1.jsonl");
+    while !std::fs::read_to_string(&journal).is_ok_and(|text| text.contains('\n')) {
+        assert!(running.try_wait().unwrap().is_none(), "campaign ended before its first line");
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+
+    // While it runs, the same label is refused.
+    let out = smi_lab(&[&campaign[..], &["--records", &records("refused.jsonl")]].concat());
+    assert_eq!(out.status.code(), Some(2), "{}", String::from_utf8_lossy(&out.stderr));
+
+    // SIGKILL leaves the lock file behind, but no lock: resume runs.
+    running.kill().unwrap();
+    running.wait().unwrap();
+    assert!(cache.join("journal/table1.lock").exists());
+    let resumed =
+        smi_lab(&[&campaign[..], &["--resume", "--records", &records("resumed.jsonl")]].concat());
+    assert_eq!(resumed.status.code(), Some(0), "{}", String::from_utf8_lossy(&resumed.stderr));
+
+    let reference = smi_lab(&[
+        "table1",
+        "--reps",
+        "30",
+        "--no-cache",
+        "--cache-dir",
+        cache_arg,
+        "--records",
+        &records("reference.jsonl"),
+    ]);
+    assert_eq!(reference.status.code(), Some(0));
+    assert_eq!(
+        read(&dir.join("resumed.jsonl")),
+        read(&dir.join("reference.jsonl")),
+        "a resumed campaign's records equal an uninterrupted run's"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -24,8 +24,8 @@
 
 use crate::telemetry::{Progress, Stopwatch};
 use crate::{
-    cache, journal, lockfile, proto, store, supervisor, worker, CacheMode, Cell, CellError,
-    CellOutcome, CellSpec, CellValue, QuarantineKind, QuarantinedCell, RunReport, Runner,
+    cache, journal, proto, store, supervisor, worker, CacheMode, Cell, CellError, CellOutcome,
+    CellSpec, CellValue, QuarantineKind, QuarantinedCell, RunReport, Runner,
 };
 use jsonio::Json;
 use std::collections::VecDeque;
@@ -99,19 +99,13 @@ pub(crate) struct Dispatcher<'a> {
 /// Run one campaign (the caller holds its lock): open storage, queue
 /// every cell, drive the configured transport until the queue drains,
 /// and assemble the report with outcomes in submission order.
-pub(crate) fn run(
-    runner: &Runner,
-    label: &str,
-    cells: Vec<Cell>,
-    lock_broken: Option<lockfile::BrokenLock>,
-) -> RunReport {
+pub(crate) fn run(runner: &Runner, label: &str, cells: Vec<Cell>) -> RunReport {
     let started = Stopwatch::start();
     let progress = Progress::new(cells.len() as u64, runner.verbose)
         .with_disk_fault_limit(runner.disk_fault_limit);
     let keys: Vec<cache::CacheKey> =
         cells.iter().map(|c| cache::cell_key(&runner.code_version, &c.spec)).collect();
-    let (store, writer, prior_ok, mut account) =
-        open_storage(runner, label, &keys, &progress, lock_broken);
+    let (store, writer, prior_ok, mut account) = open_storage(runner, label, &keys, &progress);
     let d = Dispatcher {
         runner,
         cells: &cells,
@@ -423,8 +417,6 @@ pub(crate) struct StorageAccount {
     pub journal_torn_bytes: u64,
     /// Cells already journaled `ok` by an earlier run.
     pub journal_prior_ok: u64,
-    /// The stale lock broken on the way in, if any.
-    pub lock_broken: Option<lockfile::BrokenLock>,
     /// The store's final counters (filled after the queue drains).
     pub store: store::StoreCounters,
 }
@@ -438,11 +430,9 @@ fn open_storage(
     label: &str,
     keys: &[cache::CacheKey],
     progress: &Progress,
-    lock_broken: Option<lockfile::BrokenLock>,
 ) -> (Option<store::Store>, Option<journal::Writer>, Vec<bool>, StorageAccount) {
     if runner.cache_mode == CacheMode::Off {
-        let account = StorageAccount { lock_broken, ..StorageAccount::default() };
-        return (None, None, vec![false; keys.len()], account);
+        return (None, None, vec![false; keys.len()], StorageAccount::default());
     }
     let (store, open_stats) =
         store::Store::open(runner.vfs.clone(), &runner.cache_dir, label, &runner.code_version);
@@ -467,7 +457,6 @@ fn open_storage(
         torn_entries_removed: open_stats.torn_entries_removed,
         journal_torn_bytes,
         journal_prior_ok,
-        lock_broken,
         store: store::StoreCounters::default(),
     };
     (Some(store), writer, prior_ok, account)
@@ -519,7 +508,7 @@ pub(crate) fn assemble_report(
         torn_entries_removed: account.torn_entries_removed,
         journal_torn_bytes: account.journal_torn_bytes,
         journal_prior_ok: account.journal_prior_ok,
-        lock_broken: account.lock_broken,
+        lock_broken: None,
         store: account.store,
         storage_bypass: progress.storage_bypass(),
         bypassed_writes: progress.bypassed_writes(),

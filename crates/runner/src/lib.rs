@@ -49,9 +49,10 @@
 //!   machine-readable `worker-crash` reason. Deterministic work-unit
 //!   deadlines (`deadline` quarantines) bound runaway cells without
 //!   consulting wall clock on the verdict path.
-//! * **Campaign lock** ([`lockfile`]) — one live campaign per
-//!   (cache dir, label); a second concurrent campaign fails fast with a
-//!   typed error instead of silently interleaving journal writes.
+//! * **Campaign lock** ([`lockfile`]) — one running campaign per
+//!   (cache dir, label), held as a kernel advisory lock; a second
+//!   concurrent campaign fails fast with a typed error instead of
+//!   silently interleaving journal writes.
 //! * **Chaos harness** ([`chaos`], test/`chaos`-feature gated) — seeded,
 //!   deterministic fault injection (panics, aborts, hangs,
 //!   corrupt/truncated cache entries, torn temp files, stragglers)
@@ -87,11 +88,12 @@ use std::sync::Arc;
 
 /// Engine-side hot-path counters harvested around one interval of work.
 ///
-/// The runner does not depend on any simulator *engine* crate (its only
-/// simulation-side dependency is `sim-core`'s RNG/statistics kernels),
-/// so it cannot read the engine's thread-local counters itself; the
-/// binary that owns both sides installs a [`Runner::perf_probe`]
-/// translating the engine's counters into this mirror struct.
+/// A field-for-field mirror of `sim_core::perf::EnginePerf`, filled by
+/// the [`Runner::perf_probe`] a binary installs. The runner depends on
+/// `sim-core` and could read those thread-local counters itself; the
+/// bridge stays because `perfbench/tracer` calls
+/// `worker::serve_io(cells, Some(perf_probe()), ..)` and builds a full
+/// [`RunReport`] literal. It goes with ROADMAP item 1.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EnginePerf {
     /// Events popped from the engine's event queue.
@@ -247,7 +249,7 @@ impl Runner {
     /// then quarantined into the report.
     ///
     /// Infallible wrapper over [`Runner::try_run`]: a campaign that
-    /// cannot even start (another live campaign holds the lock) is
+    /// cannot even start (another campaign holds the lock) is
     /// rendered as an aborted, degraded report with a typed quarantine
     /// entry instead of an `Err` — callers that want to branch on the
     /// typed error use `try_run` directly.
@@ -270,15 +272,12 @@ impl Runner {
     /// silently corrupt the resume account, so the second one fails fast
     /// here. `CacheMode::Off` runs share no state and take no lock.
     pub fn try_run(&self, label: &str, cells: Vec<Cell>) -> Result<RunReport, RunnerError> {
-        let (_lock, lock_broken) = if self.cache_mode != CacheMode::Off {
-            match lockfile::CampaignLock::acquire(&self.cache_dir, label) {
-                Ok(acquired) => (acquired.guard, acquired.broke),
-                Err(held) => return Err(RunnerError::Locked(held)),
-            }
+        let _lock = if self.cache_mode != CacheMode::Off {
+            lockfile::CampaignLock::acquire(&self.cache_dir, label).map_err(RunnerError::Locked)?
         } else {
-            (None, None)
+            None
         };
-        Ok(dispatch::run(self, label, cells, lock_broken))
+        Ok(dispatch::run(self, label, cells))
     }
 }
 
@@ -290,7 +289,6 @@ fn aborted_report(runner: &Runner, label: &str, held: &lockfile::LockHeld) -> Ru
     let reason = Json::obj(vec![
         ("kind", Json::Str("campaign-locked".into())),
         ("lock", Json::Str(held.path.display().to_string())),
-        ("holder_pid", held.holder_pid.map(Json::U64).unwrap_or(Json::Null)),
     ]);
     let idle = telemetry::Progress::new(0, false);
     let mut report = dispatch::assemble_report(
@@ -319,7 +317,7 @@ fn aborted_report(runner: &Runner, label: &str, held: &lockfile::LockHeld) -> Ru
 /// cell ran and no journal line was written.
 #[derive(Debug)]
 pub enum RunnerError {
-    /// Another live campaign holds the exclusive (cache dir, label)
+    /// Another running campaign holds the exclusive (cache dir, label)
     /// lock. Running anyway would interleave journal appends.
     Locked(lockfile::LockHeld),
 }
@@ -583,9 +581,10 @@ pub struct RunReport {
     /// (possibly killed) run of the same label — the crash-safe resume
     /// account.
     pub journal_prior_ok: u64,
-    /// The stale campaign lock broken on the way in, if any — who held
-    /// it and how old it was.
-    pub lock_broken: Option<lockfile::BrokenLock>,
+    /// Never set: the kernel lock leaves no stale lock to break. The
+    /// field stays only while `perfbench/tracer` builds a full
+    /// `RunReport` literal, and goes with ROADMAP item 1.
+    pub lock_broken: Option<std::convert::Infallible>,
     /// Shared-store counters: local hits, cross-campaign dedup hits,
     /// misses, publishes, bookkeeping errors.
     pub store: store::StoreCounters,
@@ -710,16 +709,6 @@ impl RunReport {
                     ("bypassed_writes", Json::U64(self.bypassed_writes)),
                     ("disk_fault_limit", Json::U64(self.disk_fault_limit)),
                 ]),
-            ),
-            (
-                "lock_broken",
-                match &self.lock_broken {
-                    None => Json::Null,
-                    Some(broke) => Json::obj(vec![
-                        ("holder_pid", broke.holder_pid.map(Json::U64).unwrap_or(Json::Null)),
-                        ("age_seconds", broke.age_seconds.map(Json::U64).unwrap_or(Json::Null)),
-                    ]),
-                },
             ),
             (
                 "cache_hit_rate",
@@ -1246,26 +1235,19 @@ mod tests {
     #[test]
     fn concurrent_campaign_is_refused_with_a_typed_error() {
         let dir = tmp_dir("locked");
-        // Plant a lock held by a *different live* process: pid 1 (init)
-        // is always alive where /proc exists, and a foreign pid is
-        // conservatively treated as live elsewhere. (An own-pid lock
-        // would be broken as a stale leak, which is its own test in
-        // `lockfile`.)
+        // Hold the label's lock the way a running campaign does.
         let lock_path = lockfile::CampaignLock::lock_path(&dir, "locked");
-        std::fs::create_dir_all(lock_path.parent().unwrap()).unwrap();
-        std::fs::write(&lock_path, "1\n").unwrap();
+        let holder = lockfile::CampaignLock::acquire(&dir, "locked").unwrap();
+        assert!(holder.is_some());
 
         // The typed path: a second campaign against the same journal
-        // fails fast with the holder's identity, touching nothing.
+        // fails fast, naming the lock, touching nothing.
         let executions = Arc::new(AtomicU64::new(0));
         let mut runner = Runner::new(2);
         runner.cache_dir = dir.clone();
         runner.verbose = false;
         match runner.try_run("locked", counting_cells(3, &executions)) {
-            Err(RunnerError::Locked(contended)) => {
-                assert_eq!(contended.holder_pid, Some(1));
-                assert!(contended.path.ends_with("locked.lock"));
-            }
+            Err(RunnerError::Locked(contended)) => assert_eq!(contended.path, lock_path),
             Ok(_) => panic!("second campaign must not run under a held lock"),
         }
         assert_eq!(executions.load(Ordering::Relaxed), 0, "no cell may execute");
@@ -1282,12 +1264,14 @@ mod tests {
         );
 
         // Releasing the holder lets the campaign run (and take the lock
-        // itself — released again on return).
-        std::fs::remove_file(&lock_path).unwrap();
+        // itself — released again on return, the file left in place).
+        drop(holder);
         let report = runner.run("locked", counting_cells(3, &executions));
         assert_eq!(executions.load(Ordering::Relaxed), 3);
         assert_eq!(report.status(), RunStatus::Clean);
-        assert!(!lock_path.exists(), "the campaign releases its own lock on return");
+        assert!(report.manifest().get("lock_broken").is_none());
+        assert!(lockfile::CampaignLock::acquire(&dir, "locked").unwrap().is_some());
+        assert!(lock_path.exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

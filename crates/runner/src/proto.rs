@@ -40,7 +40,7 @@ impl std::fmt::Display for ProtoError {
 
 fn err(what: &str, frame: &Json) -> ProtoError {
     let mut rendered = frame.to_string();
-    rendered.truncate(160);
+    rendered.truncate(rendered.floor_char_boundary(160));
     ProtoError(format!("{what} in frame {rendered}"))
 }
 
@@ -398,6 +398,11 @@ mod tests {
         }
         let no_kind = Json::obj(vec![("payload", Json::Null)]);
         assert!(WorkOutcome::from_json(&no_kind).is_err());
+        // The error quotes the frame cut at 160 bytes, which here falls
+        // inside a four-byte character.
+        let wide = Json::obj(vec![("type", Json::Str("😀".repeat(64)))]);
+        let e = ToWorker::from_json(&wide).expect_err("unknown type");
+        assert!(e.0.ends_with('😀'), "{e}");
     }
 
     #[test]

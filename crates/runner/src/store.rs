@@ -22,7 +22,7 @@
 //!   on every open); the campaign's first [`Store::put`] empties it.
 //! * **fsck** — [`fsck`] audits a whole store offline: orphaned temp
 //!   files, torn or mis-keyed entries, dangling or torn index lines,
-//!   unresolved intents, stale campaign locks, torn journal tails. Every
+//!   unresolved intents, torn journal tails. Every
 //!   finding has a machine-readable kind and a repair action; `repair`
 //!   applies them in dependency order (objects before indexes before
 //!   intents).
@@ -436,8 +436,6 @@ pub enum FindingKind {
     UnresolvedIntent,
     /// An intent line whose own frame or checksum fails.
     TornIntentLine,
-    /// A campaign lock whose holder is dead (or torn).
-    StaleLock,
     /// A journal whose tail is a torn fragment.
     TornJournalTail,
 }
@@ -453,7 +451,6 @@ impl FindingKind {
             FindingKind::TornIndexLine => "torn-index-line",
             FindingKind::UnresolvedIntent => "unresolved-intent",
             FindingKind::TornIntentLine => "torn-intent-line",
-            FindingKind::StaleLock => "stale-lock",
             FindingKind::TornJournalTail => "torn-journal-tail",
         }
     }
@@ -467,7 +464,7 @@ pub struct Finding {
     pub kind: FindingKind,
     /// Path of the damaged file, relative to the store root.
     pub path: String,
-    /// Human-oriented specifics (key, byte counts, holder pid...).
+    /// Human-oriented specifics (key, byte counts...).
     pub detail: String,
 }
 
@@ -475,7 +472,7 @@ pub struct Finding {
 #[derive(Clone, Debug, Default)]
 pub struct FsckReport {
     /// Everything found, in scan order (orphan temps in path order,
-    /// then objects, indexes, intents, locks, journals).
+    /// then objects, indexes, intents, journals).
     pub findings: Vec<Finding>,
     /// Repairs applied (0 on audit-only passes).
     pub repaired: u64,
@@ -517,10 +514,9 @@ fn rel(root: &Path, path: &Path) -> String {
 
 /// Audit a store; with `repair`, also fix everything found, in
 /// dependency order (objects first, then the indexes that reference
-/// them, then intents, locks, and journal tails). Run offline: a live
-/// campaign's lock would be reported — and must not be broken while its
-/// holder runs, which is why only *stale* locks are findings. After a
-/// repair pass, a fresh audit of an undisturbed store reports Clean.
+/// them, then intents and journal tails). Run it offline: a running
+/// campaign's half-written files would read as damage. After a repair
+/// pass, a fresh audit of an undisturbed store reports Clean.
 pub fn fsck(root: &Path, repair: bool) -> FsckReport {
     let mut report = FsckReport::default();
     fn fix(applied: bool, report: &mut FsckReport) {
@@ -672,7 +668,9 @@ pub fn fsck(root: &Path, repair: bool) -> FsckReport {
         }
     }
 
-    // Stale campaign locks and torn journal tails.
+    // Torn journal tails. Campaign lock files are never findings: the
+    // kernel lock on them dies with its holder, and their contents mean
+    // nothing.
     if let Ok(entries) = std::fs::read_dir(root.join("journal")) {
         let mut paths: Vec<PathBuf> = entries.flatten().map(|e| e.path()).collect();
         paths.sort();
@@ -682,19 +680,7 @@ pub fn fsck(root: &Path, repair: bool) -> FsckReport {
             if name.contains(".tmp.") {
                 continue; // already reported as an orphan
             }
-            if name.ends_with(".lock") {
-                if crate::lockfile::is_stale_lock_file(&path) {
-                    let holder = std::fs::read_to_string(&path).unwrap_or_default();
-                    report.findings.push(Finding {
-                        kind: FindingKind::StaleLock,
-                        path: rel(root, &path),
-                        detail: format!("dead holder pid {:?}", holder.trim()),
-                    });
-                    if repair {
-                        fix(std::fs::remove_file(&path).is_ok(), &mut report);
-                    }
-                }
-            } else if name.ends_with(".jsonl") {
+            if name.ends_with(".jsonl") {
                 let Ok(text) = std::fs::read_to_string(&path) else { continue };
                 let keep = crate::journal::torn_tail_start(&text);
                 if keep < text.len() {
@@ -833,6 +819,29 @@ mod tests {
     }
 
     #[test]
+    fn fsck_never_reports_or_removes_a_lock_file() {
+        let root = tmp_root("fsck-lock");
+        let (store, _) = Store::open(Vfs::real(), &root, "camp", "v1");
+        store.put(cache::cell_key("v1", &spec(1)), &spec(1), &Json::U64(1)).expect("put");
+        drop(store);
+        // One lock file left by a killed campaign, one held right now.
+        let left = crate::lockfile::CampaignLock::lock_path(&root, "camp");
+        std::fs::create_dir_all(left.parent().expect("parent")).expect("mkdir journal");
+        std::fs::write(&left, "4194304\n").expect("leftover lock file");
+        let held = crate::lockfile::CampaignLock::acquire(&root, "live").expect("free");
+        let live = crate::lockfile::CampaignLock::lock_path(&root, "live");
+
+        assert!(fsck(&root, false).is_clean());
+        let repair = fsck(&root, true);
+        assert!(repair.is_clean());
+        assert_eq!(repair.repaired, 0);
+        assert_eq!(compact(&root, &Vfs::real()).removed, 0);
+        assert!(left.exists() && live.exists(), "--repair and --compact keep lock files");
+        drop(held);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn fsck_finds_and_repairs_every_planted_damage_class() {
         let root = tmp_root("fsck");
         let (store, _) = Store::open(Vfs::real(), &root, "camp", "v1");
@@ -862,7 +871,6 @@ mod tests {
         std::fs::write(intent_path(&root, "ghost"), format!("{}\n", checked::seal(&begin)))
             .expect("unresolved intent");
         std::fs::create_dir_all(root.join("journal")).expect("mkdir journal");
-        std::fs::write(root.join("journal").join("dead.lock"), "4194304\n").expect("stale lock");
         std::fs::write(root.join("journal").join("camp.jsonl"), "{\"schema\":1}\n{\"torn")
             .expect("torn journal");
 
@@ -875,7 +883,6 @@ mod tests {
             "dangling-index-ref", // the torn victim entry strands its index line
             "torn-index-line",
             "unresolved-intent",
-            "stale-lock",
             "torn-journal-tail",
         ] {
             assert!(kinds.contains(expected), "missing finding {expected}: {kinds:?}");

@@ -248,26 +248,6 @@ fn two_campaigns_sharing_the_store_compute_overlapping_cells_once() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn broken_stale_lock_is_recorded_in_the_manifest() {
-    let dir = tmp_dir("lock-note");
-    let executions = Arc::new(AtomicU64::new(0));
-    let lock = runner::lockfile::CampaignLock::lock_path(&dir, "camp");
-    std::fs::create_dir_all(lock.parent().expect("parent")).expect("mkdir");
-    // Pid 4194304 exceeds the default Linux pid_max: a dead holder.
-    std::fs::write(&lock, "4194304\n").expect("plant stale lock");
-
-    let report = runner_in(&dir).run("camp", campaign(0..2, &executions));
-    assert_eq!(report.status(), RunStatus::Clean, "a broken stale lock is not degradation");
-    let broke = report.lock_broken.expect("the break must be recorded");
-    assert_eq!(broke.holder_pid, Some(4_194_304));
-    let m = report.manifest();
-    let note = m.get("lock_broken").expect("manifest lock_broken note");
-    assert_eq!(note.get("holder_pid").and_then(Json::as_u64), Some(4_194_304));
-    assert!(note.get("age_seconds").is_some());
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// The headline property: under ANY random vfs fault plan, no surviving
 /// record ever differs from the fault-free bytes, and `fsck --repair`
 /// restores the store to Clean.

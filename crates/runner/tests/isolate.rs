@@ -217,7 +217,11 @@ fn worker_panics_cross_the_pipe_with_unchanged_retry_semantics() {
     // panic: transient ones retry (same worker, no crash), permanent
     // ones quarantine as `failed` after the attempt budget.
     let reference = in_process(6);
-    let transient = isolated_runner(6, "c3=panic1", 2).run("iso-panic", fixture_cells(6, SEED));
+    // One slot: `PanicFirst` counts attempts per worker process, and a
+    // retry is requeued to whichever slot pops it next. With two slots
+    // c3's retry can land on the other worker, whose count is still 0,
+    // and panic again.
+    let transient = isolated_runner(6, "c3=panic1", 1).run("iso-panic", fixture_cells(6, SEED));
     assert_eq!(transient.status(), RunStatus::Clean, "{}", attempt_account(&transient));
     assert_eq!(transient.retries, 1, "{}", attempt_account(&transient));
     assert_eq!(transient.outcomes[3].attempts(), 2, "{}", attempt_account(&transient));
