@@ -69,6 +69,27 @@ cargo run -q --release -p smi-lint --offline -- --graph lock > "$LINT_SCRATCH/lo
 grep -q '^digraph calls' "$LINT_SCRATCH/calls.dot"
 grep -q '^digraph locks' "$LINT_SCRATCH/locks.dot"
 rm -rf "$LINT_SCRATCH"
+# Results gate: every artifact committed under results/ regenerates byte
+# for byte. Each artifact command runs cold (--no-cache) into a scratch
+# directory with its paper-layout stdout in <cmd>.txt; every file it
+# produces must equal the committed copy, and every committed artifact
+# (all but README.md and the BENCH_*.json perf baselines) must be produced.
+RESULTS_DIR="$(mktemp -d)"
+mkdir "$RESULTS_DIR/out"
+for cmd in table1 table2 table3 table4 table5 figure1 figure2 detect bits \
+    attribution absorption unixbench scale variance energy mops; do
+    ./target/release/smi-lab "$cmd" --no-cache --jobs 2 --cache-dir "$RESULTS_DIR/cache" \
+        --json "$RESULTS_DIR/out" --csv "$RESULTS_DIR/out" --svg "$RESULTS_DIR/out" \
+        > "$RESULTS_DIR/out/$cmd.txt"
+done
+for f in "$RESULTS_DIR"/out/*; do
+    cmp "$f" "results/$(basename "$f")"
+done
+for f in results/*.*; do
+    case "$f" in results/README.md | results/BENCH_*) continue ;; esac
+    test -e "$RESULTS_DIR/out/$(basename "$f")"
+done
+rm -rf "$RESULTS_DIR"
 # Validity gate: one table regeneration under the engine's full opt-in
 # audit (--validate; DESIGN.md §9 "Simulation validity"). --no-cache so
 # every cell actually runs the simulation instead of a cache hit.

@@ -9,7 +9,7 @@
 //! count (1–8) on a quad-core HTT Xeon E5620.
 //!
 //! Here each configuration's memory character is *measured* by running a
-//! representative slice of its real access pattern through `cache-sim`
+//! representative slice of its access pattern through `cache-sim`
 //! (the same methodology, with our simulator standing in for cachegrind),
 //! converted to an [`ExecProfile`], and executed as 24 threads on the
 //! `machine` scheduler under a freeze schedule.

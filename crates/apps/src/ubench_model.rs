@@ -41,47 +41,6 @@ impl Default for UbCosts {
     }
 }
 
-impl UbCosts {
-    /// Calibrate the compute-unit costs by timing the *real* work units
-    /// from [`crate::unixbench`] on the host running this simulation.
-    /// Pipe costs keep their defaults (the simulator's pipes are modeled
-    /// at the scheduler level). Useful for comparing the simulated E5620
-    /// against whatever machine you are on; experiments use
-    /// [`UbCosts::default`] for reproducibility.
-    pub fn calibrate_real() -> UbCosts {
-        use crate::unixbench::{dhrystone_unit, syscall_unit, whetstone_unit};
-        use std::time::Instant;
-
-        fn time_per_unit(mut f: impl FnMut(u64) -> u64, iters: u64) -> SimDuration {
-            // Warm up, then measure.
-            let mut acc = 0u64;
-            for i in 0..iters / 10 {
-                acc = acc.wrapping_add(f(i));
-            }
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "calibrate_real is an explicitly host-dependent utility (doc above); \
-                          experiments never call it and always use UbCosts::default"
-            )]
-            let start = Instant::now();
-            for i in 0..iters {
-                acc = acc.wrapping_add(f(i));
-            }
-            let elapsed = start.elapsed();
-            std::hint::black_box(acc);
-            SimDuration::from_nanos((elapsed.as_nanos() as u64 / iters).max(1))
-        }
-
-        let dhrystone = time_per_unit(dhrystone_unit, 50_000);
-        // One whetstone_unit is ~60 transcendental ops; scale to the
-        // million-instruction MWIPS unit (~16.7k units).
-        let one_unit = time_per_unit(|_| whetstone_unit().to_bits(), 20_000);
-        let whetstone_mwi = one_unit * 16_700;
-        let syscall = time_per_unit(|_| syscall_unit(), 100_000);
-        UbCosts { dhrystone, whetstone_mwi, syscall, ..UbCosts::default() }
-    }
-}
-
 /// Wall duration of each timed test (UnixBench uses 10-second samples).
 pub const TEST_DURATION: SimDuration = SimDuration(10_000_000_000);
 
@@ -333,21 +292,6 @@ mod tests {
         assert!(w100 < w600);
         assert!(w600 < 10.0);
         assert!(w100 > 0.0);
-    }
-
-    #[test]
-    fn real_calibration_produces_sane_costs() {
-        let costs = UbCosts::calibrate_real();
-        // Any machine that can run this test does a dhrystone-ish string
-        // unit in 10ns..100us and a clock syscall in 5ns..50us.
-        let d = costs.dhrystone.as_nanos();
-        let s = costs.syscall.as_nanos();
-        assert!((10..100_000).contains(&d), "dhrystone unit {d} ns");
-        assert!((5..50_000).contains(&s), "syscall unit {s} ns");
-        assert!(costs.whetstone_mwi > costs.dhrystone);
-        // And the suite still runs with host-calibrated costs.
-        let report = run_suite(2, &quiet(), &SmiSideEffects::none(), &costs);
-        assert!(report.total_index > 0.0);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The UnixBench subset (§IV.C): test definitions, real work units, and
-//! the index-score arithmetic.
+//! The UnixBench subset (§IV.C): test definitions and the index-score
+//! arithmetic.
 //!
 //! UnixBench rates each test against a fixed baseline machine (George,
 //! the SPARCstation 20-61 whose scores define index 10) and combines
@@ -8,10 +8,8 @@
 //! and syscall overhead — in the default two-pass configuration (one
 //! copy, then one copy per core).
 //!
-//! The work units here are real (the string and floating-point kernels
-//! actually execute and are checked for correctness); the *timed* runs in
-//! [`crate::ubench_model`] use the simulated machine so SMIs can be
-//! injected deterministically.
+//! The timed runs in [`crate::ubench_model`] use the simulated machine
+//! so SMIs can be injected deterministically.
 
 use sim_core::stats::geometric_mean;
 
@@ -75,50 +73,6 @@ pub fn index(scores: &[f64]) -> f64 {
     geometric_mean(scores)
 }
 
-// ---------------------------------------------------------------------
-// Real work units.
-// ---------------------------------------------------------------------
-
-/// One Dhrystone-flavoured unit: the string copy / compare / locate mix
-/// of Dhrystone 2's `Proc_*` string work. Returns a checksum so the
-/// optimizer cannot delete it and tests can pin behaviour.
-pub fn dhrystone_unit(iteration: u64) -> u64 {
-    let src = format!("DHRYSTONE PROGRAM, {} STRING", iteration % 10);
-    let mut dst = String::with_capacity(64);
-    dst.push_str(&src);
-    dst.push_str(", 2'ND STRING");
-    let cmp = dst.as_bytes().iter().zip(src.as_bytes()).filter(|(a, b)| a == b).count();
-    let located = dst.find("2'ND").map(|p| p as u64).unwrap_or(0);
-    cmp as u64 + located + dst.len() as u64
-}
-
-/// One Whetstone-flavoured unit: the transcendental module (sin, cos,
-/// atan, sqrt, exp, log) iterated a fixed number of times. Returns the
-/// accumulated value for verification.
-pub fn whetstone_unit() -> f64 {
-    let mut x = 0.5f64;
-    let mut y = 0.5f64;
-    for _ in 0..10 {
-        x = (x.sin().atan() + y.cos()).abs().sqrt().max(1e-9);
-        y = (x.exp().ln() + 1.0) / 2.2;
-    }
-    x + y
-}
-
-/// One syscall-overhead unit: a cheap real system call (clock read), the
-/// same family UnixBench's `getpid`-loop exercises.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the whole point of this unit is to make a real system call; the returned \
-              nanoseconds feed wrapping_add sinks and never influence a simulated result"
-)]
-pub fn syscall_unit() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.subsec_nanos() as u64)
-        .unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,28 +94,6 @@ mod tests {
     fn index_is_geometric_mean() {
         let idx = index(&[100.0, 400.0]);
         assert!((idx - 200.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn dhrystone_unit_is_deterministic_and_varies() {
-        assert_eq!(dhrystone_unit(3), dhrystone_unit(3));
-        // Different iterations use different strings but similar work.
-        let a = dhrystone_unit(1);
-        let b = dhrystone_unit(2);
-        assert!(a > 0 && b > 0);
-    }
-
-    #[test]
-    fn whetstone_unit_converges_deterministically() {
-        let v = whetstone_unit();
-        assert_eq!(v.to_bits(), whetstone_unit().to_bits());
-        assert!(v.is_finite() && v > 0.0, "value {v}");
-    }
-
-    #[test]
-    fn syscall_unit_returns_without_panicking() {
-        // Smoke: the unit performs a real clock syscall.
-        let _ = syscall_unit();
     }
 
     #[test]

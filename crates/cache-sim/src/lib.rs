@@ -26,4 +26,3 @@ pub use cache::SetAssocCache;
 pub use config::{CacheConfig, HierarchyConfig};
 pub use hierarchy::{AccessResult, Hierarchy, Level};
 pub use profile::{classify, CacheBehavior, MemoryProfile};
-pub use stream::Access;

@@ -1,44 +1,9 @@
 //! Synthetic address streams.
 //!
-//! These generators produce the classic access patterns used to sanity-
-//! check the simulator and to build workload memory profiles: sequential
-//! scans, strided walks, blocked 2-D traversals (the convolve pattern) and
-//! uniform random accesses.
-
-use sim_core::SimRng;
-
-/// One memory reference (address plus read/write intent; presence-only
-/// simulation treats both alike, but profiles record the mix).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, jsonio::ToJson)]
-pub struct Access {
-    /// Byte address.
-    pub addr: u64,
-    /// Whether the access is a store.
-    pub write: bool,
-}
-
-impl Access {
-    /// A read of `addr`.
-    pub fn read(addr: u64) -> Self {
-        Access { addr, write: false }
-    }
-    /// A write of `addr`.
-    pub fn write(addr: u64) -> Self {
-        Access { addr, write: true }
-    }
-}
-
-/// Sequential read scan of `bytes` bytes from `base` with `stride`-byte steps.
-pub fn sequential(base: u64, bytes: u64, stride: u64) -> impl Iterator<Item = u64> {
-    assert!(stride > 0, "sequential: zero stride");
-    (0..bytes / stride).map(move |i| base + i * stride)
-}
-
-/// `count` uniform random addresses within `[base, base + span)`.
-pub fn random(base: u64, span: u64, count: usize, rng: &mut SimRng) -> Vec<u64> {
-    assert!(span > 0, "random: zero span");
-    (0..count).map(|_| base + rng.below(span)).collect()
-}
+//! The two traversals of a row-major matrix: the cache-friendly and the
+//! cache-hostile direction. They sanity-check the simulator and the
+//! CF/CU classification in [`crate::profile`]; the Figure-1 workload
+//! builds its own access stream (`apps::convolve_model`).
 
 /// Row-major traversal of an `rows x cols` matrix of `elem`-byte elements
 /// starting at `base`. This is the cache-friendly direction.
@@ -52,56 +17,11 @@ pub fn col_major(base: u64, rows: u64, cols: u64, elem: u64) -> impl Iterator<It
     (0..cols).flat_map(move |c| (0..rows).map(move |r| base + (r * cols + c) * elem))
 }
 
-/// The address stream of one convolve output block: for each output pixel
-/// in the `k x k` block at `(bi, bj)` of an image with `cols` columns, the
-/// kernel window of side `m` is read around it. Element size is `elem`
-/// bytes; image starts at `img_base`, kernel matrix at `ker_base`.
-///
-/// This mirrors `apps::convolve`'s inner loops and is what gets fed to the
-/// hierarchy to classify CF/CU configurations.
-#[allow(clippy::too_many_arguments)]
-pub fn convolve_block(
-    img_base: u64,
-    ker_base: u64,
-    cols: u64,
-    bi: u64,
-    bj: u64,
-    k: u64,
-    m: u64,
-    elem: u64,
-) -> Vec<u64> {
-    assert!(m % 2 == 1, "kernel side must be odd");
-    let half = m / 2;
-    let mut out = Vec::with_capacity((k * k * m * m * 2) as usize);
-    for i in bi..bi + k {
-        for j in bj..bj + k {
-            for u in 0..m {
-                for v in 0..m {
-                    let r = i + u;
-                    let c = j + v;
-                    // Image is padded by `half` on each side in apps::convolve;
-                    // here we just form the padded-coordinates address.
-                    let _ = half;
-                    out.push(img_base + (r * (cols + m - 1) + c) * elem);
-                    out.push(ker_base + (u * m + v) * elem);
-                }
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::HierarchyConfig;
     use crate::hierarchy::Hierarchy;
-
-    #[test]
-    fn sequential_covers_expected_addresses() {
-        let v: Vec<u64> = sequential(100, 32, 8).collect();
-        assert_eq!(v, vec![100, 108, 116, 124]);
-    }
 
     #[test]
     fn row_major_is_contiguous() {
@@ -124,29 +44,5 @@ mod tests {
         let cm = col.run(col_major(0, 256, 256, 8));
         assert!(rm < 0.2, "row-major miss ratio {rm}");
         assert!(cm > 0.9, "col-major miss ratio {cm}");
-    }
-
-    #[test]
-    fn random_stream_is_within_span() {
-        let mut rng = SimRng::new(5);
-        for a in random(1000, 64, 1000, &mut rng) {
-            assert!((1000..1064).contains(&a));
-        }
-    }
-
-    #[test]
-    fn convolve_block_reference_count() {
-        // k=2 block, m=3 kernel: 2*2*3*3 = 36 window reads + 36 kernel reads.
-        let refs = convolve_block(0, 1 << 20, 16, 0, 0, 2, 3, 8);
-        assert_eq!(refs.len(), 72);
-    }
-
-    #[test]
-    fn small_kernel_reuse_hits_cache() {
-        // A 3x3 kernel re-read for every pixel should be ~all hits.
-        let mut h = Hierarchy::new(HierarchyConfig::tiny());
-        let refs = convolve_block(0, 1 << 16, 8, 0, 0, 4, 3, 8);
-        h.run(refs);
-        assert!(h.l1_miss_ratio() < 0.2, "miss ratio {}", h.l1_miss_ratio());
     }
 }

@@ -3,9 +3,11 @@
 /// The NPB problem classes the paper measures (§III.C).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, jsonio::ToJson)]
 pub enum Class {
-    /// Sample size (verification/testing only; not in the paper's tables).
+    /// Sample size. Not in the paper's tables and no study runs it; it
+    /// stays because `perfbench/tracer` parses the letter.
     S,
-    /// Workstation size (not in the paper's tables).
+    /// Workstation size. Not in the paper's tables and no study runs it;
+    /// kept for the same reason as [`Class::S`].
     W,
     /// Class A.
     A,

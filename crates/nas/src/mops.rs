@@ -5,15 +5,18 @@
 //! particular benchmark)." This module supplies the operation counts so
 //! any measured time converts to a MOPs figure.
 //!
-//! Counts are derived from this crate's own kernels (BT) or the standard
-//! algorithmic counts (EP: generated deviates and the polar-method
-//! arithmetic; FT: 5·N·log₂N per 3-D transform), so they are
-//! self-consistent with the simulated work rather than copied from NPB's
-//! reporting tables.
+//! Counts are standard algorithmic counts (EP: generated deviates and
+//! the polar-method arithmetic; BT: the block-tridiagonal line solves
+//! plus the right-hand side; FT: 5·N·log₂N per 3-D transform), so they
+//! are self-consistent with the simulated work rather than copied from
+//! NPB's reporting tables.
 
-use crate::bt::FLOPS_PER_BLOCK_ROW;
 use crate::classes::Class;
 use crate::paper::Bench;
+
+/// Floating-point operations per block row of BT's block Thomas solve
+/// (two 5×5 multiplies, one inverse, and vector updates).
+const FLOPS_PER_BLOCK_ROW: u64 = 2 * 250 + 290 + 105;
 
 /// Total operations for a full run of `(bench, class)`.
 pub fn total_ops(bench: Bench, class: Class) -> f64 {
@@ -53,16 +56,6 @@ pub fn mops(bench: Bench, class: Class, seconds: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::paper::serial_seconds;
-
-    #[test]
-    fn op_counts_grow_with_class() {
-        for bench in [Bench::Ep, Bench::Bt, Bench::Ft] {
-            let a = total_ops(bench, Class::A);
-            let b = total_ops(bench, Class::B);
-            let c = total_ops(bench, Class::C);
-            assert!(a < b && b < c, "{bench:?}: {a} {b} {c}");
-        }
-    }
 
     #[test]
     fn serial_mops_are_era_plausible() {

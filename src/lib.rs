@@ -20,9 +20,10 @@
 //!   detection, BIOSBITS compliance, profiler attribution;
 //! * [`mpi_sim`] — a cluster + MPI runtime with collectives lowered to
 //!   point-to-point rounds;
-//! * [`nas`] — NAS EP/BT/FT kernels (verified against published check
-//!   values) and calibrated workload models;
-//! * [`apps`] — Convolve and UnixBench;
+//! * [`nas`] — NAS EP/BT/FT timing models calibrated to the paper's
+//!   baselines (models, not runs of the real NPB codes);
+//! * [`apps`] — Convolve and UnixBench timing models on the simulated
+//!   machine;
 //! * [`analysis`] — the harness that regenerates every table and figure.
 //!
 //! ## Quickstart

@@ -1,8 +1,11 @@
 //! End-to-end shape checks: the qualitative claims of the paper's
 //! evaluation, asserted against the full reproduction pipeline with
-//! reduced replication. Each test names the claim it pins.
+//! reduced replication. Each test names the claim it pins, except the
+//! last, a smoke pass over the whole stack.
 
 use smi_lab::analysis::{measure_cell, RunOptions, SMM_CLASSES};
+use smi_lab::apps::ConvolveConfig;
+use smi_lab::cache_sim::{classify, CacheBehavior};
 use smi_lab::nas::{calibrate_extra, table_cell, Bench, Class};
 use smi_lab::prelude::*;
 use smi_lab::smi_driver::SmiClass;
@@ -321,4 +324,56 @@ fn claim_the_residency_band_costs_its_midpoint() {
     let band = frozen(DurationModel::long_smi());
     let fixed = frozen(DurationModel::Fixed(SimDuration::from_millis(105)));
     assert!((band - fixed).abs() <= 0.01 * fixed, "band {band} s vs fixed {fixed} s");
+}
+
+#[test]
+fn claim_convolve_configurations_classify_as_cf_and_cu() {
+    // The Figure-1 model's cachegrind step must classify its two
+    // configurations the way the paper's cachegrind run did: ~1% misses
+    // for CacheFriendly and well above 40% for CacheUnfriendly.
+    let cf = ConvolveConfig::CacheFriendly.memory_profile();
+    let cu = ConvolveConfig::CacheUnfriendly.memory_profile();
+    assert_eq!(classify(cf.l1_miss_ratio), CacheBehavior::Friendly);
+    assert_eq!(classify(cu.l1_miss_ratio), CacheBehavior::Unfriendly);
+    assert!(cf.l1_miss_ratio < 0.02, "CF miss ratio {}", cf.l1_miss_ratio);
+    assert!(cu.l1_miss_ratio > 0.40, "CU miss ratio {}", cu.l1_miss_ratio);
+}
+
+#[test]
+fn full_stack_smoke_noise_hurts_and_detection_sees_it() {
+    // One compact pass over the entire stack: cluster job + SMIs +
+    // detection + attribution consistency.
+    let spec = ClusterSpec::wyeast(4, 1, false).expect("valid shape");
+    let network = NetworkParams::gigabit_cluster();
+    let progs: Vec<RankProgram> = (0..4)
+        .map(|_| {
+            RankProgram::new(vec![
+                Op::Compute(SimDuration::from_secs(2)),
+                Op::Allreduce { bytes: 64 },
+            ])
+        })
+        .collect();
+    let quiet = smi_lab::nas::quiet_nodes(&spec);
+    let base = smi_lab::mpi_sim::run(&spec, &quiet, &progs, &network).expect("valid job");
+
+    let driver = SmiDriver::new(SmiDriverConfig::mpi_study(SmiClass::Long));
+    let mut rng = SimRng::new(9);
+    let noisy: Vec<NodeState> = (0..4)
+        .map(|_| NodeState {
+            schedule: driver.schedule_for_node(&mut rng),
+            effects: driver.side_effects(false),
+            online_cpus: 4,
+            per_core: Vec::new(),
+        })
+        .collect();
+    let perturbed = smi_lab::mpi_sim::run(&spec, &noisy, &progs, &network).expect("valid job");
+    assert!(perturbed.makespan > base.makespan);
+    assert!(perturbed.total_frozen > SimDuration::ZERO);
+
+    // The detector on node 0 sees exactly the windows the engine counted
+    // for node 0.
+    let end = SimTime::ZERO + perturbed.makespan;
+    let report =
+        HwlatDetector::default().detect(&noisy[0].schedule, SimTime::ZERO, end, &Tsc::e5520());
+    assert_eq!(report.count(), noisy[0].schedule.count_between(SimTime::ZERO, end));
 }
