@@ -105,7 +105,8 @@ engine_counts() { # manifest events runs
     grep -A5 '"engine": {' "$1" | grep -q "\"events_popped\": $2,"
     grep -A5 '"engine": {' "$1" | grep -q "\"runs\": $3,"
 }
-./target/release/smi-lab table2 --quick --validate --no-cache >/dev/null
+./target/release/smi-lab table2 --quick --validate --no-cache \
+    --cache-dir "$VALID_DIR/t2" >/dev/null
 ./target/release/smi-lab table1 --quick --validate --no-cache \
     --cache-dir "$VALID_DIR/t1" >/dev/null
 engine_counts "$VALID_DIR/t1/manifests/table1.json" 4519797 141
@@ -188,10 +189,18 @@ rm -rf "$DUR_DIR"
 # cell already journaled ok), and leave a store fsck calls Clean (exit 0).
 # The lock file left by the cold run is stamped with pid 1, a live
 # process: the kernel lock ignores file contents, so the resume runs,
-# and neither it nor `fsck --repair` touches the file.
+# and neither it nor `fsck --repair` touches the file. A second cold
+# campaign (--seed 2) under the same label first adds 30 keys that are
+# not the resume's: start-up replays only the resume's own keys, so it
+# must still count all 30 of them as its own hits (none as dedup hits)
+# and leave the index and intent log byte-identical.
 RESUME_DIR="$(mktemp -d)"
 ./target/release/smi-lab table2 --quick --cache-dir "$RESUME_DIR/cache" \
     --records "$RESUME_DIR/cold.jsonl" >/dev/null
+./target/release/smi-lab table2 --quick --seed 2 --cache-dir "$RESUME_DIR/cache" \
+    --records "$RESUME_DIR/cold-seed2.jsonl" >/dev/null
+cp "$RESUME_DIR/cache/index/table2.idx" "$RESUME_DIR/cold-index.idx"
+cp "$RESUME_DIR/cache/intent/table2.log" "$RESUME_DIR/cold-intent.log"
 RESUME_SHARD="$(find "$RESUME_DIR/cache" -mindepth 1 -maxdepth 1 -type d -name '[0-9a-f][0-9a-f]' | sort | head -n 1)"
 echo torn > "$RESUME_SHARD/planted.json.tmp.1.0"
 echo torn > "$RESUME_DIR/cache/journal/table2.jsonl.tmp.1.0"
@@ -203,6 +212,10 @@ echo 1 > "$RESUME_DIR/cache/journal/table2.lock"
     --records "$RESUME_DIR/warm.jsonl" >/dev/null
 cmp "$RESUME_DIR/cold.jsonl" "$RESUME_DIR/warm.jsonl"
 cmp "$RESUME_DIR/cold-journal.jsonl" "$RESUME_DIR/cache/journal/table2.jsonl"
+cmp "$RESUME_DIR/cold-index.idx" "$RESUME_DIR/cache/index/table2.idx"
+cmp "$RESUME_DIR/cold-intent.log" "$RESUME_DIR/cache/intent/table2.log"
+grep -q '"hits": 30,' "$RESUME_DIR/cache/manifests/table2.json"
+grep -q '"dedup_hits": 0,' "$RESUME_DIR/cache/manifests/table2.json"
 grep -q '"journal_torn_bytes": [1-9]' "$RESUME_DIR/cache/manifests/table2.json"
 grep -q '"cache_tmp": 1,' "$RESUME_DIR/cache/manifests/table2.json"
 grep -q '"journal_tmp": 1,' "$RESUME_DIR/cache/manifests/table2.json"

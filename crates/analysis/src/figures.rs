@@ -2,7 +2,7 @@
 //! (UnixBench). The cells themselves are built in [`crate::cells`].
 
 use crate::opts::RunOptions;
-use apps::{run_convolve, run_suite, ConvolveConfig, ConvolveRun, UbCosts};
+use apps::{run_convolve, run_suite, ConvolveConfig, ConvolveRun};
 use machine::SmiSideEffects;
 use sim_core::stats::Accumulator;
 use sim_core::{FreezeSchedule, SimRng};
@@ -96,7 +96,6 @@ pub const FIG2_INTERVALS: [u64; 4] = [100, 600, 1100, 1600];
 pub(crate) fn ubench_index(cpus: u32, smm: SmiClass, interval_ms: u64, opts: &RunOptions) -> f64 {
     let mut rng =
         SimRng::from_path(opts.seed, &["figure2", &format!("{cpus}-{interval_ms}-{smm:?}")]);
-    let costs = UbCosts::default();
     let (schedule, effects) = match smm {
         SmiClass::None => (FreezeSchedule::none(), SmiSideEffects::none()),
         other => {
@@ -104,7 +103,7 @@ pub(crate) fn ubench_index(cpus: u32, smm: SmiClass, interval_ms: u64, opts: &Ru
             (driver.schedule_for_node(&mut rng), driver.side_effects(cpus > 4))
         }
     };
-    run_suite(cpus, &schedule, &effects, &costs).total_index
+    run_suite(cpus, &schedule, &effects).total_index
 }
 
 /// The paper's "slope of SMI's impact": for one Figure-1 series, fit

@@ -15,5 +15,5 @@ pub mod ubench_model;
 pub mod unixbench;
 
 pub use convolve_model::{run_convolve, ConvolveConfig, ConvolveOutcome, ConvolveRun};
-pub use ubench_model::{run_suite, UbCosts, UnixBenchReport, TEST_DURATION};
+pub use ubench_model::{run_suite, UnixBenchReport, TEST_DURATION};
 pub use unixbench::{index, UbTest};

@@ -16,37 +16,24 @@ use machine::{
 };
 use sim_core::{FreezeSchedule, SimDuration, SimTime};
 
-/// Unit costs on the simulated E5620 (chosen to land era-plausible
-/// UnixBench results: a few-hundred index per test single-copy).
-#[derive(Clone, Copy, Debug, jsonio::ToJson)]
-pub struct UbCosts {
-    /// One Dhrystone loop.
-    pub dhrystone: SimDuration,
-    /// One million Whetstone instructions (1 MWIPS-unit).
-    pub whetstone_mwi: SimDuration,
-    /// Payload of one pipe-throughput write/read (bytes).
-    pub pipe_bytes: u64,
-    /// One minimal system call.
-    pub syscall: SimDuration,
-}
+// Unit costs on the simulated E5620, chosen to land era-plausible
+// UnixBench results: a few-hundred index per test single-copy.
 
-impl Default for UbCosts {
-    fn default() -> Self {
-        UbCosts {
-            dhrystone: SimDuration::from_nanos(110),
-            whetstone_mwi: SimDuration::from_micros(650),
-            pipe_bytes: 512,
-            syscall: SimDuration::from_nanos(320),
-        }
-    }
-}
+/// One Dhrystone loop.
+pub const DHRYSTONE: SimDuration = SimDuration::from_nanos(110);
+/// One million Whetstone instructions (1 MWIPS-unit).
+pub const WHETSTONE_MWI: SimDuration = SimDuration::from_micros(650);
+/// Payload of one pipe-throughput write/read (bytes).
+pub const PIPE_BYTES: u64 = 512;
+/// One minimal system call.
+pub const SYSCALL: SimDuration = SimDuration::from_nanos(320);
 
 /// Wall duration of each timed test (UnixBench uses 10-second samples).
 pub const TEST_DURATION: SimDuration = SimDuration(10_000_000_000);
 
 /// Measure a test's aggregate work-time rate (units per second of node
 /// work time) with `copies` concurrent copies on the topology.
-pub fn work_rate(test: UbTest, copies: u32, topo: &Topology, costs: &UbCosts) -> f64 {
+pub fn work_rate(test: UbTest, copies: u32, topo: &Topology) -> f64 {
     assert!(copies >= 1, "at least one copy");
     let params = SchedParams::default();
     // Enough units that scheduling effects average out, few enough that
@@ -59,22 +46,17 @@ pub fn work_rate(test: UbTest, copies: u32, topo: &Topology, costs: &UbCosts) ->
     };
     let threads: Vec<ThreadSpec> = match test {
         UbTest::Dhrystone => (0..copies)
-            .map(|_| {
-                ThreadSpec::new(ThreadProgram::new().then(Phase::compute(costs.dhrystone * units)))
-            })
+            .map(|_| ThreadSpec::new(ThreadProgram::new().then(Phase::compute(DHRYSTONE * units))))
             .collect(),
         UbTest::Whetstone => (0..copies)
             .map(|_| {
-                ThreadSpec::new(
-                    ThreadProgram::new().then(Phase::compute(costs.whetstone_mwi * units)),
-                )
+                ThreadSpec::new(ThreadProgram::new().then(Phase::compute(WHETSTONE_MWI * units)))
             })
             .collect(),
         UbTest::SyscallOverhead => (0..copies)
             .map(|_| {
                 ThreadSpec::new(
-                    ThreadProgram::new()
-                        .then(Phase::Syscalls { count: units, each: costs.syscall }),
+                    ThreadProgram::new().then(Phase::Syscalls { count: units, each: SYSCALL }),
                 )
             })
             .collect(),
@@ -85,8 +67,8 @@ pub fn work_rate(test: UbTest, copies: u32, topo: &Topology, costs: &UbCosts) ->
                 let mut prog = ThreadProgram::new();
                 for _ in 0..units {
                     prog = prog
-                        .then(Phase::PipeWrite { pipe, bytes: costs.pipe_bytes })
-                        .then(Phase::PipeRead { pipe, bytes: costs.pipe_bytes });
+                        .then(Phase::PipeWrite { pipe, bytes: PIPE_BYTES })
+                        .then(Phase::PipeRead { pipe, bytes: PIPE_BYTES });
                 }
                 ThreadSpec::new(prog)
             })
@@ -147,11 +129,10 @@ pub fn measure(
     test: UbTest,
     copies: u32,
     topo: &Topology,
-    costs: &UbCosts,
     schedule: &FreezeSchedule,
     effects: &SmiSideEffects,
 ) -> f64 {
-    let rate = work_rate(test, copies, topo, costs);
+    let rate = work_rate(test, copies, topo);
     let usable = usable_work_seconds(schedule, effects, topo.online_count(), 0.4, TEST_DURATION);
     let units = rate * usable;
     let native = units / TEST_DURATION.as_secs_f64();
@@ -183,7 +164,6 @@ pub fn run_suite(
     online_cpus: u32,
     schedule: &FreezeSchedule,
     effects: &SmiSideEffects,
-    costs: &UbCosts,
 ) -> UnixBenchReport {
     let mut topo = Topology::new(NodeSpec::dell_r410());
     topo.set_online_count(online_cpus);
@@ -191,8 +171,8 @@ pub fn run_suite(
     let mut single = Vec::new();
     let mut multi = Vec::new();
     for test in UbTest::ALL {
-        let s = test.score(measure(test, 1, &topo, costs, schedule, effects));
-        let m = test.score(measure(test, copies, &topo, costs, schedule, effects));
+        let s = test.score(measure(test, 1, &topo, schedule, effects));
+        let m = test.score(measure(test, copies, &topo, schedule, effects));
         single.push((test, s));
         multi.push((test, m));
     }
@@ -229,7 +209,7 @@ mod tests {
 
     #[test]
     fn quiet_suite_produces_plausible_index() {
-        let report = run_suite(4, &quiet(), &SmiSideEffects::none(), &UbCosts::default());
+        let report = run_suite(4, &quiet(), &SmiSideEffects::none());
         assert!((200.0..4000.0).contains(&report.total_index), "index {}", report.total_index);
         // Multi-copy on 4 cores beats single-copy.
         assert!(report.multi_index > report.single_index * 2.0);
@@ -239,18 +219,16 @@ mod tests {
     fn dhrystone_rate_scales_with_copies() {
         let mut topo = Topology::new(NodeSpec::dell_r410());
         topo.set_online_count(4);
-        let costs = UbCosts::default();
-        let r1 = work_rate(UbTest::Dhrystone, 1, &topo, &costs);
-        let r4 = work_rate(UbTest::Dhrystone, 4, &topo, &costs);
+        let r1 = work_rate(UbTest::Dhrystone, 1, &topo);
+        let r4 = work_rate(UbTest::Dhrystone, 4, &topo);
         assert!((r4 / r1 - 4.0).abs() < 0.2, "scaling {}", r4 / r1);
     }
 
     #[test]
     fn htt_helps_the_suite() {
         // Figure 2: "The benchmark shows performance gains from HTT."
-        let costs = UbCosts::default();
-        let four = run_suite(4, &quiet(), &SmiSideEffects::none(), &costs);
-        let eight = run_suite(8, &quiet(), &SmiSideEffects::none(), &costs);
+        let four = run_suite(4, &quiet(), &SmiSideEffects::none());
+        let eight = run_suite(8, &quiet(), &SmiSideEffects::none());
         assert!(
             eight.total_index > four.total_index,
             "8-cpu {} vs 4-cpu {}",
@@ -261,12 +239,11 @@ mod tests {
 
     #[test]
     fn long_smis_below_600ms_hit_the_score_hard() {
-        let costs = UbCosts::default();
-        let base = run_suite(4, &quiet(), &SmiSideEffects::none(), &costs).total_index;
+        let base = run_suite(4, &quiet(), &SmiSideEffects::none()).total_index;
         let fx = SmiSideEffects::default();
-        let slow_1600 = run_suite(4, &long_every(1600), &fx, &costs).total_index;
-        let slow_600 = run_suite(4, &long_every(600), &fx, &costs).total_index;
-        let slow_100 = run_suite(4, &long_every(100), &fx, &costs).total_index;
+        let slow_1600 = run_suite(4, &long_every(1600), &fx).total_index;
+        let slow_600 = run_suite(4, &long_every(600), &fx).total_index;
+        let slow_100 = run_suite(4, &long_every(100), &fx).total_index;
         assert!(slow_1600 > 0.88 * base, "1600ms {} vs base {}", slow_1600, base);
         assert!(slow_600 < slow_1600);
         // With skip-while-frozen triggering, a 100 ms interval and
@@ -298,9 +275,8 @@ mod tests {
     fn pipe_context_switch_is_the_slowest_per_unit() {
         let mut topo = Topology::new(NodeSpec::dell_r410());
         topo.set_online_count(4);
-        let costs = UbCosts::default();
-        let ctx = work_rate(UbTest::PipeContextSwitch, 1, &topo, &costs);
-        let thr = work_rate(UbTest::PipeThroughput, 1, &topo, &costs);
+        let ctx = work_rate(UbTest::PipeContextSwitch, 1, &topo);
+        let thr = work_rate(UbTest::PipeThroughput, 1, &topo);
         assert!(ctx < thr, "context switching {ctx} should be slower than throughput {thr}");
     }
 }

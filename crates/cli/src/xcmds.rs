@@ -98,14 +98,12 @@ pub fn attribution(opts: &RunOptions) -> String {
 
 /// Per-test UnixBench score detail.
 pub fn unixbench(_opts: &RunOptions) -> String {
-    use apps::{run_suite, UbCosts};
+    use apps::run_suite;
     use machine::SmiSideEffects;
     let mut out = String::new();
     let _ = writeln!(out, "UnixBench detail (quiet, 4 then 8 logical CPUs, simulated E5620)\n");
-    let costs = UbCosts::default();
     for cpus in [4u32, 8] {
-        let report =
-            run_suite(cpus, &sim_core::FreezeSchedule::none(), &SmiSideEffects::none(), &costs);
+        let report = run_suite(cpus, &sim_core::FreezeSchedule::none(), &SmiSideEffects::none());
         let _ = writeln!(out, "{cpus} CPUs:");
         let _ = writeln!(out, "  {:<42} {:>10} {:>10}", "test", "1 copy", format!("{cpus} copies"));
         for ((t, s1), (_, sn)) in report.single.iter().zip(&report.multi) {

@@ -80,14 +80,19 @@ pub fn checksum64(bytes: &[u8]) -> u64 {
 /// Render one value as a sealed line (no trailing newline): the compact
 /// JSON prefixed by the checksum of its exact bytes.
 pub fn seal(value: &Json) -> String {
-    let body = value.to_string();
+    seal_body(&value.to_string())
+}
+
+/// [`seal`] for a value already serialized as compact JSON: the frame
+/// around exactly these bytes.
+pub fn seal_body(body: &str) -> String {
     format!("{PREFIX}{:016x} {body}", checksum64(body.as_bytes()))
 }
 
-/// Verify and parse one sealed line. Tolerates a trailing newline (the
-/// JSONL composition) but nothing else: any framing damage, checksum
-/// mismatch, or parse failure is a typed error.
-pub fn unseal(line: &str) -> Result<Json, CheckError> {
+/// The framing half of [`unseal`]: the recorded checksum and the body
+/// bytes it covers, neither verified nor parsed. Accepts exactly the
+/// frame [`seal`] writes (lowercase sum), plus a trailing newline.
+pub fn unframe(line: &str) -> Result<(u64, &str), CheckError> {
     let line = line.strip_suffix('\n').unwrap_or(line);
     let rest = line.strip_prefix(PREFIX).ok_or(CheckError::Framing)?;
     if rest.len() < SUM_HEX + 1 || !rest.is_char_boundary(SUM_HEX) {
@@ -102,6 +107,14 @@ pub fn unseal(line: &str) -> Result<Json, CheckError> {
         return Err(CheckError::Framing);
     }
     let recorded = u64::from_str_radix(sum_hex, 16).map_err(|_| CheckError::Framing)?;
+    Ok((recorded, body))
+}
+
+/// Verify and parse one sealed line. Tolerates a trailing newline (the
+/// JSONL composition) but nothing else: any framing damage, checksum
+/// mismatch, or parse failure is a typed error.
+pub fn unseal(line: &str) -> Result<Json, CheckError> {
+    let (recorded, body) = unframe(line)?;
     let actual = checksum64(body.as_bytes());
     if recorded != actual {
         return Err(CheckError::Mismatch { recorded, actual });

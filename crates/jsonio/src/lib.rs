@@ -42,7 +42,7 @@ mod parse;
 mod ser;
 
 pub use jsonio_derive::ToJson;
-pub use parse::ParseError;
+pub use parse::{string_token_len, ParseError};
 
 /// A JSON value. Object keys keep insertion order.
 #[derive(Clone, Debug, PartialEq)]

@@ -36,6 +36,49 @@ pub(crate) fn parse(text: &str) -> Result<Json, ParseError> {
     Ok(value)
 }
 
+/// Byte length of the JSON string token at the start of `text`, quotes
+/// included, checked by exactly the rules the parser applies to a
+/// string (no raw control byte; only the short escapes and `\u` with
+/// paired surrogates) but decoded into nothing. `None` when `text`
+/// does not start with a whole, valid string token.
+pub fn string_token_len(text: &str) -> Option<usize> {
+    fn hex4(digits: &[u8]) -> Option<u32> {
+        digits.iter().try_fold(0u32, |v, &b| Some(v * 16 + (b as char).to_digit(16)?))
+    }
+    let bytes = text.as_bytes();
+    if bytes.first() != Some(&b'"') {
+        return None;
+    }
+    let mut i = 1;
+    loop {
+        match *bytes.get(i)? {
+            b'"' => return Some(i + 1),
+            b'\\' => match *bytes.get(i + 1)? {
+                b'"' | b'\\' | b'/' | b'n' | b'r' | b't' | b'b' | b'f' => i += 2,
+                b'u' => {
+                    let hi = hex4(bytes.get(i + 2..i + 6)?)?;
+                    i += 6;
+                    if (0xD800..0xDC00).contains(&hi) {
+                        if bytes.get(i..i + 2)? != b"\\u" {
+                            return None;
+                        }
+                        let lo = hex4(bytes.get(i + 2..i + 6)?)?;
+                        if !(0xDC00..0xE000).contains(&lo) {
+                            return None;
+                        }
+                        i += 6;
+                    } else if (0xDC00..0xE000).contains(&hi) {
+                        return None;
+                    }
+                }
+                _ => return None,
+            },
+            0..0x20 => return None,
+            _ => i += 1,
+        }
+    }
+}
+
 struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],

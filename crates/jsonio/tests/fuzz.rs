@@ -1,13 +1,16 @@
-//! Fuzzing the trust boundaries: every store entry, index line and
-//! journal line on disk passes through `Json::parse` or
-//! `checked::unseal`, and every message from a worker subprocess passes
-//! through `framed::FrameReader`. None may panic on any input, values
-//! must survive a serialize-parse round trip, a sealed line with any
-//! single byte changed must fail verification, and a frame stream
-//! decodes to exactly the typed outcome each of its segments calls for.
+//! Fuzzing the trust boundaries: every store entry on disk passes
+//! through `checked::unseal`, every journal, index and intent line
+//! through `checked::unframe` or `string_token_len` (inside the runner's
+//! line codecs, fuzzed in `runner/tests/startup_equivalence.rs`), and
+//! every message from a worker subprocess through `framed::FrameReader`.
+//! None may panic on any input, values must survive a serialize-parse
+//! round trip, a sealed line with any single byte changed must fail
+//! verification, `string_token_len` must accept exactly the string
+//! tokens `Json::parse` accepts, and a frame stream decodes to exactly
+//! the typed outcome each of its segments calls for.
 
 use jsonio::framed::{FrameError, FrameReader, MAX_FRAME_BYTES};
-use jsonio::{checked, Json};
+use jsonio::{checked, string_token_len, Json};
 use quickprop::Gen;
 use std::io::Read;
 
@@ -126,6 +129,37 @@ fn any_single_byte_change_of_a_sealed_line_fails() {
             // Only a change that leaves valid UTF-8 can reach `unseal`.
             let Ok(text) = String::from_utf8(bytes) else { continue };
             assert!(checked::unseal(&text).is_err(), "byte {at} changed, still verifies: {text:?}");
+        }
+    });
+}
+
+#[test]
+fn string_tokens_are_checked_by_the_parser_rules() {
+    // Serialized strings, then the same mutated (escapes broken,
+    // surrogates unpaired, quotes dropped), then raw escape soup.
+    quickprop::check("string_token_len", 3000, |g| {
+        let mut bytes = match g.below(3) {
+            0 => Json::Str(random_string(g)).to_string().into_bytes(),
+            1 => g.vec(0..24, |g| g.pick(b"\"\\/bfnrtu0123456789abcdefABCDEFdD8\x01 \xc3\xa9")),
+            _ => format!(
+                "\"\\u{:04x}\\u{:04x}\"",
+                g.pick(&[0x41, 0xd800, 0xdbff, 0xdc00, 0xdfff, 0xe000]),
+                g.pick(&[0x41, 0xd800, 0xdc00, 0xdfff, 0xe000])
+            )
+            .into_bytes(),
+        };
+        if g.bool() {
+            mutate(g, &mut bytes);
+        }
+        let text = String::from_utf8_lossy(&bytes);
+        if let Some(len) = string_token_len(&text) {
+            let token = &text[..len];
+            assert!(matches!(Json::parse(token), Ok(Json::Str(_))), "{token:?}");
+        }
+        if text.starts_with('"') && matches!(Json::parse(&text), Ok(Json::Str(_))) {
+            // The parser also skips whitespace after the token.
+            let token = text.trim_end_matches([' ', '\t', '\n', '\r']);
+            assert_eq!(string_token_len(&text), Some(token.len()), "{text:?}");
         }
     });
 }

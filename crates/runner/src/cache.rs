@@ -69,6 +69,46 @@ impl CacheKey {
     }
 }
 
+/// The keys a bookkeeping replay keeps: every key, or one campaign's.
+/// A campaign's start-up asks its journal and index only about its own
+/// cells, so a line naming any other key is dropped as soon as its key
+/// is read.
+#[derive(Debug)]
+pub struct Scope {
+    /// The kept keys with their hex forms, sorted and deduplicated;
+    /// `None` keeps every key.
+    keys: Option<Vec<(String, CacheKey)>>,
+}
+
+impl Scope {
+    /// Keep every key.
+    pub fn all() -> Scope {
+        Scope { keys: None }
+    }
+
+    /// Keep exactly `keys` (any order, duplicates allowed).
+    pub fn of(keys: &[CacheKey]) -> Scope {
+        let mut keys: Vec<(String, CacheKey)> = keys.iter().map(|&k| (k.hex(), k)).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        Scope { keys: Some(keys) }
+    }
+
+    /// The key `hex` names, if [`CacheKey::hex`] could have written it
+    /// and this scope keeps it. A campaign's scope matches `hex` against
+    /// its own keys' hex forms, which is the same answer as
+    /// [`CacheKey::from_hex`] (its exact inverse) followed by a set
+    /// lookup, without decoding the hex of a line it drops.
+    pub fn key(&self, hex: &str) -> Option<CacheKey> {
+        match &self.keys {
+            None => CacheKey::from_hex(hex),
+            Some(keys) => {
+                keys.binary_search_by(|(h, _)| h.as_str().cmp(hex)).ok().map(|i| keys[i].1)
+            }
+        }
+    }
+}
+
 /// FNV-1a over bytes, folded through splitmix for avalanche, in two
 /// independently-offset lanes. Not cryptographic — the cache is a local
 /// memoization layer keyed by our own serializer's canonical output, not

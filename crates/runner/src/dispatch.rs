@@ -434,13 +434,20 @@ fn open_storage(
     if runner.cache_mode == CacheMode::Off {
         return (None, None, vec![false; keys.len()], StorageAccount::default());
     }
-    let (store, open_stats) =
-        store::Store::open(runner.vfs.clone(), &runner.cache_dir, label, &runner.code_version);
+    // The journal and index are replayed only for this campaign's keys.
+    let scope = cache::Scope::of(keys);
+    let (store, open_stats) = store::Store::open_for(
+        runner.vfs.clone(),
+        &runner.cache_dir,
+        label,
+        &runner.code_version,
+        &scope,
+    );
     let journal_path = journal::journal_path(&runner.cache_dir, label);
     // Truncate a torn journal tail (we hold the campaign lock) so the
     // appender never writes after a damaged fragment, and replay the
     // rest from the same read.
-    let (prior, journal_torn_bytes) = journal::recover(&journal_path);
+    let (prior, journal_torn_bytes) = journal::recover(&journal_path, &scope);
     let prior_ok: Vec<bool> =
         keys.iter().map(|&key| prior.status(key) == Some(journal::Status::Ok)).collect();
     let journal_prior_ok = prior_ok.iter().filter(|&&ok| ok).count() as u64;

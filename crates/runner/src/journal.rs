@@ -8,6 +8,17 @@
 //! {"schema":1,"key":"<32-hex cache key>","cell":"A-n4-r1","status":"ok","attempts":1}
 //! ```
 //!
+//! [`JournalLine`] is the one writer and the one decoder of that shape.
+//! The decoder reads the fixed framing in place, the key through
+//! [`Scope::key`] (the exact inverse of [`CacheKey::hex`], limited to
+//! the replay's keys) and the `cell` token by the string rules of
+//! `Json::parse`, so replay builds no JSON tree and allocates nothing per
+//! line. A line in any other shape (fields reordered, whitespace added,
+//! another schema) names no cell and is skipped like a torn one.
+//! Campaign start-up ([`recover`]) replays in the campaign's
+//! [`Scope`]: a line naming another campaign's key is dropped as soon
+//! as its key is read.
+//!
 //! A line is written only when it can change what replay answers: the
 //! dispatcher skips the `ok` line of a cell served from the store whose
 //! last line already says `ok`, so a fully cached resume leaves the file
@@ -16,22 +27,23 @@
 //!
 //! Each line is appended with a single `write_all` on an `O_APPEND`
 //! handle and flushed immediately, so a SIGKILL can lose at most the
-//! line being written — and [`Journal::load`] tolerates exactly that: a
-//! torn or otherwise unparseable trailing fragment is skipped, never
-//! fatal. The cache itself remains the source of truth for resumable
+//! line being written — and replay tolerates exactly that: a torn or
+//! otherwise undecodable trailing fragment is skipped, never fatal.
+//! The cache itself remains the source of truth for resumable
 //! payloads (it is content-addressed and self-verifying); the journal is
 //! the campaign-level account of progress — including *failures*, which
 //! the cache by design never records — that `--resume` reporting and the
 //! run manifest read back.
 
-use crate::cache::CacheKey;
+use crate::cache::{CacheKey, Scope};
 use crate::vfs::Vfs;
 use jsonio::Json;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-/// Journal line schema version; bump to invalidate wholesale.
+/// Journal line schema version; bump to invalidate wholesale (and
+/// [`JournalLine`]'s head with it).
 pub const JOURNAL_SCHEMA: u64 = 1;
 
 /// Completion status of one journaled cell.
@@ -74,6 +86,43 @@ pub fn journal_path(cache_dir: &Path, label: &str) -> PathBuf {
     cache_dir.join("journal").join(format!("{}.jsonl", crate::cache::label_stem(label)))
 }
 
+/// The journal line's one writer ([`JournalLine::encode`]) and its one
+/// decoder ([`JournalLine::decode`]), which accepts exactly the bytes
+/// the writer emits.
+#[derive(Clone, Copy, Debug)]
+pub struct JournalLine;
+
+/// Everything before the key: the schema is [`JOURNAL_SCHEMA`].
+const HEAD: &str = "{\"schema\":1,\"key\":\"";
+
+impl JournalLine {
+    /// The line for one cell outcome, without its newline.
+    pub fn encode(key: CacheKey, cell: &str, status: Status, attempts: u32) -> String {
+        format!(
+            "{HEAD}{}\",\"cell\":{},\"status\":\"{}\",\"attempts\":{attempts}}}",
+            key.hex(),
+            Json::Str(cell.to_string()).to_string(),
+            status.label()
+        )
+    }
+
+    /// The key and status of a line [`JournalLine::encode`] could have
+    /// written, if its key is in `scope`. A key outside the scope ends
+    /// the read as soon as it is decoded; any other shape is `None`.
+    pub fn decode(line: &str, scope: &Scope) -> Option<(CacheKey, Status)> {
+        let rest = line.strip_prefix(HEAD)?;
+        let key = scope.key(rest.get(..32)?)?;
+        let rest = rest[32..].strip_prefix("\",\"cell\":")?;
+        let rest = &rest[jsonio::string_token_len(rest)?..];
+        let (label, rest) = rest.strip_prefix(",\"status\":\"")?.split_once('"')?;
+        let status = Status::parse(label)?;
+        let attempts = rest.strip_prefix(",\"attempts\":")?.strip_suffix('}')?;
+        let canonical = attempts.bytes().all(|b| b.is_ascii_digit())
+            && (attempts == "0" || !attempts.starts_with('0'));
+        (canonical && attempts.parse::<u32>().is_ok()).then_some((key, status))
+    }
+}
+
 /// A replayed journal: the last recorded status per cache key.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Journal {
@@ -81,27 +130,23 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Replay a journal file. A missing file is an empty journal; a line
-    /// torn by a mid-write kill (or any other unparseable line) is
-    /// skipped. Later lines win, so a cell that failed in one run and
-    /// succeeded in a resumed run reads back as `Ok`. A line whose key is
-    /// not a [`CacheKey::hex`] form names no cell and is skipped too.
+    /// Replay a whole journal file, every key. A missing file is an
+    /// empty journal; a line torn by a mid-write kill, or in any shape
+    /// [`JournalLine`] does not write, is skipped. Later lines win, so a
+    /// cell that failed in one run and succeeded in a resumed run reads
+    /// back as `Ok`. Campaign start-up uses [`recover`], which replays
+    /// only the campaign's keys; this full replay stays for the
+    /// benchmark's traced replica until it is retired (ROADMAP item 1).
     pub fn load(path: &Path) -> Journal {
-        std::fs::read_to_string(path).map(|text| Journal::replay(&text)).unwrap_or_default()
+        std::fs::read_to_string(path)
+            .map(|text| Journal::replay(&text, &Scope::all()))
+            .unwrap_or_default()
     }
 
-    fn replay(text: &str) -> Journal {
+    fn replay(text: &str, scope: &Scope) -> Journal {
         let mut entries = BTreeMap::new();
-        for line in text.lines() {
-            let Ok(entry) = Json::parse(line) else { continue };
-            if entry.get("schema").and_then(Json::as_u64) != Some(JOURNAL_SCHEMA) {
-                continue;
-            }
-            let key = entry.get("key").and_then(Json::as_str).and_then(CacheKey::from_hex);
-            let status = entry.get("status").and_then(Json::as_str).and_then(Status::parse);
-            if let (Some(key), Some(status)) = (key, status) {
-                entries.insert(key, status);
-            }
+        for (key, status) in text.lines().filter_map(|line| JournalLine::decode(line, scope)) {
+            entries.insert(key, status);
         }
         Journal { entries }
     }
@@ -168,15 +213,16 @@ pub fn sweep_torn_tail(path: &Path) -> u64 {
 
 /// Campaign startup in one read of the journal: truncate its torn tail
 /// (as [`sweep_torn_tail`]) and replay what the file then holds (as
-/// [`Journal::load`]), returning the journal and the bytes truncated.
-/// When the truncate fails the whole file is replayed, tail included,
-/// exactly as a load after a failed sweep would. Call with the campaign
-/// lock held, so no live appender races the truncate.
-pub fn recover(path: &Path) -> (Journal, u64) {
+/// [`Journal::load`], but only the keys in `scope`), returning the
+/// journal and the bytes truncated. When the truncate fails the whole
+/// file is replayed, tail included, exactly as a load after a failed
+/// sweep would. Call with the campaign lock held, so no live appender
+/// races the truncate.
+pub fn recover(path: &Path, scope: &Scope) -> (Journal, u64) {
     let Ok(text) = std::fs::read_to_string(path) else { return (Journal::default(), 0) };
     let torn = trim_tail(path, &text);
     let kept = &text[..text.len() - torn as usize];
-    (Journal::replay(kept), torn)
+    (Journal::replay(kept, scope), torn)
 }
 
 /// Crash-safe journal appender shared by all worker threads.
@@ -214,14 +260,7 @@ impl Writer {
         status: Status,
         attempts: u32,
     ) -> std::io::Result<()> {
-        let mut line = Json::obj(vec![
-            ("schema", Json::U64(JOURNAL_SCHEMA)),
-            ("key", Json::Str(key.hex())),
-            ("cell", Json::Str(cell.to_string())),
-            ("status", Json::Str(status.label().to_string())),
-            ("attempts", Json::U64(attempts as u64)),
-        ])
-        .to_string();
+        let mut line = JournalLine::encode(key, cell, status, attempts);
         line.push('\n');
         // Recover from a poisoned lock: the journal must keep absorbing
         // completions even after some worker panicked mid-append.

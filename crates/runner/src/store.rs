@@ -27,12 +27,16 @@
 //!   applies them in dependency order (objects before indexes before
 //!   intents).
 //!
+//! Index and intent lines are written and read only through their
+//! codecs, [`IndexLine`] and [`IntentLine`]: a line in any shape their
+//! writers do not emit is torn, whatever its checksum says.
+//!
 //! All store traffic flows through the campaign's [`crate::vfs::Vfs`]
 //! handle, so the durability suite can tear, starve, and fail exactly
 //! these writes and assert the invariant the module exists for: a fault
 //! may lose work, never corrupt it undetected.
 
-use crate::cache::{self, CacheKey, Lookup, SweepStats};
+use crate::cache::{self, CacheKey, Lookup, Scope, SweepStats};
 use crate::vfs::Vfs;
 use crate::CellSpec;
 use jsonio::{checked, Json};
@@ -51,13 +55,93 @@ pub fn intent_path(root: &Path, label: &str) -> PathBuf {
     root.join("intent").join(format!("{}.log", cache::label_stem(label)))
 }
 
-/// Entry path for a raw hex key (fsck and compaction work from index
-/// lines, which carry keys as hex strings, not [`CacheKey`]s).
-fn entry_path_hex(root: &Path, hex: &str) -> Option<PathBuf> {
-    if hex.len() != 32 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
-        return None;
+/// The key hex of a sealed line's body that is exactly `head`, the
+/// hex, then `"}`.
+fn key_hex<'a>(body: &'a str, head: &str) -> Option<&'a str> {
+    body.strip_prefix(head)?.strip_suffix("\"}")
+}
+
+/// The sealed index line `crc64:<sum> {"key":"<key hex>"}`: its one
+/// writer ([`IndexLine::encode`]) and its one decoder
+/// ([`IndexLine::decode`]), which accepts exactly the bytes the writer
+/// emits.
+#[derive(Clone, Copy, Debug)]
+pub struct IndexLine;
+
+const INDEX_HEAD: &str = "{\"key\":\"";
+
+impl IndexLine {
+    /// The line referencing `key`, without its newline.
+    pub fn encode(key: CacheKey) -> String {
+        checked::seal_body(&format!("{INDEX_HEAD}{}\"}}", key.hex()))
     }
-    Some(root.join(&hex[..2]).join(format!("{hex}.json")))
+
+    /// The key of a line [`IndexLine::encode`] could have written, if it
+    /// is in `scope` and the line's checksum verifies. A key outside the
+    /// scope ends the read before any checksum work.
+    pub fn decode(line: &str, scope: &Scope) -> Option<CacheKey> {
+        let (sum, body) = checked::unframe(line).ok()?;
+        let key = scope.key(key_hex(body, INDEX_HEAD)?)?;
+        (checked::checksum64(body.as_bytes()) == sum).then_some(key)
+    }
+}
+
+/// A write-ahead intent: a publish starts, or has landed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum IntentOp {
+    /// Logged before the object is written.
+    Begin,
+    /// Logged after the object is in place.
+    End,
+}
+
+/// The sealed intent line `crc64:<sum> {"op":"begin"|"end","key":"<key
+/// hex>"}`: its one writer ([`IntentLine::encode`]) and its one decoder
+/// ([`IntentLine::decode`]), which accepts exactly the bytes the writer
+/// emits.
+#[derive(Clone, Copy, Debug)]
+pub struct IntentLine;
+
+const BEGIN_HEAD: &str = "{\"op\":\"begin\",\"key\":\"";
+const END_HEAD: &str = "{\"op\":\"end\",\"key\":\"";
+
+impl IntentLine {
+    /// The line recording `op` for `key`, without its newline.
+    pub fn encode(op: IntentOp, key: CacheKey) -> String {
+        let head = match op {
+            IntentOp::Begin => BEGIN_HEAD,
+            IntentOp::End => END_HEAD,
+        };
+        checked::seal_body(&format!("{head}{}\"}}", key.hex()))
+    }
+
+    /// The op and key of a line [`IntentLine::encode`] could have
+    /// written, if its checksum verifies.
+    pub fn decode(line: &str) -> Option<(IntentOp, CacheKey)> {
+        let (sum, body) = checked::unframe(line).ok()?;
+        let (op, hex) = match key_hex(body, BEGIN_HEAD) {
+            Some(hex) => (IntentOp::Begin, hex),
+            None => (IntentOp::End, key_hex(body, END_HEAD)?),
+        };
+        let key = CacheKey::from_hex(hex)?;
+        (checked::checksum64(body.as_bytes()) == sum).then_some((op, key))
+    }
+}
+
+/// Replay an intent log: whether each key's last intent is an `end`
+/// (resolved), and how many lines failed to decode.
+fn replay_intents(text: &str) -> (BTreeMap<CacheKey, bool>, usize) {
+    let mut pending = BTreeMap::new();
+    let mut torn = 0;
+    for line in text.lines() {
+        match IntentLine::decode(line) {
+            Some((op, key)) => {
+                pending.insert(key, op == IntentOp::End);
+            }
+            None => torn += 1,
+        }
+    }
+    (pending, torn)
 }
 
 /// What [`Store::open`] found and fixed while bringing the store to a
@@ -126,16 +210,37 @@ impl std::fmt::Debug for Store {
 }
 
 impl Store {
+    /// Open the store replaying every key of the label's index, as
+    /// [`Store::open_for`] with [`Scope::all`]. Campaign start-up opens
+    /// in the campaign's scope; this full replay stays for the
+    /// benchmark's traced replica until it is retired (ROADMAP item 1).
+    pub fn open(vfs: Vfs, root: &Path, label: &str, code_version: &str) -> (Store, OpenStats) {
+        Store::open_for(vfs, root, label, code_version, &Scope::all())
+    }
+
     /// Open the store for one campaign: sweep stranded temp files,
     /// replay the campaign's intent log (removing objects a fault tore
-    /// mid-publish), load the campaign's index, and open the bookkeeping
-    /// appenders. Infallible by design — on an unwritable root the store
-    /// degrades to counting bookkeeping errors while lookups still work.
+    /// mid-publish), load the campaign's index entries for the keys in
+    /// `scope`, and open the bookkeeping appenders. Only the index is
+    /// scoped: the intent log is replayed whole, since every unresolved
+    /// publish under the label must be resolved. Infallible by design —
+    /// on an unwritable root the store degrades to counting bookkeeping
+    /// errors while lookups still work.
+    ///
+    /// Lookups and publishes must stay inside `scope`: a key outside it
+    /// reads as unreferenced, so a hit on it counts as a dedup hit and
+    /// appends a second reference.
     ///
     /// Call only with the campaign lock held: open may remove this
     /// label's intent log, and the first put empties a kept one, neither
     /// of which may race a live writer.
-    pub fn open(vfs: Vfs, root: &Path, label: &str, code_version: &str) -> (Store, OpenStats) {
+    pub fn open_for(
+        vfs: Vfs,
+        root: &Path,
+        label: &str,
+        code_version: &str,
+        scope: &Scope,
+    ) -> (Store, OpenStats) {
         let mut stats = OpenStats { sweep: cache::sweep_stats(root), ..OpenStats::default() };
 
         // Replay this campaign's write-ahead intents: a `begin` with no
@@ -145,35 +250,13 @@ impl Store {
         let intent = intent_path(root, label);
         let mut intent_stale = false;
         if let Ok(text) = std::fs::read_to_string(&intent) {
-            let mut pending: BTreeMap<String, bool> = BTreeMap::new();
-            let mut torn_lines = false;
-            for line in text.lines() {
-                let Ok(record) = checked::unseal(line) else {
-                    torn_lines = true;
-                    continue;
-                };
-                let (Some(op), Some(key)) = (
-                    record.get("op").and_then(Json::as_str),
-                    record.get("key").and_then(Json::as_str),
-                ) else {
-                    continue;
-                };
-                match op {
-                    "begin" => {
-                        pending.insert(key.to_string(), false);
-                    }
-                    "end" => {
-                        pending.insert(key.to_string(), true);
-                    }
-                    _ => {}
-                }
-            }
-            for (key, resolved) in &pending {
-                if *resolved {
+            let (pending, torn_lines) = replay_intents(&text);
+            for (&key, &resolved) in &pending {
+                if resolved {
                     continue;
                 }
                 stats.intents_resolved += 1;
-                let Some(path) = entry_path_hex(root, key) else { continue };
+                let path = cache::entry_path(root, key);
                 let torn = match std::fs::read_to_string(&path) {
                     Ok(entry) => checked::unseal(&entry).is_err(),
                     Err(e) if e.kind() == std::io::ErrorKind::NotFound => false,
@@ -187,28 +270,20 @@ impl Store {
             // it, as fsck's repair would. A fully resolved one stays (an
             // unlink frees its blocks, which costs a discard per open);
             // the first put truncates it instead.
-            if torn_lines || stats.intents_resolved > 0 {
+            if torn_lines > 0 || stats.intents_resolved > 0 {
                 let _ = std::fs::remove_file(&intent);
             } else {
                 intent_stale = !text.is_empty();
             }
         }
 
-        // Load this campaign's index: keys referenced by prior runs.
-        // Torn lines, and lines whose key no `CacheKey::hex` wrote, are
-        // skipped here (fsck reports them); the worst outcome is a
-        // re-appended reference.
+        // Load this campaign's index: the keys in scope that prior runs
+        // referenced. Lines of any other shape are skipped here (fsck
+        // reports them); the worst outcome is a re-appended reference.
         let index = index_path(root, label);
-        let mut keys = BTreeSet::new();
-        if let Ok(text) = std::fs::read_to_string(&index) {
-            for line in text.lines() {
-                let Ok(record) = checked::unseal(line) else { continue };
-                let key = record.get("key").and_then(Json::as_str).and_then(CacheKey::from_hex);
-                if let Some(key) = key {
-                    keys.insert(key);
-                }
-            }
-        }
+        let keys: BTreeSet<CacheKey> = std::fs::read_to_string(&index)
+            .map(|text| text.lines().filter_map(|line| IndexLine::decode(line, scope)).collect())
+            .unwrap_or_default();
 
         let append = |path: &Path| -> Option<std::fs::File> {
             let parent = path.parent()?;
@@ -255,10 +330,9 @@ impl Store {
         &self,
         file: &Mutex<Option<std::fs::File>>,
         tag: &Path,
-        record: &Json,
+        mut line: String,
         stale: Option<&AtomicBool>,
     ) -> bool {
-        let mut line = checked::seal(record);
         line.push('\n');
         let mut guard = crate::dispatch::lock_clean(file);
         let Some(handle) = guard.as_mut() else {
@@ -283,17 +357,14 @@ impl Store {
         if !crate::dispatch::lock_clean(&self.index_keys).insert(key) {
             return;
         }
-        let record = Json::obj(vec![("key", Json::Str(key.hex()))]);
-        self.append_sealed(&self.index_file, &self.index_file_path, &record, None);
+        self.append_sealed(&self.index_file, &self.index_file_path, IndexLine::encode(key), None);
     }
 
-    fn intent(&self, op: &str, key: CacheKey) {
-        let record =
-            Json::obj(vec![("op", Json::Str(op.to_string())), ("key", Json::Str(key.hex()))]);
+    fn intent(&self, op: IntentOp, key: CacheKey) {
         self.append_sealed(
             &self.intent_file,
             &self.intent_file_path,
-            &record,
+            IntentLine::encode(op, key),
             Some(&self.intent_stale),
         );
     }
@@ -330,10 +401,10 @@ impl Store {
     /// The campaign's first `begin` empties a log that `open` kept, so
     /// the log holds only this campaign's lines.
     pub fn put(&self, key: CacheKey, spec: &CellSpec, payload: &Json) -> std::io::Result<()> {
-        self.intent("begin", key);
+        self.intent(IntentOp::Begin, key);
         cache::store_with(&self.vfs, &self.root, key, &self.code_version, spec, payload)?;
         self.puts.fetch_add(1, Ordering::AcqRel);
-        self.intent("end", key);
+        self.intent(IntentOp::End, key);
         self.add_ref(key);
         Ok(())
     }
@@ -363,17 +434,13 @@ pub fn compact(root: &Path, vfs: &Vfs) -> CompactStats {
         for entry in entries.flatten() {
             let Ok(text) = std::fs::read_to_string(entry.path()) else { continue };
             stats.index_files += 1;
-            for line in text.lines() {
-                let Ok(record) = checked::unseal(line) else { continue };
-                if let Some(key) = record.get("key").and_then(Json::as_str) {
-                    referenced.insert(key.to_string());
-                }
-            }
+            referenced
+                .extend(text.lines().filter_map(|line| IndexLine::decode(line, &Scope::all())));
         }
     }
     stats.referenced = referenced.len() as u64;
     for (path, stem) in shard_objects(root) {
-        if referenced.contains(&stem) {
+        if CacheKey::from_hex(&stem).is_some_and(|key| referenced.contains(&key)) {
             stats.kept += 1;
         } else if vfs.remove_file(&path).is_ok() {
             stats.removed += 1;
@@ -563,8 +630,8 @@ pub fn fsck(root: &Path, repair: bool) -> FsckReport {
                     if repair {
                         fix(std::fs::remove_file(&path).is_ok(), &mut report);
                     }
-                } else {
-                    existing.insert(stem);
+                } else if let Some(key) = CacheKey::from_hex(&stem) {
+                    existing.insert(key);
                 }
             }
         }
@@ -579,28 +646,23 @@ pub fn fsck(root: &Path, repair: bool) -> FsckReport {
             let mut valid_lines = Vec::new();
             let mut damaged = false;
             for line in text.lines() {
-                match checked::unseal(line) {
-                    Err(e) => {
+                match IndexLine::decode(line, &Scope::all()) {
+                    None => {
                         damaged = true;
                         report.findings.push(Finding {
                             kind: FindingKind::TornIndexLine,
                             path: rel(root, &path),
-                            detail: format!("{e}"),
+                            detail: "not a sealed index line".to_string(),
                         });
                     }
-                    Ok(record) => {
-                        let key =
-                            record.get("key").and_then(Json::as_str).unwrap_or("").to_string();
-                        if existing.contains(&key) {
-                            valid_lines.push(line.to_string());
-                        } else {
-                            damaged = true;
-                            report.findings.push(Finding {
-                                kind: FindingKind::DanglingIndexRef,
-                                path: rel(root, &path),
-                                detail: format!("references missing object {key}"),
-                            });
-                        }
+                    Some(key) if existing.contains(&key) => valid_lines.push(line),
+                    Some(key) => {
+                        damaged = true;
+                        report.findings.push(Finding {
+                            kind: FindingKind::DanglingIndexRef,
+                            path: rel(root, &path),
+                            detail: format!("references missing object {}", key.hex()),
+                        });
                     }
                 }
             }
@@ -622,31 +684,14 @@ pub fn fsck(root: &Path, repair: bool) -> FsckReport {
         paths.sort();
         for path in paths {
             let Ok(text) = std::fs::read_to_string(&path) else { continue };
-            let mut pending: BTreeMap<String, bool> = BTreeMap::new();
-            let mut damaged = false;
-            for line in text.lines() {
-                match checked::unseal(line) {
-                    Err(e) => {
-                        damaged = true;
-                        report.findings.push(Finding {
-                            kind: FindingKind::TornIntentLine,
-                            path: rel(root, &path),
-                            detail: format!("{e}"),
-                        });
-                    }
-                    Ok(record) => {
-                        let key = record.get("key").and_then(Json::as_str).unwrap_or("");
-                        match record.get("op").and_then(Json::as_str) {
-                            Some("begin") => {
-                                pending.insert(key.to_string(), false);
-                            }
-                            Some("end") => {
-                                pending.insert(key.to_string(), true);
-                            }
-                            _ => {}
-                        }
-                    }
-                }
+            let (pending, torn_lines) = replay_intents(&text);
+            let mut damaged = torn_lines > 0;
+            for _ in 0..torn_lines {
+                report.findings.push(Finding {
+                    kind: FindingKind::TornIntentLine,
+                    path: rel(root, &path),
+                    detail: "not a sealed intent line".to_string(),
+                });
             }
             for (key, resolved) in &pending {
                 if !resolved {
@@ -654,7 +699,7 @@ pub fn fsck(root: &Path, repair: bool) -> FsckReport {
                     report.findings.push(Finding {
                         kind: FindingKind::UnresolvedIntent,
                         path: rel(root, &path),
-                        detail: format!("publish of {key} never confirmed"),
+                        detail: format!("publish of {} never confirmed", key.hex()),
                     });
                 }
             }
