@@ -152,6 +152,16 @@ grep -q '"worker-crash"' "$ISO_SMOKE_DIR/cache/manifests/table2.json"
     --cache-dir "$ISO_SMOKE_DIR/cache" \
     --records "$ISO_SMOKE_DIR/isolated.jsonl" >/dev/null
 cmp "$ISO_SMOKE_DIR/inproc.jsonl" "$ISO_SMOKE_DIR/isolated.jsonl"
+# The `all` campaign (every artifact's cells under one label) through
+# workers too: each worker builds the campaign from the run label and
+# argv it is sent, and the records must equal the in-process run's.
+./target/release/smi-lab all --reps 1 --no-cache \
+    --cache-dir "$ISO_SMOKE_DIR/cache" \
+    --records "$ISO_SMOKE_DIR/all-inproc.jsonl" >/dev/null
+./target/release/smi-lab all --reps 1 --no-cache --isolate --jobs 2 \
+    --cache-dir "$ISO_SMOKE_DIR/cache" \
+    --records "$ISO_SMOKE_DIR/all-isolated.jsonl" >/dev/null
+cmp "$ISO_SMOKE_DIR/all-inproc.jsonl" "$ISO_SMOKE_DIR/all-isolated.jsonl"
 rm -rf "$ISO_SMOKE_DIR"
 # Durability gate: the content-addressed store and vfs fault injection
 # end-to-end (DESIGN.md §14). A campaign under a seed-driven storm of

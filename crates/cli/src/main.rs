@@ -6,8 +6,8 @@
 //!                   [--jobs N] [--resume] [--no-cache] [--cache-dir DIR]
 //!                   [--records FILE] [--csv DIR] [--svg DIR] [--json DIR]
 //!                   [--noise SPEC] [--isolate] [--deadline-units N]
-//!                   [--isolate-watchdog-ms N] [--vfs-faults SPEC]
-//!                   [--adaptive] [--max-reps N] [--ci-target F]
+//!                   [--vfs-faults SPEC] [--adaptive] [--max-reps N]
+//!                   [--ci-target F]
 //!
 //! commands:
 //!   table1      BT under SMM 0/1/2            (Table 1)
@@ -59,11 +59,13 @@
 //! `worker-crash` reason. Records are byte-identical to an in-process
 //! run. `--deadline-units N` adds a deterministic per-cell budget in
 //! engine work units (quarantine reason `deadline`, reproducible on
-//! every rerun — no wall clock involved); `--isolate-watchdog-ms N`
-//! tunes the supervisor's wall-clock liveness watchdog (default 30000),
-//! which decides only when a silent worker is presumed wedged, never
-//! what any record contains. The hidden `worker` subcommand is the
-//! subprocess half of this mode; it is not meant to be run by hand.
+//! every rerun — no wall clock involved). The supervisor's wall-clock
+//! watchdog (30 s) decides only when a silent worker is presumed
+//! wedged, never what any record contains. The hidden `worker`
+//! subcommand is the subprocess half of this mode; it is not meant to
+//! be run by hand. It reads no flags of its own: the supervisor sends
+//! it the campaign (run label and argv) in its first frame, and it
+//! builds that campaign's cells with the same [`campaign_cells`].
 //!
 //! One campaign per (cache dir, experiment label) at a time: a kernel
 //! advisory lock on a file next to the journal makes a concurrent
@@ -138,6 +140,9 @@ fn note_status(status: RunStatus) {
 
 #[derive(Clone)]
 struct Args {
+    /// The arguments as given, command included: what an `--isolate`
+    /// worker re-parses to build the same campaign.
+    argv: Vec<String>,
     command: String,
     opts: RunOptions,
     jobs: usize,
@@ -150,7 +155,6 @@ struct Args {
     noise: Option<String>,
     isolate: bool,
     deadline_units: u64,
-    isolate_watchdog_ms: Option<u64>,
     isolate_kill: Vec<String>,
     vfs_faults: Option<String>,
     /// `Some` when `--adaptive` asked for CI-targeted sampling
@@ -160,10 +164,11 @@ struct Args {
     design: Option<SampleDesign>,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
+fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut command = None;
     let mut opts = RunOptions::default();
+    let mut quick = false;
+    let mut reps: Option<u32> = None;
     let mut jobs = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let mut resume = false;
     let mut no_cache = false;
@@ -175,7 +180,6 @@ fn parse_args() -> Result<Args, String> {
     let mut noise = None;
     let mut isolate = false;
     let mut deadline_units = 0u64;
-    let mut isolate_watchdog_ms = None;
     let mut isolate_kill = Vec::new();
     let mut vfs_faults = None;
     let mut adaptive = false;
@@ -184,13 +188,11 @@ fn parse_args() -> Result<Args, String> {
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--quick" => {
-                opts = RunOptions::quick().with_seed(opts.seed).with_validate(opts.validate)
-            }
+            "--quick" => quick = true,
             "--validate" => opts = opts.with_validate(true),
             "--reps" => {
                 let v = it.next().ok_or("--reps needs a value")?;
-                opts = opts.with_reps(v.parse().map_err(|_| format!("bad --reps {v}"))?);
+                reps = Some(v.parse().map_err(|_| format!("bad --reps {v}"))?);
             }
             "--seed" => {
                 let v = it.next().ok_or("--seed needs a value")?;
@@ -237,14 +239,6 @@ fn parse_args() -> Result<Args, String> {
                 let v = it.next().ok_or("--deadline-units needs a value")?;
                 deadline_units = v.parse().map_err(|_| format!("bad --deadline-units {v}"))?;
             }
-            "--isolate-watchdog-ms" => {
-                let v = it.next().ok_or("--isolate-watchdog-ms needs a value")?;
-                let ms: u64 = v.parse().map_err(|_| format!("bad --isolate-watchdog-ms {v}"))?;
-                if ms == 0 {
-                    return Err("--isolate-watchdog-ms must be at least 1".into());
-                }
-                isolate_watchdog_ms = Some(ms);
-            }
             // Fault injection for the CI kill-resume gate: SIGKILL the
             // worker whenever this cell is dispatched. Repeatable.
             "--isolate-kill" => {
@@ -268,25 +262,29 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
+    // An explicit `--reps` wins over `--quick`'s, in either order.
+    match reps {
+        Some(0) => return Err("--reps must be at least 1".into()),
+        Some(n) => opts.reps = n,
+        None if quick => opts.reps = RunOptions::quick().reps,
+        None => {}
+    }
     if resume && no_cache {
         return Err("--resume and --no-cache are mutually exclusive".into());
     }
-    if (deadline_units > 0 || isolate_watchdog_ms.is_some() || !isolate_kill.is_empty()) && !isolate
-    {
-        return Err("--deadline-units/--isolate-watchdog-ms/--isolate-kill need --isolate".into());
+    if (deadline_units > 0 || !isolate_kill.is_empty()) && !isolate {
+        return Err("--deadline-units/--isolate-kill need --isolate".into());
     }
     if (max_reps.is_some() || ci_target.is_some()) && !adaptive {
         return Err("--max-reps/--ci-target need --adaptive".into());
     }
     let design = if adaptive {
-        // Adaptive sampling is defined for the MPI table grids; the
-        // hidden `worker` subcommand accepts it so `--isolate` can
-        // forward the design to its subprocesses.
+        // Adaptive sampling is defined for the MPI table grids.
         let table = command
             .as_deref()
             .and_then(artifact)
             .is_some_and(|a| matches!(a.kind, Kind::Table(..)));
-        if !table && command.as_deref() != Some("worker") {
+        if !table {
             return Err("--adaptive is supported for table1/table2/table3".into());
         }
         let d = SampleDesign {
@@ -300,6 +298,7 @@ fn parse_args() -> Result<Args, String> {
         None
     };
     Ok(Args {
+        argv: argv.to_vec(),
         command: command.ok_or("no command given (try `smi-lab all --quick`)")?,
         opts,
         jobs,
@@ -315,7 +314,6 @@ fn parse_args() -> Result<Args, String> {
         noise,
         isolate,
         deadline_units,
-        isolate_watchdog_ms,
         isolate_kill,
         vfs_faults,
         design,
@@ -326,27 +324,31 @@ fn parse_args() -> Result<Args, String> {
 /// a different build of the simulators is never returned.
 const CODE_VERSION: &str = concat!("smi-lab-", env!("CARGO_PKG_VERSION"), "+schema1");
 
-fn runner_for(args: &Args) -> Runner {
-    let mut r = Runner::new(args.jobs);
-    r.cache_mode = args.cache_mode;
-    r.cache_dir = args.cache_dir.clone().into();
-    r.code_version = CODE_VERSION.to_string();
-    // Bridge the engine's thread-local hot-path counters into the
-    // runner's manifest telemetry. The runner depends on sim-core and
-    // could read them itself; the bridge stays while perfbench/tracer
-    // passes its own probe to `worker::serve_io` and builds a full
-    // `RunReport` (ROADMAP item 1). Pure observability: payload bytes
-    // are probe-independent.
-    r.perf_probe = Some(std::sync::Arc::new(|| {
+/// Bridge the engine's thread-local hot-path counters into the
+/// runner's manifest telemetry. The runner depends on sim-core and could
+/// read them itself; the bridge stays while perfbench/tracer passes its
+/// own probe to `worker::serve_io` and builds a full `RunReport`
+/// (ROADMAP item 1). Pure observability: payload bytes are
+/// probe-independent.
+fn perf_probe() -> runner::PerfProbe {
+    std::sync::Arc::new(|| {
         let p = sim_core::perf::take();
         runner::EnginePerf {
             events_popped: p.events_popped,
             queue_peak: p.queue_peak,
             runs: p.runs,
         }
-    }));
+    })
+}
+
+fn runner_for(args: &Args, label: &str) -> Runner {
+    let mut r = Runner::new(args.jobs);
+    r.cache_mode = args.cache_mode;
+    r.cache_dir = args.cache_dir.clone().into();
+    r.code_version = CODE_VERSION.to_string();
+    r.perf_probe = Some(perf_probe());
     if args.isolate {
-        r.isolate = Some(isolate_config(args));
+        r.isolate = Some(isolate_config(args, label));
     }
     if let Some(spec) = &args.vfs_faults {
         // Parse re-validated at parse_args time; a failure here would be
@@ -359,52 +361,45 @@ fn runner_for(args: &Args) -> Runner {
 }
 
 /// Supervision config for `--isolate`: the worker command re-executes
-/// this binary as `smi-lab worker` with exactly the options that shape
-/// cell identity (reps, seed, validate, the custom noise spec), so the
-/// worker rebuilds the same catalog the supervisor queues from.
-fn isolate_config(args: &Args) -> runner::supervisor::IsolateConfig {
+/// this binary as `smi-lab worker`, and the campaign frame carries the
+/// run label and this invocation's argv, from which the worker builds
+/// the label's cells with the same parser and [`campaign_cells`].
+fn isolate_config(args: &Args, label: &str) -> runner::supervisor::IsolateConfig {
     let exe = std::env::current_exe()
         .map(|p| p.display().to_string())
         .unwrap_or_else(|_| "smi-lab".to_string());
-    let mut cmd = vec![
-        exe,
-        "worker".to_string(),
-        "--reps".to_string(),
-        args.opts.reps.to_string(),
-        "--seed".to_string(),
-        args.opts.seed.to_string(),
-    ];
-    if args.opts.validate {
-        cmd.push("--validate".to_string());
-    }
-    if let Some(spec) = &args.noise {
-        cmd.push("--noise".to_string());
-        cmd.push(spec.clone());
-    }
-    // The sampling design shapes cell identity (it is embedded in the
-    // cell params), so the worker must rebuild the same adaptive
-    // catalog the supervisor queues from.
-    if let Some(d) = &args.design {
-        cmd.push("--adaptive".to_string());
-        cmd.push("--max-reps".to_string());
-        cmd.push(d.max_reps.to_string());
-        cmd.push("--ci-target".to_string());
-        cmd.push(d.target_rel_halfwidth.to_string());
-    }
-    let mut cfg = runner::supervisor::IsolateConfig::new(cmd);
+    let campaign = Json::obj(vec![
+        ("label", Json::Str(label.to_string())),
+        ("argv", Json::Arr(args.argv.iter().map(|a| Json::Str(a.clone())).collect())),
+    ]);
+    let mut cfg = runner::supervisor::IsolateConfig::new(vec![exe, "worker".into()], campaign);
     cfg.workers = args.jobs;
     cfg.deadline_units = args.deadline_units;
-    if let Some(ms) = args.isolate_watchdog_ms {
-        cfg.watchdog_ms = ms;
-    }
     cfg.kill_cells = args.isolate_kill.clone();
     cfg
+}
+
+/// Decode a campaign frame sent by [`isolate_config`] into its cells:
+/// what the hidden `worker` subcommand serves.
+fn worker_cells(campaign: &Json) -> Result<Vec<Cell>, String> {
+    let label = campaign.get("label").and_then(Json::as_str).ok_or("campaign without label")?;
+    let argv = campaign.get("argv").and_then(Json::as_array).and_then(|argv| {
+        argv.iter().map(|a| a.as_str().map(str::to_string)).collect::<Option<Vec<_>>>()
+    });
+    let argv = argv.ok_or("campaign without an argv of strings")?;
+    let cells = campaign_cells(&parse_args(&argv)?, label);
+    // A worker is spawned only for a cache miss, so a label with no
+    // cells names no campaign.
+    if cells.is_empty() {
+        return Err(format!("no campaign is labelled {label:?}"));
+    }
+    Ok(cells)
 }
 
 /// Run one labelled batch of cells through the runner; append its JSONL
 /// records (if `--records`) and write the run manifest.
 fn execute(args: &Args, label: &str, cells: Vec<Cell>) -> runner::RunReport {
-    let runner = runner_for(args);
+    let runner = runner_for(args, label);
     let report = match runner.try_run(label, cells) {
         Ok(report) => report,
         // Another live campaign holds this label's journal lock: fail
@@ -511,7 +506,7 @@ struct Artifact {
 }
 
 /// Every artifact, in `smi-lab all` order. A single command, `report`,
-/// `all` and the `--isolate` worker's catalogue all read this list.
+/// `all` and the `--isolate` worker all read this list.
 static ARTIFACTS: [Artifact; 17] = [
     Artifact { command: "table1", label: "table1", kind: Kind::Table(1, Bench::Bt) },
     Artifact { command: "table2", label: "table2", kind: Kind::Table(2, Bench::Ep) },
@@ -541,8 +536,7 @@ fn artifact(command: &str) -> Option<&'static Artifact> {
 }
 
 /// `args` without the options only a single command honours
-/// (`--adaptive`, `--noise`): what `all` runs and the base of the
-/// worker's catalogue.
+/// (`--adaptive`, `--noise`): what `all` runs.
 fn fixed(args: &Args) -> Args {
     Args { design: None, noise: None, ..args.clone() }
 }
@@ -618,10 +612,22 @@ impl Artifact {
     }
 }
 
+/// The cells of the campaign a run label names: one artifact's, or for
+/// `all` every artifact's under [`fixed`] options; none for any other
+/// label. The supervisor queues exactly these, and an `--isolate` worker
+/// rebuilds them from its campaign frame.
+fn campaign_cells(args: &Args, label: &str) -> Vec<Cell> {
+    if label == "all" {
+        let args = fixed(args);
+        return ARTIFACTS.iter().flat_map(|a| a.cells(&args)).collect();
+    }
+    ARTIFACTS.iter().filter(|a| a.label == label).flat_map(|a| a.cells(args)).collect()
+}
+
 /// Run one artifact as its own campaign, labelled by the artifact, and
 /// return its payloads in cell order.
 fn run_artifact(args: &Args, artifact: &Artifact) -> Vec<Json> {
-    let cells = artifact.cells(args);
+    let cells = campaign_cells(args, artifact.label);
     let count = cells.len();
     eprintln!(
         "running {} ({count} cells, {} reps, {} jobs)...",
@@ -636,23 +642,6 @@ fn run_artifact(args: &Args, artifact: &Artifact) -> Vec<Json> {
         verify_manifest(args, artifact.label, count, args.design.is_some());
     }
     payloads
-}
-
-/// The `--isolate` worker's catalogue: every artifact's cells, then the
-/// adaptive Tables 1–3 cells under `--adaptive` and the `--noise` spec's
-/// cell. An adaptive cell shares its fixed twin's name, and the worker
-/// resolves a name to its last entry, so the adaptive cells come last.
-fn worker_catalog(args: &Args) -> Vec<Cell> {
-    let base = fixed(args);
-    let mut cells: Vec<Cell> = ARTIFACTS.iter().flat_map(|a| a.cells(&base)).collect();
-    if args.design.is_some() {
-        let tables = ARTIFACTS.iter().filter(|a| matches!(a.kind, Kind::Table(..)));
-        cells.extend(tables.flat_map(|a| a.cells(args)));
-    }
-    if let Some(spec) = &args.noise {
-        cells.push(noise_cell(&args.opts, spec));
-    }
-    cells
 }
 
 fn print_figure1(fig: &analysis::Figure1Result, args: &Args) {
@@ -823,10 +812,8 @@ fn cmd_report(args: &Args) {
 /// over `--jobs` workers, then each artifact prints from its share of
 /// the payloads, in list order.
 fn cmd_all(args: &Args) {
+    let cells = campaign_cells(args, "all");
     let args = &fixed(args);
-    let batches: Vec<Vec<Cell>> = ARTIFACTS.iter().map(|a| a.cells(args)).collect();
-    let counts: Vec<usize> = batches.iter().map(Vec::len).collect();
-    let cells: Vec<Cell> = batches.into_iter().flatten().collect();
     eprintln!(
         "running everything: {} cells over {} jobs (reps {}, seed {})...",
         cells.len(),
@@ -836,8 +823,8 @@ fn cmd_all(args: &Args) {
     );
     let payloads = execute(args, "all", cells).payloads();
     let mut rest = &payloads[..];
-    for (a, count) in ARTIFACTS.iter().zip(counts) {
-        let (own, tail) = rest.split_at(count);
+    for a in &ARTIFACTS {
+        let (own, tail) = rest.split_at(a.cells(args).len());
         a.print(args, own);
         if matches!(a.kind, Kind::Study(_)) {
             println!();
@@ -861,21 +848,22 @@ fn main() {
     if argv.first().map(String::as_str) == Some("fsck") {
         std::process::exit(fsckcmd::run_cli(&argv[1..]));
     }
-    let args = match parse_args() {
+    let args = match parse_args(&argv) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!("usage: smi-lab <table1..table5|figure1|figure2|detect|bits|attribution|absorption|unixbench|scale|variance|energy|mops|noise|report|all|lint|bench|fsck> [--reps N] [--seed N] [--quick] [--validate] [--jobs N] [--resume] [--no-cache] [--cache-dir DIR] [--records FILE] [--csv DIR] [--svg DIR] [--json DIR] [--noise SPEC] [--isolate] [--deadline-units N] [--isolate-watchdog-ms N] [--vfs-faults SPEC] [--adaptive] [--max-reps N] [--ci-target F]");
+            eprintln!("usage: smi-lab <table1..table5|figure1|figure2|detect|bits|attribution|absorption|unixbench|scale|variance|energy|mops|noise|report|all|lint|bench|fsck> [--reps N] [--seed N] [--quick] [--validate] [--jobs N] [--resume] [--no-cache] [--cache-dir DIR] [--records FILE] [--csv DIR] [--svg DIR] [--json DIR] [--noise SPEC] [--isolate] [--deadline-units N] [--vfs-faults SPEC] [--adaptive] [--max-reps N] [--ci-target F]");
             std::process::exit(2);
         }
     };
-    // The hidden subprocess half of `--isolate`: serve cells from the
-    // full catalog over the framed stdin/stdout protocol until EOF or
-    // Shutdown. Handled before any records/cache side effects — the
-    // supervisor owns those.
+    // The hidden subprocess half of `--isolate`: serve the cells of the
+    // campaign the supervisor sends over the framed stdin/stdout
+    // protocol until EOF or Shutdown. Any flags it was given are parsed
+    // above and ignored. Handled before any records/cache side effects
+    // — the supervisor owns those.
     if args.command == "worker" {
-        let perf_probe = runner_for(&args).perf_probe;
-        std::process::exit(runner::worker::serve(worker_catalog(&args), perf_probe));
+        let (input, output) = (std::io::stdin().lock(), std::io::stdout().lock());
+        std::process::exit(runner::worker::serve(worker_cells, Some(perf_probe()), input, output));
     }
     // Records accumulate per batch within one invocation; start fresh.
     if let Some(path) = &args.records {
@@ -902,4 +890,59 @@ fn main() {
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
     std::process::exit(WORST_STATUS.load(Ordering::Relaxed));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        parse_args(&line.split_whitespace().map(str::to_string).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn explicit_reps_win_over_quick_in_either_order() {
+        for line in ["table2 --reps 4 --quick", "table2 --quick --reps 4"] {
+            assert_eq!(parse(line).map(|a| a.opts.reps), Ok(4), "{line}");
+        }
+        assert_eq!(parse("table2 --quick").map(|a| a.opts.reps), Ok(RunOptions::quick().reps));
+        assert_eq!(parse("table2").map(|a| a.opts.reps), Ok(RunOptions::default().reps));
+        // `--quick` keeps a seed and `--validate` given before it.
+        let a = parse("table2 --seed 9 --validate --quick").expect("parses");
+        assert_eq!((a.opts.seed, a.opts.validate), (9, true));
+        assert!(parse("table2 --reps 0").is_err(), "zero reps is a usage error, not a panic");
+    }
+
+    #[test]
+    fn a_worker_rebuilds_the_campaign_the_supervisor_queued() {
+        let argv = "table2 --quick --adaptive --max-reps 3 --isolate --jobs 2";
+        let args = parse(argv).expect("parses");
+        let campaign = isolate_config(&args, "table2").campaign;
+        let specs = |cells: Vec<Cell>| cells.into_iter().map(|c| c.spec).collect::<Vec<_>>();
+        let sent = specs(campaign_cells(&args, "table2"));
+        assert_eq!(sent.len(), 30);
+        assert_eq!(specs(worker_cells(&campaign).expect("decodes")), sent);
+        // `all` drops the single-command options, on both sides.
+        let args = parse("all --quick --noise core-jitter --isolate").expect("parses");
+        let all = specs(campaign_cells(&args, "all"));
+        let campaign = isolate_config(&args, "all").campaign;
+        assert_eq!(specs(worker_cells(&campaign).expect("decodes")), all);
+        let plain = parse("all --quick").expect("parses");
+        assert_eq!(all, specs(campaign_cells(&plain, "all")));
+    }
+
+    #[test]
+    fn a_worker_refuses_a_campaign_it_cannot_build() {
+        for bad in [
+            r#"null"#,
+            r#"{"argv":["table2"]}"#,
+            r#"{"label":"table2","argv":"table2"}"#,
+            r#"{"label":"table2","argv":["table2",7]}"#,
+            r#"{"label":"table2","argv":["table2","--reps"]}"#,
+            r#"{"label":"table9","argv":["table2"]}"#,
+        ] {
+            let campaign = Json::parse(bad).expect("json");
+            assert!(worker_cells(&campaign).is_err(), "{bad}");
+        }
+    }
 }

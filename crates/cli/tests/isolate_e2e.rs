@@ -11,10 +11,17 @@
 //! * a held campaign lock makes a concurrent duplicate invocation fail
 //!   fast (exit 2) without touching the journal, and a SIGKILLed
 //!   campaign leaves no lock behind: its `--resume` runs and ends
-//!   byte-identical to an uninterrupted run.
+//!   byte-identical to an uninterrupted run;
+//! * the hidden `worker` subcommand's contract, which the campaign
+//!   benchmark's tracer also relies on: `hello` first, exit 0 on
+//!   `shutdown` before any campaign, only the sent campaign's cells
+//!   served, and a nonzero exit on a campaign frame it cannot decode.
 
+use jsonio::framed::{FrameReader, FrameWriter};
+use jsonio::Json;
+use runner::proto::{FromWorker, ToWorker, WorkOutcome, PROTO_VERSION};
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("smi-lab-iso-e2e-{}-{tag}", std::process::id()));
@@ -233,4 +240,100 @@ fn sigkilled_campaign_releases_its_lock_and_resume_is_byte_identical() {
         "a resumed campaign's records equal an uninterrupted run's"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Run `smi-lab worker <flags>`: read its first frame, send `frames`,
+/// close its stdin, and return every reply it wrote and its exit code.
+fn worker_session(flags: &[&str], frames: &[Json]) -> (Vec<FromWorker>, Option<i32>) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_smi-lab"))
+        .arg("worker")
+        .args(flags)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn worker");
+    let mut replies = FrameReader::new(child.stdout.take().expect("stdout"));
+    let hello = replies.read().expect("hello frame").expect("a frame before EOF");
+    {
+        let mut tx = FrameWriter::new(child.stdin.take().expect("stdin"));
+        for frame in frames {
+            tx.write(frame).expect("send frame");
+        }
+    }
+    let mut out = vec![FromWorker::from_json(&hello).expect("decodes")];
+    while let Ok(Some(frame)) = replies.read() {
+        out.push(FromWorker::from_json(&frame).expect("decodes"));
+    }
+    (out, child.wait().expect("wait worker").code())
+}
+
+fn campaign(label: &str, argv: &[&str]) -> Json {
+    ToWorker::Campaign {
+        campaign: Json::obj(vec![
+            ("label", Json::Str(label.into())),
+            ("argv", Json::Arr(argv.iter().map(|a| Json::Str(a.to_string())).collect())),
+        ]),
+    }
+    .to_json()
+}
+
+#[test]
+fn worker_says_hello_then_exits_zero_on_shutdown() {
+    // The tracer's spawn probe: flags the worker parses and ignores.
+    let (replies, code) =
+        worker_session(&["--reps", "2", "--seed", "1"], &[ToWorker::Shutdown.to_json()]);
+    assert!(matches!(replies[..], [FromWorker::Hello { proto: PROTO_VERSION, .. }]), "{replies:?}");
+    assert_eq!(code, Some(0));
+    // A supervisor that closes the pipe before sending a campaign is a
+    // normal drain too.
+    assert_eq!(worker_session(&[], &[]).1, Some(0));
+}
+
+#[test]
+fn worker_serves_only_the_campaign_it_is_sent() {
+    let opts = analysis::RunOptions::quick();
+    let table2 = analysis::cells::table_cells(nas::Bench::Ep, &opts).remove(0).spec;
+    let table1 = analysis::cells::table_cells(nas::Bench::Bt, &opts).remove(0).spec;
+    let run = |id, spec| ToWorker::Run { id, attempt: 1, budget_units: 0, spec }.to_json();
+    let (replies, code) = worker_session(
+        &[],
+        &[campaign("table2", &["table2", "--quick"]), run(1, table2), run(2, table1)],
+    );
+    assert_eq!(code, Some(0), "EOF after the last run is a clean drain");
+    assert!(
+        matches!(&replies[1], FromWorker::Done { id: 1, outcome: WorkOutcome::Ok { .. } }),
+        "{:?}",
+        replies[1]
+    );
+    assert!(
+        matches!(
+            &replies[2],
+            FromWorker::Done { id: 2, outcome: WorkOutcome::Unresolvable { .. } }
+        ),
+        "a table1 cell is not in a table2 worker: {:?}",
+        replies[2]
+    );
+}
+
+#[test]
+fn worker_exits_nonzero_on_a_campaign_it_cannot_decode() {
+    for frame in [
+        Json::obj(vec![("type", Json::Str("campaign".into()))]),
+        campaign("table9", &["table2"]),
+        campaign("table2", &["table2", "--reps", "many"]),
+        ToWorker::Run {
+            id: 1,
+            attempt: 1,
+            budget_units: 0,
+            spec: analysis::cells::table_cells(nas::Bench::Ep, &analysis::RunOptions::quick())
+                .remove(0)
+                .spec,
+        }
+        .to_json(),
+    ] {
+        let (replies, code) = worker_session(&[], std::slice::from_ref(&frame));
+        assert_eq!(replies.len(), 1, "only hello before {frame:?}");
+        assert_eq!(code, Some(1), "{frame:?}");
+    }
 }

@@ -1,24 +1,24 @@
 //! Fixture worker for the process-isolation tests (chaos gate only).
 //!
 //! Speaks the framed worker protocol on stdin/stdout over the shared
-//! [`runner::testcells`] catalog, with process-level faults injected on
+//! [`runner::testcells`] cells, with process-level faults injected on
 //! request so the supervisor's crash discipline can be exercised with a
 //! *real* subprocess: `abort` dies mid-cell the way a SIGKILLed or
 //! segfaulted worker does, `hang` wedges forever so only the watchdog
 //! can end it, and the panic/invalid faults reuse the in-process chaos
 //! harness to prove those verdicts cross the pipe unchanged.
 //!
-//! Faults are configured on the command line (not the environment:
-//! parallel test binaries share an environment, argv is private):
+//! The cell count, seed and faults arrive in the campaign frame:
 //!
 //! ```text
-//! chaos-worker --cells 8 --seed 3 --faults c3=abort;c5=panic1
+//! {"cells":8,"seed":3,"faults":"c3=abort;c5=panic1"}
 //! ```
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+use jsonio::Json;
 use runner::chaos::{self, ChaosPlan, Fault};
-use runner::testcells;
+use runner::{testcells, Cell};
 
 fn parse_fault(name: &str) -> Option<Fault> {
     match name {
@@ -31,38 +31,22 @@ fn parse_fault(name: &str) -> Option<Fault> {
     }
 }
 
-fn main() {
-    let mut cells: u64 = 8;
-    let mut seed: u64 = 3;
+/// The campaign's cells, afflicted with its faults.
+fn build(campaign: &Json) -> Result<Vec<Cell>, String> {
+    let count = |name| campaign.get(name).and_then(Json::as_u64).ok_or(format!("no {name} count"));
+    let faults = campaign.get("faults").and_then(Json::as_str).ok_or("no faults string")?;
     let mut plan = ChaosPlan::calm(0);
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let value = |it: &mut std::slice::Iter<'_, String>| -> String {
-            it.next().cloned().unwrap_or_default()
-        };
-        match arg.as_str() {
-            "--cells" => cells = value(&mut it).parse().unwrap_or(8),
-            "--seed" => seed = value(&mut it).parse().unwrap_or(3),
-            "--faults" => {
-                for pair in value(&mut it).split(';').filter(|p| !p.is_empty()) {
-                    if let Some((cell, fault)) = pair.split_once('=') {
-                        if let Some(fault) = parse_fault(fault) {
-                            plan.pinned.push((cell.to_string(), fault));
-                        } else {
-                            eprintln!("chaos-worker: unknown fault in {pair:?}");
-                            std::process::exit(2);
-                        }
-                    }
-                }
-            }
-            other => {
-                eprintln!("chaos-worker: unknown argument {other:?}");
-                std::process::exit(2);
-            }
-        }
+    for pair in faults.split(';').filter(|p| !p.is_empty()) {
+        let fault = pair.split_once('=').and_then(|(cell, f)| Some((cell, parse_fault(f)?)));
+        let (cell, fault) = fault.ok_or(format!("bad fault {pair:?}"))?;
+        plan.pinned.push((cell.to_string(), fault));
     }
+    Ok(chaos::afflict(&plan, testcells::fixture_cells(count("cells")?, count("seed")?)))
+}
+
+fn main() {
     chaos::quiet_injected_panics();
-    let catalog = chaos::afflict(&plan, testcells::fixture_cells(cells, seed));
-    std::process::exit(runner::worker::serve(catalog, Some(testcells::fixture_probe())));
+    let probe = Some(testcells::fixture_probe());
+    let (input, output) = (std::io::stdin().lock(), std::io::stdout().lock());
+    std::process::exit(runner::worker::serve(build, probe, input, output));
 }

@@ -19,8 +19,17 @@
 //! campaign that opened the old inode would then lock a different file
 //! from a third that created a new one.
 
+use crate::dispatch::lock_clean;
 use std::fs::{File, TryLockError};
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
+
+/// Taken by every lock release, and by a worker spawn from before the
+/// fork until the worker's first frame shows its exec is over. A child
+/// holds a copy of each descriptor from fork until exec, so a lock
+/// released mid-spawn would stay held by that child and refuse the
+/// label's next campaign for a moment.
+pub(crate) static SPAWN: Mutex<()> = Mutex::new(());
 
 /// The typed contention failure: another campaign holds the lock.
 #[derive(Debug)]
@@ -39,7 +48,14 @@ impl std::fmt::Display for LockHeld {
 /// the lock.
 #[derive(Debug)]
 pub struct CampaignLock {
-    _file: File,
+    file: Option<File>,
+}
+
+impl Drop for CampaignLock {
+    fn drop(&mut self) {
+        let _spawns = lock_clean(&SPAWN);
+        self.file.take();
+    }
 }
 
 impl CampaignLock {
@@ -61,7 +77,7 @@ impl CampaignLock {
         });
         let Ok(file) = opened else { return Ok(None) };
         match file.try_lock() {
-            Ok(()) => Ok(Some(CampaignLock { _file: file })),
+            Ok(()) => Ok(Some(CampaignLock { file: Some(file) })),
             Err(TryLockError::WouldBlock) => Err(LockHeld { path }),
             Err(TryLockError::Error(_)) => Ok(None),
         }

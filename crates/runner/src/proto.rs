@@ -3,9 +3,9 @@
 //!
 //! The protocol is deliberately tiny and stateless per message:
 //!
-//! * supervisor → worker: [`ToWorker::Run`] (one cell, with the attempt
-//!   number and the deterministic work-unit budget) or
-//!   [`ToWorker::Shutdown`].
+//! * supervisor → worker: [`ToWorker::Campaign`] once, right after
+//!   spawn, then [`ToWorker::Run`] (one cell, with the attempt number
+//!   and the deterministic work-unit budget) or [`ToWorker::Shutdown`].
 //! * worker → supervisor: [`FromWorker::Hello`] once at startup, then
 //!   one [`FromWorker::Done`] per `Run`, carrying a [`WorkOutcome`].
 //!
@@ -23,10 +23,10 @@
 use crate::{CellSpec, EnginePerf};
 use jsonio::Json;
 
-/// Protocol version; both sides must agree (the supervisor ignores
-/// `Hello` frames with a different version and treats the worker as
-/// crashed when its replies fail to parse).
-pub const PROTO_VERSION: u64 = 1;
+/// Protocol version, announced in `Hello`. Version 2 added the
+/// `campaign` frame; a version-1 worker rejects it and exits, which the
+/// supervisor sees as a crash.
+pub const PROTO_VERSION: u64 = 2;
 
 /// A malformed or unexpected protocol frame.
 #[derive(Debug)]
@@ -44,9 +44,27 @@ fn err(what: &str, frame: &Json) -> ProtoError {
     ProtoError(format!("{what} in frame {rendered}"))
 }
 
+/// `frame[key]` read through `lane`, or an error saying the `what`
+/// message lacks it.
+fn field<'f, T>(
+    frame: &'f Json,
+    what: &str,
+    key: &str,
+    lane: impl FnOnce(&'f Json) -> Option<T>,
+) -> Result<T, ProtoError> {
+    frame.get(key).and_then(lane).ok_or_else(|| err(&format!("{what} without {key}"), frame))
+}
+
 /// Messages the supervisor sends a worker.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ToWorker {
+    /// The campaign whose cells the worker builds and serves: opaque to
+    /// the runner, decoded by the worker's builder (see
+    /// [`crate::worker::serve`]).
+    Campaign {
+        /// The campaign spec, as the supervisor's caller set it.
+        campaign: Json,
+    },
     /// Execute one cell.
     Run {
         /// Supervisor-chosen correlation id, echoed back in `Done`.
@@ -69,6 +87,10 @@ impl ToWorker {
     /// Serialize for the wire.
     pub fn to_json(&self) -> Json {
         match self {
+            ToWorker::Campaign { campaign } => Json::obj(vec![
+                ("type", Json::Str("campaign".into())),
+                ("campaign", campaign.clone()),
+            ]),
             ToWorker::Run { id, attempt, budget_units, spec } => Json::obj(vec![
                 ("type", Json::Str("run".into())),
                 ("id", Json::U64(*id)),
@@ -83,22 +105,14 @@ impl ToWorker {
     /// Parse from the wire.
     pub fn from_json(frame: &Json) -> Result<ToWorker, ProtoError> {
         match frame.get("type").and_then(Json::as_str) {
+            Some("campaign") => Ok(ToWorker::Campaign {
+                campaign: field(frame, "campaign", "campaign", Some)?.clone(),
+            }),
             Some("run") => Ok(ToWorker::Run {
-                id: frame
-                    .get("id")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| err("run without id", frame))?,
-                attempt: frame
-                    .get("attempt")
-                    .and_then(Json::as_u32)
-                    .ok_or_else(|| err("run without attempt", frame))?,
-                budget_units: frame
-                    .get("budget_units")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| err("run without budget_units", frame))?,
-                spec: spec_from_json(
-                    frame.get("spec").ok_or_else(|| err("run without spec", frame))?,
-                )?,
+                id: field(frame, "run", "id", Json::as_u64)?,
+                attempt: field(frame, "run", "attempt", Json::as_u32)?,
+                budget_units: field(frame, "run", "budget_units", Json::as_u64)?,
+                spec: spec_from_json(field(frame, "run", "spec", Some)?)?,
             }),
             Some("shutdown") => Ok(ToWorker::Shutdown),
             _ => Err(err("unknown supervisor message", frame)),
@@ -146,23 +160,12 @@ impl FromWorker {
     pub fn from_json(frame: &Json) -> Result<FromWorker, ProtoError> {
         match frame.get("type").and_then(Json::as_str) {
             Some("hello") => Ok(FromWorker::Hello {
-                proto: frame
-                    .get("proto")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| err("hello without proto", frame))?,
-                pid: frame
-                    .get("pid")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| err("hello without pid", frame))?,
+                proto: field(frame, "hello", "proto", Json::as_u64)?,
+                pid: field(frame, "hello", "pid", Json::as_u64)?,
             }),
             Some("done") => Ok(FromWorker::Done {
-                id: frame
-                    .get("id")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| err("done without id", frame))?,
-                outcome: WorkOutcome::from_json(
-                    frame.get("outcome").ok_or_else(|| err("done without outcome", frame))?,
-                )?,
+                id: field(frame, "done", "id", Json::as_u64)?,
+                outcome: WorkOutcome::from_json(field(frame, "done", "outcome", Some)?)?,
             }),
             _ => Err(err("unknown worker message", frame)),
         }
@@ -248,13 +251,10 @@ impl WorkOutcome {
     pub fn from_json(frame: &Json) -> Result<WorkOutcome, ProtoError> {
         match frame.get("kind").and_then(Json::as_str) {
             Some("ok") => {
-                let perf = frame.get("perf").ok_or_else(|| err("ok without perf", frame))?;
+                let perf = field(frame, "ok", "perf", Some)?;
                 let counter = |name: &str| perf.get(name).and_then(Json::as_u64).unwrap_or(0);
                 Ok(WorkOutcome::Ok {
-                    payload: frame
-                        .get("payload")
-                        .cloned()
-                        .ok_or_else(|| err("ok without payload", frame))?,
+                    payload: field(frame, "ok", "payload", Some)?.clone(),
                     perf: EnginePerf {
                         events_popped: counter("events_popped"),
                         queue_peak: counter("queue_peak"),
@@ -263,34 +263,17 @@ impl WorkOutcome {
                 })
             }
             Some("invalid") => Ok(WorkOutcome::Invalid {
-                reason: frame
-                    .get("reason")
-                    .cloned()
-                    .ok_or_else(|| err("invalid without reason", frame))?,
+                reason: field(frame, "invalid", "reason", Some)?.clone(),
             }),
             Some("panic") => Ok(WorkOutcome::Panic {
-                message: frame
-                    .get("message")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| err("panic without message", frame))?
-                    .to_string(),
+                message: field(frame, "panic", "message", Json::as_str)?.to_string(),
             }),
             Some("deadline") => Ok(WorkOutcome::Deadline {
-                budget_units: frame
-                    .get("budget_units")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| err("deadline without budget_units", frame))?,
-                spent_units: frame
-                    .get("spent_units")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| err("deadline without spent_units", frame))?,
+                budget_units: field(frame, "deadline", "budget_units", Json::as_u64)?,
+                spent_units: field(frame, "deadline", "spent_units", Json::as_u64)?,
             }),
             Some("unresolvable") => Ok(WorkOutcome::Unresolvable {
-                message: frame
-                    .get("message")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| err("unresolvable without message", frame))?
-                    .to_string(),
+                message: field(frame, "unresolvable", "message", Json::as_str)?.to_string(),
             }),
             _ => Err(err("unknown outcome kind", frame)),
         }
@@ -311,25 +294,11 @@ pub fn spec_to_json(spec: &CellSpec) -> Json {
 /// Parse a cell identity from the wire.
 pub fn spec_from_json(frame: &Json) -> Result<CellSpec, ProtoError> {
     Ok(CellSpec {
-        experiment: frame
-            .get("experiment")
-            .and_then(Json::as_str)
-            .ok_or_else(|| err("spec without experiment", frame))?
-            .to_string(),
-        cell: frame
-            .get("cell")
-            .and_then(Json::as_str)
-            .ok_or_else(|| err("spec without cell", frame))?
-            .to_string(),
-        params: frame.get("params").cloned().ok_or_else(|| err("spec without params", frame))?,
-        seed: frame
-            .get("seed")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| err("spec without seed", frame))?,
-        reps: frame
-            .get("reps")
-            .and_then(Json::as_u32)
-            .ok_or_else(|| err("spec without reps", frame))?,
+        experiment: field(frame, "spec", "experiment", Json::as_str)?.to_string(),
+        cell: field(frame, "spec", "cell", Json::as_str)?.to_string(),
+        params: field(frame, "spec", "params", Some)?.clone(),
+        seed: field(frame, "spec", "seed", Json::as_u64)?,
+        reps: field(frame, "spec", "reps", Json::as_u32)?,
     })
 }
 
@@ -358,7 +327,14 @@ mod tests {
     }
 
     #[test]
-    fn run_and_shutdown_roundtrip() {
+    fn campaign_run_and_shutdown_roundtrip() {
+        let campaign = ToWorker::Campaign {
+            campaign: Json::obj(vec![
+                ("label", Json::Str("table2".into())),
+                ("argv", Json::Arr(vec![])),
+            ]),
+        };
+        assert_eq!(roundtrip_to(&campaign), campaign);
         let run = ToWorker::Run { id: 7, attempt: 2, budget_units: 50_000, spec: spec() };
         assert_eq!(roundtrip_to(&run), run);
         assert_eq!(roundtrip_to(&ToWorker::Shutdown), ToWorker::Shutdown);
@@ -392,6 +368,7 @@ mod tests {
             Json::Null,
             Json::obj(vec![("type", Json::Str("warp".into()))]),
             Json::obj(vec![("type", Json::Str("run".into()))]),
+            Json::obj(vec![("type", Json::Str("campaign".into()))]),
             Json::obj(vec![("type", Json::Str("done".into())), ("id", Json::U64(1))]),
         ] {
             assert!(ToWorker::from_json(&bad).is_err() || FromWorker::from_json(&bad).is_err());

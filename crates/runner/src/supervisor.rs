@@ -10,9 +10,10 @@
 //! *manager per worker slot* (on the calling thread when there is one
 //! slot). Each manager pulls cache misses from the shared queue, spawns
 //! its worker subprocess (the hidden `smi-lab worker` subcommand) on its
-//! first miss, feeds it cells over the length-prefixed frame protocol
-//! ([`crate::proto`] over [`jsonio::framed`]), and hands every outcome
-//! back to the dispatcher. Managers share one queue, so a slow or dying
+//! first miss, sends it the campaign ([`IsolateConfig::campaign`]), feeds
+//! it cells over the length-prefixed frame protocol ([`crate::proto`]
+//! over [`jsonio::framed`]), and hands every outcome back to the
+//! dispatcher. Managers share one queue, so a slow or dying
 //! worker slot never strands cells that a healthy sibling could run.
 //!
 //! ## Crash discipline
@@ -42,9 +43,10 @@
 //! funnels into the same crash discipline. Wall time decides only
 //! *liveness*, never a record byte.
 
-use crate::dispatch::{for_each_slot, Attempt, Dispatcher, Settled, WorkItem};
+use crate::dispatch::{for_each_slot, lock_clean, Attempt, Dispatcher, Settled, WorkItem};
 use crate::{proto, QuarantineKind};
 use jsonio::framed::{FrameReader, FrameWriter};
+use jsonio::Json;
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::time::Duration;
@@ -54,9 +56,12 @@ use std::time::Duration;
 pub struct IsolateConfig {
     /// Worker subprocess command line: program plus arguments. The
     /// command must speak the [`crate::proto`] protocol on its
-    /// stdin/stdout (the CLI re-executes itself as `smi-lab worker ...`)
-    /// and must rebuild the *same* cell catalog the supervisor holds.
+    /// stdin/stdout (the CLI re-executes itself as `smi-lab worker`).
     pub worker_cmd: Vec<String>,
+    /// The campaign spec each worker receives in a `campaign` frame
+    /// right after spawn, opaque to the runner: the worker must build
+    /// from it the *same* cells the supervisor queues.
+    pub campaign: Json,
     /// Worker subprocess slots (clamped to at least 1, and to the
     /// campaign's cell count). A slot spawns its worker on its first
     /// cache miss, so a fully cached campaign spawns none.
@@ -80,10 +85,12 @@ pub struct IsolateConfig {
 }
 
 impl IsolateConfig {
-    /// A config with conservative defaults around a worker command.
-    pub fn new(worker_cmd: Vec<String>) -> IsolateConfig {
+    /// A config with conservative defaults around a worker command and
+    /// the campaign it is sent.
+    pub fn new(worker_cmd: Vec<String>, campaign: Json) -> IsolateConfig {
         IsolateConfig {
             worker_cmd,
+            campaign,
             workers: 1,
             respawn_budget: 3,
             backoff_ms: 25,
@@ -219,7 +226,7 @@ fn connect(cfg: &IsolateConfig, stats: &mut WorkerStats) -> Option<Conn> {
             let shift = (stats.crashes - 1).min(5) as u32;
             std::thread::sleep(Duration::from_millis(cfg.backoff_ms << shift));
         }
-        match Conn::spawn(&cfg.worker_cmd) {
+        match Conn::spawn(cfg) {
             Ok(c) => {
                 stats.spawns += 1;
                 return Some(c);
@@ -257,14 +264,14 @@ struct Conn {
 }
 
 impl Conn {
-    fn spawn(cmd: &[String]) -> Result<Conn, ()> {
-        let (program, args) = cmd.split_first().ok_or(())?;
-        let mut child = Command::new(program)
-            .args(args)
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .spawn()
-            .map_err(|_| ())?;
+    /// Start the worker, wait for its first word, and send it the
+    /// campaign frame.
+    fn spawn(cfg: &IsolateConfig) -> Result<Conn, ()> {
+        let (program, args) = cfg.worker_cmd.split_first().ok_or(())?;
+        let mut command = Command::new(program);
+        command.args(args).stdin(Stdio::piped()).stdout(Stdio::piped());
+        let spawning = lock_clean(&crate::lockfile::SPAWN);
+        let mut child = command.spawn().map_err(|_| ())?;
         let (stdin, stdout) = match (child.stdin.take(), child.stdout.take()) {
             (Some(i), Some(o)) => (i, o),
             _ => {
@@ -290,7 +297,17 @@ impl Conn {
                 }
             }
         });
-        Ok(Conn { child, tx: FrameWriter::new(stdin), rx, reader: Some(reader) })
+        // Keep `lockfile::SPAWN` until the worker speaks or dies: only then
+        // has its exec closed its copies of this process's descriptors.
+        // Its `hello` is skipped here as `await_done` would skip it, and a
+        // broken stream still ends the channel for `await_done` to see.
+        let _ = rx.recv_timeout(Duration::from_millis(cfg.watchdog_ms.max(1)));
+        drop(spawning);
+        let mut tx = FrameWriter::new(stdin);
+        // A worker already gone fails the `run` write that follows, which
+        // counts the crash.
+        let _ = tx.write(&proto::ToWorker::Campaign { campaign: cfg.campaign.clone() }.to_json());
+        Ok(Conn { child, tx, rx, reader: Some(reader) })
     }
 
     /// Wait for the `Done` frame of dispatch `id`, skipping `Hello` and
@@ -328,7 +345,6 @@ impl Conn {
 mod tests {
     use super::*;
     use crate::{journal, CacheMode, Cell, CellSpec, RunStatus, Runner};
-    use jsonio::Json;
     use std::path::PathBuf;
 
     fn spec(cell: &str) -> CellSpec {
@@ -366,7 +382,8 @@ mod tests {
 
     #[test]
     fn unspawnable_worker_exhausts_pool_and_degrades() {
-        let mut cfg = IsolateConfig::new(vec!["/nonexistent/smi-lab-worker-binary".into()]);
+        let mut cfg =
+            IsolateConfig::new(vec!["/nonexistent/smi-lab-worker-binary".into()], Json::Null);
         cfg.workers = 2;
         cfg.respawn_budget = 1;
         cfg.backoff_ms = 1;
@@ -397,11 +414,10 @@ mod tests {
         // A "worker" that emits garbage instead of frames: every
         // dispatch dies with a protocol error, burning one attempt per
         // death, until the cell quarantines as worker-crash.
-        let mut cfg = IsolateConfig::new(vec![
-            "/bin/sh".into(),
-            "-c".into(),
-            "echo not-a-frame; sleep 5".into(),
-        ]);
+        let mut cfg = IsolateConfig::new(
+            vec!["/bin/sh".into(), "-c".into(), "echo not-a-frame; sleep 5".into()],
+            Json::Null,
+        );
         cfg.respawn_budget = 5;
         cfg.backoff_ms = 1;
         let mut runner = no_cache_runner(cfg);
@@ -422,7 +438,7 @@ mod tests {
     #[test]
     fn crashed_cells_are_journaled_for_resume() {
         let dir = tmp_dir("journal");
-        let mut cfg = IsolateConfig::new(vec!["/bin/false".into()]);
+        let mut cfg = IsolateConfig::new(vec!["/bin/false".into()], Json::Null);
         cfg.respawn_budget = 5;
         cfg.backoff_ms = 1;
         let mut runner = Runner::new(1);

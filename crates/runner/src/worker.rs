@@ -1,14 +1,15 @@
 //! The worker half of process-isolated execution: a frame-driven serve
 //! loop a subprocess runs over its own stdin/stdout.
 //!
-//! A worker is deliberately dumb. It holds a catalog of cells (rebuilt
-//! from the same deterministic generators the supervisor used), executes
-//! exactly the cell each [`proto::ToWorker::Run`] frame names, and
-//! reports one [`proto::WorkOutcome`] per dispatch. It never touches the
-//! cache or the journal, never retries (the dispatcher owns the attempt
-//! budget), and exits on `Shutdown` or a clean EOF — so killing a worker
-//! at any instant loses at most the single attempt in flight. The same
-//! `run_one` is the in-thread transport's executor, so a cell's
+//! A worker is deliberately dumb. It announces itself with `Hello`,
+//! builds its cells from the campaign frame the supervisor sends right
+//! after spawn (the same function the supervisor built them with),
+//! executes exactly the cell each [`proto::ToWorker::Run`] frame names,
+//! and reports one [`proto::WorkOutcome`] per dispatch. It never touches
+//! the cache or the journal, never retries (the dispatcher owns the
+//! attempt budget), and exits on `Shutdown` or a clean EOF — so killing a
+//! worker at any instant loses at most the single attempt in flight. The
+//! same `run_one` is the in-thread transport's executor, so a cell's
 //! verdict cannot depend on which side of a pipe it ran.
 //!
 //! Deadlines are deterministic here: when a `Run` carries a nonzero
@@ -22,52 +23,76 @@
 
 use crate::{panic_message, proto, Cell, CellSpec, PerfProbe};
 use jsonio::framed::{FrameReader, FrameWriter};
-use std::collections::BTreeMap;
+use jsonio::Json;
 use std::io::{Read, Write};
 
-/// Serve the protocol over this process's stdin/stdout. Returns the
-/// process exit code: `0` after `Shutdown` or clean EOF, `1` on a torn
-/// or malformed stream (the supervisor sees the death either way).
-pub fn serve(cells: Vec<Cell>, perf_probe: Option<PerfProbe>) -> i32 {
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    serve_io(cells, perf_probe, stdin.lock(), stdout.lock())
+/// Serve the protocol over a worker's stdin/stdout (`input`/`output`):
+/// write `Hello`, then read the first frame. A `campaign` frame is
+/// handed to `build` and its cells are served; `Shutdown` or EOF exits 0
+/// before anything is built. Returns the process exit code: `1` on a
+/// torn or malformed stream, any other first frame, or a campaign
+/// `build` rejects (the supervisor sees the death either way).
+pub fn serve<R: Read, W: Write>(
+    build: impl FnOnce(&Json) -> Result<Vec<Cell>, String>,
+    perf_probe: Option<PerfProbe>,
+    input: R,
+    output: W,
+) -> i32 {
+    let (mut reader, mut writer) = (FrameReader::new(input), FrameWriter::new(output));
+    let cells = match hello(&mut writer).and_then(|()| next(&mut reader)) {
+        Ok(Some(proto::ToWorker::Campaign { campaign })) => build(&campaign),
+        Ok(None | Some(proto::ToWorker::Shutdown)) => return 0,
+        Ok(Some(proto::ToWorker::Run { .. })) | Err(()) => return 1,
+    };
+    let Ok(cells) = cells.map_err(|e| eprintln!("worker: {e}")) else { return 1 };
+    serve_frames(&cells, perf_probe.as_ref(), &mut reader, &mut writer)
 }
 
-/// [`serve`] over arbitrary streams (what the in-memory tests drive).
+/// [`serve`] for a caller that holds the cells already: `Hello`, then
+/// `Run` frames, with no campaign frame expected.
 pub fn serve_io<R: Read, W: Write>(
     cells: Vec<Cell>,
     perf_probe: Option<PerfProbe>,
     input: R,
     output: W,
 ) -> i32 {
-    let mut reader = FrameReader::new(input);
     let mut writer = FrameWriter::new(output);
-    let index: BTreeMap<(String, String), usize> = cells
-        .iter()
-        .enumerate()
-        .map(|(i, c)| ((c.spec.experiment.clone(), c.spec.cell.clone()), i))
-        .collect();
-    let hello =
-        proto::FromWorker::Hello { proto: proto::PROTO_VERSION, pid: std::process::id() as u64 };
-    if writer.write(&hello.to_json()).is_err() {
+    if hello(&mut writer).is_err() {
         return 1;
     }
+    serve_frames(&cells, perf_probe.as_ref(), &mut FrameReader::new(input), &mut writer)
+}
+
+fn hello<W: Write>(writer: &mut FrameWriter<W>) -> Result<(), ()> {
+    let hello =
+        proto::FromWorker::Hello { proto: proto::PROTO_VERSION, pid: std::process::id() as u64 };
+    writer.write(&hello.to_json()).map_err(|_| ())
+}
+
+/// The next supervisor message; `Ok(None)` on a clean EOF, `Err` on a
+/// torn or undecodable frame.
+fn next<R: Read>(reader: &mut FrameReader<R>) -> Result<Option<proto::ToWorker>, ()> {
+    match reader.read() {
+        Ok(Some(frame)) => proto::ToWorker::from_json(&frame).map(Some).map_err(|_| ()),
+        Ok(None) => Ok(None),
+        Err(_) => Err(()),
+    }
+}
+
+/// Answer `Run` frames from `cells` until `Shutdown` or EOF (exit 0);
+/// a torn frame or any other message exits 1.
+fn serve_frames<R: Read, W: Write>(
+    cells: &[Cell],
+    perf_probe: Option<&PerfProbe>,
+    reader: &mut FrameReader<R>,
+    writer: &mut FrameWriter<W>,
+) -> i32 {
     loop {
-        let frame = match reader.read() {
-            Ok(Some(frame)) => frame,
-            Ok(None) => return 0,
-            Err(_) => return 1,
-        };
-        let msg = match proto::ToWorker::from_json(&frame) {
-            Ok(msg) => msg,
-            Err(_) => return 1,
-        };
-        match msg {
-            proto::ToWorker::Shutdown => return 0,
-            proto::ToWorker::Run { id, attempt: _, budget_units, spec } => {
-                let outcome = match resolve(&cells, &index, &spec) {
-                    Ok(cell) => run_one(cell, perf_probe.as_ref(), budget_units),
+        match next(reader) {
+            Ok(None | Some(proto::ToWorker::Shutdown)) => return 0,
+            Ok(Some(proto::ToWorker::Run { id, attempt: _, budget_units, spec })) => {
+                let outcome = match resolve(cells, &spec) {
+                    Ok(cell) => run_one(cell, perf_probe, budget_units),
                     Err(unresolvable) => unresolvable,
                 };
                 let done = proto::FromWorker::Done { id, outcome };
@@ -75,27 +100,23 @@ pub fn serve_io<R: Read, W: Write>(
                     return 1;
                 }
             }
+            Ok(Some(proto::ToWorker::Campaign { .. })) | Err(()) => return 1,
         }
     }
 }
 
-/// Resolve a dispatched spec against the catalog, or explain (as an
-/// `Unresolvable` outcome) why this worker cannot produce it.
-fn resolve<'c>(
-    cells: &'c [Cell],
-    index: &BTreeMap<(String, String), usize>,
-    spec: &CellSpec,
-) -> Result<&'c Cell, proto::WorkOutcome> {
-    let Some(cell) =
-        index.get(&(spec.experiment.clone(), spec.cell.clone())).and_then(|&i| cells.get(i))
-    else {
+/// Resolve a dispatched spec against the worker's cells, or explain (as
+/// an `Unresolvable` outcome) why this worker cannot produce it.
+fn resolve<'c>(cells: &'c [Cell], spec: &CellSpec) -> Result<&'c Cell, proto::WorkOutcome> {
+    let named = |c: &&Cell| c.spec.experiment == spec.experiment && c.spec.cell == spec.cell;
+    let Some(cell) = cells.iter().find(named) else {
         return Err(proto::WorkOutcome::Unresolvable {
-            message: format!("no cell {}/{} in this worker's catalog", spec.experiment, spec.cell),
+            message: format!("no cell {}/{} in this worker's campaign", spec.experiment, spec.cell),
         });
     };
-    // The catalog entry must be the *same* cell, not just the same name:
-    // a seed/reps/params mismatch means supervisor and worker were built
-    // from different campaign options, and executing it would silently
+    // The worker's cell must be the *same* cell, not just the same name:
+    // a seed/reps/params mismatch means supervisor and worker binaries
+    // build the campaign differently, and executing it would silently
     // compute the wrong payload under the right cache key.
     if cell.spec.seed != spec.seed
         || cell.spec.reps != spec.reps
@@ -103,7 +124,7 @@ fn resolve<'c>(
     {
         return Err(proto::WorkOutcome::Unresolvable {
             message: format!(
-                "cell {}/{} identity mismatch between supervisor and worker catalogs",
+                "cell {}/{} identity mismatch between supervisor and worker",
                 spec.experiment, spec.cell
             ),
         });
@@ -172,8 +193,12 @@ mod tests {
         ]
     }
 
-    /// Drive a full session in memory: frames in, frames out.
-    fn session(cells: Vec<Cell>, messages: &[proto::ToWorker]) -> (i32, Vec<proto::FromWorker>) {
+    /// Drive a full session in memory through `serve`, a function of
+    /// the input and output streams: frames in, frames out.
+    fn drive(
+        messages: &[proto::ToWorker],
+        serve: impl FnOnce(&[u8], &mut Vec<u8>) -> i32,
+    ) -> (i32, Vec<proto::FromWorker>) {
         let mut input = Vec::new();
         {
             let mut w = FrameWriter::new(&mut input);
@@ -182,13 +207,37 @@ mod tests {
             }
         }
         let mut output = Vec::new();
-        let code = serve_io(cells, None, input.as_slice(), &mut output);
+        let code = serve(input.as_slice(), &mut output);
         let mut replies = Vec::new();
         let mut r = FrameReader::new(output.as_slice());
         while let Some(frame) = r.read().expect("frame") {
             replies.push(proto::FromWorker::from_json(&frame).expect("decode"));
         }
         (code, replies)
+    }
+
+    fn session(cells: Vec<Cell>, messages: &[proto::ToWorker]) -> (i32, Vec<proto::FromWorker>) {
+        drive(messages, |input, output| serve_io(cells, None, input, output))
+    }
+
+    /// A session through the campaign handshake, with a builder that
+    /// yields [`catalog`] for the campaign `"ok"` and rejects any other.
+    /// Also returns whether the builder ran.
+    fn campaign_session(messages: &[proto::ToWorker]) -> (i32, Vec<proto::FromWorker>, bool) {
+        let mut built = false;
+        let build = |campaign: &Json| {
+            built = true;
+            match campaign.as_str() {
+                Some("ok") => Ok(catalog()),
+                _ => Err("unknown campaign".to_string()),
+            }
+        };
+        let (code, replies) = drive(messages, |input, output| serve(build, None, input, output));
+        (code, replies, built)
+    }
+
+    fn campaign(name: &str) -> proto::ToWorker {
+        proto::ToWorker::Campaign { campaign: Json::Str(name.into()) }
     }
 
     fn run_msg(id: u64, spec: CellSpec) -> proto::ToWorker {
@@ -287,6 +336,45 @@ mod tests {
                 other => panic!("unexpected reply {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn a_campaign_frame_builds_the_cells_then_runs_are_served() {
+        let (code, replies, built) = campaign_session(&[
+            campaign("ok"),
+            run_msg(1, spec("good")),
+            proto::ToWorker::Shutdown,
+        ]);
+        assert_eq!(code, 0);
+        assert!(built);
+        assert!(matches!(replies[0], proto::FromWorker::Hello { .. }));
+        assert!(matches!(
+            &replies[1],
+            proto::FromWorker::Done { id: 1, outcome: proto::WorkOutcome::Ok { .. } }
+        ));
+    }
+
+    #[test]
+    fn shutdown_or_eof_before_a_campaign_exits_zero_without_building() {
+        for messages in [&[proto::ToWorker::Shutdown][..], &[]] {
+            let (code, replies, built) = campaign_session(messages);
+            assert_eq!((code, replies.len(), built), (0, 1, false), "{messages:?}");
+        }
+    }
+
+    #[test]
+    fn any_other_first_frame_or_a_rejected_campaign_exits_one() {
+        for messages in [
+            vec![run_msg(1, spec("good"))],
+            vec![campaign("nope"), run_msg(1, spec("good"))],
+            vec![campaign("ok"), campaign("ok")],
+        ] {
+            let (code, replies, _) = campaign_session(&messages);
+            assert_eq!((code, replies.len()), (1, 1), "{messages:?}: hello, then nothing");
+        }
+        // `serve_io` expects no campaign frame at all.
+        let (code, replies) = session(catalog(), &[campaign("ok")]);
+        assert_eq!((code, replies.len()), (1, 1));
     }
 
     #[test]

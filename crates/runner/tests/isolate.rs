@@ -15,19 +15,21 @@ use std::path::{Path, PathBuf};
 
 const SEED: u64 = 3;
 
-fn worker_cmd(cells: u64, faults: &str) -> Vec<String> {
-    let mut cmd = vec![
-        env!("CARGO_BIN_EXE_chaos-worker").to_string(),
-        "--cells".into(),
-        cells.to_string(),
-        "--seed".into(),
-        SEED.to_string(),
-    ];
-    if !faults.is_empty() {
-        cmd.push("--faults".into());
-        cmd.push(faults.to_string());
-    }
-    cmd
+/// The campaign frame that makes the `chaos-worker` fixture build
+/// `fixture_cells(cells, seed)` with `faults` (`cell=fault;...`) pinned.
+fn fixture_campaign(cells: u64, seed: u64, faults: &str) -> Json {
+    Json::obj(vec![
+        ("cells", Json::U64(cells)),
+        ("seed", Json::U64(seed)),
+        ("faults", Json::Str(faults.into())),
+    ])
+}
+
+/// The fixture worker, sent a campaign of `cells` cells at `SEED` with
+/// `faults` pinned.
+fn worker(cells: u64, faults: &str) -> IsolateConfig {
+    let cmd = vec![env!("CARGO_BIN_EXE_chaos-worker").to_string()];
+    IsolateConfig::new(cmd, fixture_campaign(cells, SEED, faults))
 }
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -39,7 +41,7 @@ fn tmp_dir(tag: &str) -> PathBuf {
 
 /// An isolated runner with test-friendly supervision timings.
 fn isolated_runner(cells: u64, faults: &str, workers: usize) -> Runner {
-    let mut cfg = IsolateConfig::new(worker_cmd(cells, faults));
+    let mut cfg = worker(cells, faults);
     cfg.workers = workers;
     cfg.backoff_ms = 1;
     let mut r = Runner::new(workers);
@@ -94,7 +96,7 @@ fn sigkilled_worker_never_takes_down_the_campaign_and_resume_heals_it() {
     // worker also wedges on c4, pinning the kill/completion race: the
     // Done frame can never beat the SIGKILL.
     let dir = tmp_dir("kill-resume");
-    let mut cfg = IsolateConfig::new(worker_cmd(6, "c4=hang"));
+    let mut cfg = worker(6, "c4=hang");
     cfg.workers = 2;
     cfg.backoff_ms = 1;
     cfg.respawn_budget = 5;
@@ -123,7 +125,7 @@ fn sigkilled_worker_never_takes_down_the_campaign_and_resume_heals_it() {
     // Phase 2: `--resume` without the kill. Only the quarantined cell
     // recomputes (survivors come from cache) and the campaign is Clean
     // with records byte-identical to the fault-free reference.
-    let mut cfg = IsolateConfig::new(worker_cmd(6, ""));
+    let mut cfg = worker(6, "");
     cfg.workers = 2;
     cfg.backoff_ms = 1;
     let mut runner = Runner::new(2);
@@ -290,13 +292,8 @@ fn mismatched_worker_catalog_is_a_structured_rejection() {
     // The worker holds a catalog seeded differently than the supervisor:
     // every cell's identity check fails in the worker and comes back as
     // a deterministic `unresolvable-cell` quarantine, not a crash loop.
-    let mut cfg = IsolateConfig::new(vec![
-        env!("CARGO_BIN_EXE_chaos-worker").to_string(),
-        "--cells".into(),
-        "4".into(),
-        "--seed".into(),
-        "999".into(),
-    ]);
+    let mut cfg = worker(4, "");
+    cfg.campaign = fixture_campaign(4, 999, "");
     cfg.backoff_ms = 1;
     let mut runner = Runner::new(1);
     runner.cache_mode = CacheMode::Off;
@@ -314,6 +311,58 @@ fn mismatched_worker_catalog_is_a_structured_rejection() {
     }
     let iso = report.isolate.as_ref().expect("accounting");
     assert_eq!(iso.workers.iter().map(|w| w.crashes).sum::<u64>(), 0);
+}
+
+#[test]
+fn a_campaign_the_worker_cannot_build_is_a_crash_not_an_answer() {
+    // The worker rejects its campaign frame and exits before serving a
+    // cell. Each dispatch dies with the worker: lost as an attempt, or
+    // refused by the closed pipe (a crash that charges no attempt) until
+    // the slot gives up. Either way every cell quarantines as a crash —
+    // no payload is ever minted.
+    let mut runner = isolated_runner(2, "", 1);
+    runner.max_attempts = 2;
+    if let Some(cfg) = runner.isolate.as_mut() {
+        cfg.campaign = Json::obj(vec![("cells", Json::Str("two".into()))]);
+    }
+    let report = runner.run("iso-bad-campaign", fixture_cells(2, SEED));
+    assert_eq!(report.status(), RunStatus::Degraded);
+    assert_eq!(report.cells_crashed, 2);
+    for q in &report.quarantined {
+        let kind = q.reason.get("kind").and_then(Json::as_str);
+        assert!(matches!(kind, Some("worker-crash" | "worker-pool-exhausted")), "{kind:?}");
+    }
+}
+
+#[test]
+fn a_released_campaign_lock_never_lingers_in_a_worker_being_spawned() {
+    // A child between fork and exec holds a copy of every descriptor of
+    // the process, the campaign lock's included. One thread keeps
+    // spawning workers that die at once; the other reruns a cached
+    // campaign under one label back to back. No rerun may find the
+    // label locked.
+    let dir = tmp_dir("lock-vs-spawn");
+    let done = std::sync::atomic::AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut spawner = isolated_runner(1, "", 1);
+            if let Some(cfg) = spawner.isolate.as_mut() {
+                cfg.campaign = Json::Null;
+            }
+            while !done.load(std::sync::atomic::Ordering::Relaxed) {
+                spawner.run("iso-spawner", fixture_cells(1, SEED));
+            }
+        });
+        let mut runner = isolated_runner(2, "", 1);
+        runner.cache_mode = CacheMode::ReadWrite;
+        runner.cache_dir = dir.clone();
+        let locked =
+            (0..500).filter(|_| runner.try_run("iso-lock", fixture_cells(2, SEED)).is_err());
+        let locked = locked.count();
+        done.store(true, std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(locked, 0, "reruns that found the label still locked");
+    });
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -341,7 +390,7 @@ fn in_thread_and_subprocess_transports_settle_identically() {
     let thread_dir = tmp_dir("parity-thread");
     let in_thread = campaign(&thread_dir, None, chaos::afflict(&plan, fixture_cells(8, SEED)));
     let process_dir = tmp_dir("parity-process");
-    let mut cfg = IsolateConfig::new(worker_cmd(8, FAULTS));
+    let mut cfg = worker(8, FAULTS);
     cfg.backoff_ms = 1;
     let subprocess = campaign(&process_dir, Some(cfg), fixture_cells(8, SEED));
 

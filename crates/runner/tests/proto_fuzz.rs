@@ -1,8 +1,8 @@
 //! Fuzzing the worker protocol: every frame a worker subprocess sends
 //! reaches `FromWorker::from_json`, and every frame the worker reads
 //! reaches `ToWorker::from_json`. Random JSON trees and mutated valid
-//! `hello`/`done`/`run` frames must decode to `Ok` or `Err`, never a
-//! panic; a frame with a counter out of its lane or an unknown tag must
+//! `hello`/`done`/`campaign`/`run` frames must decode to `Ok` or `Err`,
+//! never a panic; a frame with a counter out of its lane or an unknown tag must
 //! be an `Err`; and every well-formed message must round-trip exactly.
 
 use jsonio::Json;
@@ -10,8 +10,9 @@ use quickprop::Gen;
 use runner::proto::{FromWorker, ToWorker, WorkOutcome, PROTO_VERSION};
 use runner::{CellSpec, EnginePerf};
 
-const KEYS: [&str; 16] = [
+const KEYS: [&str; 17] = [
     "type",
+    "campaign",
     "kind",
     "id",
     "attempt",
@@ -46,7 +47,8 @@ fn random_json(g: &mut Gen, depth: u32) -> Json {
         3 => Json::U64(if g.bool() { g.any_u64() } else { g.u64(0..8) }),
         4 => Json::F64(g.pick(&[0.0, -1.5, 0.004, 105.5, 1e300, 5e-324])),
         5 => Json::Str(if g.bool() {
-            g.pick(&["run", "shutdown", "hello", "done", "ok", "panic", "deadline"]).into()
+            g.pick(&["run", "campaign", "shutdown", "hello", "done", "ok", "panic", "deadline"])
+                .into()
         } else {
             random_string(g)
         }),
@@ -86,14 +88,16 @@ fn random_outcome(g: &mut Gen) -> WorkOutcome {
 }
 
 fn random_to_worker(g: &mut Gen) -> ToWorker {
-    if g.below(4) == 0 {
-        return ToWorker::Shutdown;
-    }
-    ToWorker::Run {
-        id: g.any_u64(),
-        attempt: g.any_u64() as u32,
-        budget_units: g.any_u64(),
-        spec: random_spec(g),
+    match g.below(4) {
+        0 => ToWorker::Shutdown,
+        // The campaign is opaque to the runner: any tree must survive.
+        1 => ToWorker::Campaign { campaign: random_json(g, 4) },
+        _ => ToWorker::Run {
+            id: g.any_u64(),
+            attempt: g.any_u64() as u32,
+            budget_units: g.any_u64(),
+            spec: random_spec(g),
+        },
     }
 }
 
@@ -226,5 +230,28 @@ fn well_formed_messages_round_trip_exactly() {
         let back = FromWorker::from_json(&Json::parse(&wire).expect("parse")).expect("decode");
         assert_eq!(back, from);
         assert_eq!(back.to_json().to_string(), wire);
+    });
+}
+
+#[test]
+fn campaign_frames_carry_any_tree_and_need_their_field() {
+    quickprop::check("proto_campaign", 1000, |g| {
+        // The runner never looks inside a campaign: any tree, mutated
+        // or not, crosses the wire to an equal value and equal bytes.
+        let mut campaign = random_json(g, 4);
+        for _ in 0..g.u64(0..3) {
+            mutate(g, &mut campaign);
+        }
+        let msg = ToWorker::Campaign { campaign };
+        let wire = msg.to_json().to_string();
+        let back = ToWorker::from_json(&Json::parse(&wire).expect("parse")).expect("decode");
+        assert_eq!(back, msg);
+        assert_eq!(back.to_json().to_string(), wire);
+
+        let mut bare = msg.to_json();
+        if let Json::Obj(fields) = &mut bare {
+            fields.retain(|(key, _)| key != "campaign");
+        }
+        assert!(ToWorker::from_json(&bare).is_err(), "campaign frame without its campaign");
     });
 }
